@@ -11,6 +11,11 @@ never visit the small ones. When the conditional law is radially symmetric,
 the output radius is additionally stratified over equiprobable shells, which
 tames the large cross-term variance at inputs far outside the measure's
 support.
+
+One sample path serves the estimators, kkt_scan and the optimizer: a
+_ConditionalLaws object draws each stream (keeping the last one's draws),
+forms component-major (atoms x samples) log densities and reduces them with
+the mixture kernel _weighted_mix, so all callers agree bit for bit.
 """
 
 from __future__ import annotations
@@ -91,20 +96,9 @@ class OutputShell:
 
 
 def _batch_plan(total: int, batch: int) -> list[tuple[int, int]]:
-    plan = []
-    done = 0
-    index = 0
-    while done < total:
-        nb = min(batch, total - done)
-        plan.append((index, nb))
-        done += nb
-        index += 1
-    return plan
-
-
-def _n_strata(samples: int) -> int:
-    """Radial strata count; keeps at least 8 draws per stratum."""
-    return max(1, min(64, samples // 8))
+    """(batch index, batch size) pairs that cover total draws in order."""
+    return [(b, min(batch, total - start))
+            for b, start in enumerate(range(0, total, batch))]
 
 
 def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
@@ -126,41 +120,37 @@ def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
     return ids, s
 
 
-class _StratumAccumulator:
-    """Per-shell running sums for a stratified mean and its standard error."""
-
-    def __init__(self, n_strata: int):
-        self.n = n_strata
-        self.s1 = np.zeros(n_strata)
-        self.s2 = np.zeros(n_strata)
-        self.count = np.zeros(n_strata)
-
-    def add(self, ids, values):
-        self.s1 += np.bincount(ids, weights=values, minlength=self.n)
-        self.s2 += np.bincount(ids, weights=values * values, minlength=self.n)
-        self.count += np.bincount(ids, minlength=self.n)
-
-    def stats(self) -> tuple[float, float]:
-        means = self.s1 / self.count
-        var_k = np.maximum(self.s2 - self.s1 * means, 0.0) / np.maximum(
-            self.count - 1, 1)
-        mean = float(np.sum(means)) / self.n
-        se = math.sqrt(float(np.sum(var_k / self.count)) / (self.n * self.n))
-        return mean, se
-
-
 def _weighted_mix(logp: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise ln sum_j w_j exp(logp[:, j]), shift-stabilized.
+    """Column-wise ln sum_j w_j exp(logp[j, :]), shift-stabilized.
 
-    Zero-weight components are excluded so they cannot drag the shift and
-    underflow the whole row.
+    logp is component-major, (k, n): one row per atom, one column per
+    sample, so the shift is a reduction over the short axis. Zero-weight
+    rows are dropped before the shift, so they cannot drag it and underflow
+    the whole column.
     """
     if np.any(weights <= 0.0):
         keep = weights > 0.0
-        logp = logp[:, keep]
+        logp = logp[keep]
         weights = weights[keep]
-    amax = np.max(logp, axis=1)
-    return amax + np.log(np.exp(logp - amax[:, None]) @ weights)
+    amax = np.max(logp, axis=0)
+    return amax + np.log(weights @ np.exp(logp - amax))
+
+
+def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[float, float]:
+    """Mean and SE of the mixture log density over (stratum ids, logp) batches.
+
+    The strata are equiprobable, so the mean averages the per-stratum means.
+    """
+    s1, s2, count = np.zeros(n_strata), np.zeros(n_strata), np.zeros(n_strata)
+    for ids, logp in batches:
+        mix = _weighted_mix(logp, weights)
+        s1 += np.bincount(ids, weights=mix, minlength=n_strata)
+        s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
+        count += np.bincount(ids, minlength=n_strata)
+    means = s1 / count
+    var = np.maximum(s2 - s1 * means, 0.0) / np.maximum(count - 1, 1)
+    se = math.sqrt(float(np.sum(var / count)) / (n_strata * n_strata))
+    return float(np.sum(means)) / n_strata, se
 
 
 def chi_square_tail(t: float, m: int) -> float:
@@ -192,12 +182,18 @@ class _ConditionalLaws:
 
     For isotropic fading the law depends on the input norm only, so the
     per-sample work reduces to outer products of squared radii against the
-    per-atom scalar variances.
+    per-atom scalar variances. The draws of the last stream used are kept
+    (read-only), so consecutive inputs evaluated on one stream, such as the
+    non-atom points of a KKT scan, share one set of samples instead of
+    redrawing it.
     """
 
     def __init__(self, model: ChannelModel, atoms):
         self.model = model
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=complex))
+        if self.atoms.shape[1] != model.N:
+            raise ValueError(f"measure dimension {self.atoms.shape[1]} != "
+                             f"channel input dimension {model.N}")
         self.norms_sq = np.sum(np.abs(self.atoms) ** 2, axis=1)
         self.iso = model.iso_var is not None
         if self.iso:
@@ -205,6 +201,55 @@ class _ConditionalLaws:
             self.log_norm = model.M * np.log(np.pi * self.scalar_var)
         else:
             self.covs = [conditional_covariance(model, a) for a in self.atoms]
+        self._draws_key = self._draws = None
+
+    def n_strata(self, cfg: McConfig) -> int:
+        """Radial strata of isotropic streams: at least 8 draws each, at most 64."""
+        return max(1, min(64, cfg.samples // 8)) if self.iso else 1
+
+    def _stream_draws(self, cfg: McConfig, stream: int) -> list:
+        """Per-batch draws of one stream, seeded by (seed, stream, batch).
+
+        Isotropic channels get (ids, s): stratum ids and normalized squared
+        radii; the general path gets complex standard normals w. Only the
+        last stream's draws are cached.
+        """
+        key = (cfg, stream)
+        if key != self._draws_key:
+            m = self.model.M
+            n_strata = self.n_strata(cfg)
+            draws = []
+            offset = 0
+            for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
+                seed_key = derive_seed(cfg.seed, stream, b)
+                if self.iso:
+                    draw = _stratified_radii_sq(seed_key, offset, nb, m, n_strata)
+                    draw[0].flags.writeable = draw[1].flags.writeable = False
+                else:
+                    draw = _complex_standard_normals(seed_key, nb, m)
+                    draw.flags.writeable = False
+                draws.append(draw)
+                offset += nb
+            self._draws_key, self._draws = key, draws
+        return self._draws
+
+    def stream_log_densities(self, x, cfg: McConfig, stream: int):
+        """Yield (stratum ids, logp) per batch of the stream's samples of p(.|x).
+
+        logp is (k, n): row j holds ln p(y|x_j) at the batch's n outputs.
+        """
+        if self.iso:
+            cx = self.model.noise_var + self.model.iso_var * float(
+                np.real(np.vdot(x, x)))
+            ratios = cx / self.scalar_var
+            for ids, s in self._stream_draws(cfg, stream):
+                yield ids, -np.outer(ratios, s) - self.log_norm[:, None]
+            return
+        covx = conditional_covariance(self.model, x)
+        for w in self._stream_draws(cfg, stream):
+            y = w @ covx.factor.T
+            yield (np.zeros(w.shape[0], dtype=np.intp),
+                   np.vstack([c.log_densities(y) for c in self.covs]))
 
     def stream_stats(self, x, weights, cfg: McConfig, stream: int) -> tuple[float, float]:
         """Mean and SE of ln f_mu(Y) over Y ~ p(.|x), accumulated batch-wise.
@@ -213,35 +258,9 @@ class _ConditionalLaws:
         stratified over equiprobable shells; the general path draws full
         output vectors.
         """
-        m = self.model.M
-        weights = np.asarray(weights, dtype=float)
-        if self.iso:
-            cx = self.model.noise_var + self.model.iso_var * float(
-                np.real(np.vdot(x, x)))
-            ratios = cx / self.scalar_var
-            acc = _StratumAccumulator(_n_strata(cfg.samples))
-            offset = 0
-            for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
-                ids, s = _stratified_radii_sq(derive_seed(cfg.seed, stream, b),
-                                              offset, nb, m, acc.n)
-                logp = -np.outer(s, ratios) - self.log_norm[None, :]
-                acc.add(ids, _weighted_mix(logp, weights))
-                offset += nb
-            return acc.stats()
-        covx = conditional_covariance(self.model, x)
-        s1 = 0.0
-        s2 = 0.0
-        for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
-            w = _complex_standard_normals(derive_seed(cfg.seed, stream, b), nb, m)
-            y = w @ covx.factor.T
-            logp = np.column_stack([c.log_densities(y) for c in self.covs])
-            mix = _weighted_mix(logp, weights)
-            s1 += float(mix.sum())
-            s2 += float(np.dot(mix, mix))
-        n = cfg.samples
-        mean = s1 / n
-        var = max(s2 - s1 * s1 / n, 0.0) / (n - 1)
-        return mean, math.sqrt(var / n)
+        return _stratified_moments(self.stream_log_densities(x, cfg, stream),
+                                   np.asarray(weights, dtype=float),
+                                   self.n_strata(cfg))
 
 
 def _stream_index(mu: DiscreteMeasure, x: np.ndarray) -> int:
@@ -249,11 +268,6 @@ def _stream_index(mu: DiscreteMeasure, x: np.ndarray) -> int:
         if np.array_equal(mu.atoms[i], x):
             return i
     return _CROSS_STREAM
-
-
-def _cross_term_arrays(model, atoms, weights, x, cfg, stream) -> tuple[float, float]:
-    laws = _ConditionalLaws(model, atoms)
-    return laws.stream_stats(x, weights, cfg, stream)
 
 
 def cross_term(model: ChannelModel, mu: DiscreteMeasure, x, cfg: McConfig) -> McEstimate:
@@ -264,10 +278,8 @@ def cross_term(model: ChannelModel, mu: DiscreteMeasure, x, cfg: McConfig) -> Mc
     consistently.
     """
     x = _as_input(model, x)
-    if mu.dim != model.N:
-        raise ValueError(f"measure dimension {mu.dim} != channel input dimension {model.N}")
-    mean, se = _cross_term_arrays(model, mu.atoms, mu.weights, x, cfg,
-                                  _stream_index(mu, x))
+    mean, se = _ConditionalLaws(model, mu.atoms).stream_stats(
+        x, mu.weights, cfg, _stream_index(mu, x))
     return McEstimate(mean, se, cfg.samples, cfg.seed)
 
 
@@ -297,8 +309,6 @@ def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) 
     Stratified sampler with cfg.samples draws per atom; the estimate is
     nonnegative up to Monte Carlo error (about -3 standard errors).
     """
-    if mu.dim != model.N:
-        raise ValueError(f"measure dimension {mu.dim} != channel input dimension {model.N}")
     value, se, _, _, _ = _mutual_information_arrays(model, mu.atoms, mu.weights, cfg)
     return McEstimate(value, se, cfg.samples * mu.n_atoms, cfg.seed)
 

@@ -22,7 +22,8 @@ import numpy as np
 from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input,
                       conditional_covariance, input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
-from .estimate import McConfig, McEstimate, cross_term, derive_seed
+from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stream_index,
+                       derive_seed)
 from .measure import DiscreteMeasure, InputShell
 
 
@@ -135,15 +136,21 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
     return max(num / s, 0.0)
 
 
+def _kkt_estimate(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
+                  ctx: KktContext, x: np.ndarray, cfg: McConfig) -> McEstimate:
+    """KKT(x) with the cross term taken through laws, built for mu's atoms."""
+    mean, se = laws.stream_stats(x, mu.weights, cfg, _stream_index(mu, x))
+    cov = conditional_covariance(model, x)
+    value = (ctx.gamma * (input_norm_sq(x) / model.N - ctx.a) + ctx.capacity
+             + model.M * LOG_PI_E + cov.log_det + mean)
+    return McEstimate(value, se, cfg.samples, cfg.seed)
+
+
 def kkt_value(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext, x,
               cfg: McConfig) -> McEstimate:
     """Monte Carlo evaluation of KKT(x); the SE comes from the cross term only."""
     x = _as_input(model, x)
-    ct = cross_term(model, mu, x, cfg)
-    cov = conditional_covariance(model, x)
-    value = (ctx.gamma * (input_norm_sq(x) / model.N - ctx.a) + ctx.capacity
-             + model.M * LOG_PI_E + cov.log_det + ct.value)
-    return McEstimate(value, ct.std_error, ct.samples, ct.seed)
+    return _kkt_estimate(model, _ConditionalLaws(model, mu.atoms), mu, ctx, x, cfg)
 
 
 @dataclass(frozen=True)
@@ -228,18 +235,23 @@ def radial_scan_grid(model: ChannelModel, max_norm_sq: float,
 
 def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
              grid, cfg: McConfig) -> KktReport:
-    """Evaluate KKT on every grid point and every atom of mu."""
+    """Evaluate KKT on every grid point and every atom of mu.
+
+    All points share one law object for mu, so the grid points that are not
+    atoms reuse the cross stream's draws; each value equals kkt_value's.
+    """
     grid = list(grid)
     if not grid:
         raise ValueError("scan grid must be nonempty")
+    laws = _ConditionalLaws(model, mu.atoms)
     points = []
     for x in grid:
-        est = kkt_value(model, mu, ctx, x, cfg)
+        est = _kkt_estimate(model, laws, mu, ctx, _as_input(model, x), cfg)
         points.append(KktPoint(np.asarray(x, dtype=complex), input_norm_sq(x),
                                est.value, est.std_error))
     support = []
     for i in range(mu.n_atoms):
-        est = kkt_value(model, mu, ctx, mu.atoms[i], cfg)
+        est = _kkt_estimate(model, laws, mu, ctx, mu.atoms[i], cfg)
         support.append(KktPoint(mu.atoms[i], float(mu.norms_sq[i]),
                                 est.value, est.std_error))
     return KktReport(points=tuple(points), support=tuple(support))

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel, _complex_standard_normals, conditional_entropy
+from .channel import ChannelModel, conditional_entropy
 from .errors import NotConvergedError
-from .estimate import (McConfig, McEstimate, _batch_plan, _ConditionalLaws,
-                       _n_strata, _stratified_radii_sq, _weighted_mix,
+from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stratified_moments,
                        derive_seed, mutual_information)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
 from .measure import DiscreteMeasure, PowerConstraint, average_power
@@ -92,56 +91,31 @@ class Optimum:
 class _SupportEvaluator:
     """Cached per-atom log densities for a fixed support.
 
-    Streams match the public estimators (seed, atom index, batch index), so
-    weight iterations reuse one set of samples: the objective is a smooth
-    deterministic function of the weights. Isotropic channels carry the
-    radial-shell stratification of the public estimators.
+    Atom i's batches are the (stratum ids, log densities) that
+    _ConditionalLaws.stream_log_densities yields on stream i, the stream the
+    public estimators use for that atom, and cross_means reduces them with
+    the same stratified mixture reduction. So weight iterations reuse one
+    set of samples (the objective is a smooth deterministic function of the
+    weights) and cross_means(w)[i] equals stream_stats(atoms[i], w, mc, i)'s
+    mean bit for bit.
     """
 
     def __init__(self, model: ChannelModel, atoms, mc: McConfig):
         self.model = model
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=complex))
-        self.mc = mc
         self.k = self.atoms.shape[0]
-        self.iso = model.iso_var is not None
         laws = _ConditionalLaws(model, self.atoms)
         self.norms_sq = laws.norms_sq
         self.neg_h = np.array([-conditional_entropy(model, self.atoms[i])
                                for i in range(self.k)])
-        self.n_strata = _n_strata(mc.samples) if self.iso else 1
-        self._chunks: list[list[tuple]] = []
-        for i in range(self.k):
-            stratum = []
-            offset = 0
-            for b, nb in _batch_plan(mc.samples, mc.effective_batch):
-                seed_key = derive_seed(mc.seed, i, b)
-                if self.iso:
-                    ids, s = _stratified_radii_sq(seed_key, offset, nb,
-                                                  model.M, self.n_strata)
-                    ratios = laws.scalar_var[i] / laws.scalar_var
-                    logp = -np.outer(s, ratios) - laws.log_norm[None, :]
-                else:
-                    w = _complex_standard_normals(seed_key, nb, model.M)
-                    y = w @ laws.covs[i].factor.T
-                    ids = np.zeros(nb, dtype=int)
-                    logp = np.column_stack([c.log_densities(y)
-                                            for c in laws.covs])
-                stratum.append((ids, logp))
-                offset += nb
-            self._chunks.append(stratum)
+        self.n_strata = laws.n_strata(mc)
+        self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i))
+                         for i in range(self.k)]
 
     def cross_means(self, weights) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
-        means = np.empty(self.k)
-        for i, stratum in enumerate(self._chunks):
-            sums = np.zeros(self.n_strata)
-            counts = np.zeros(self.n_strata)
-            for ids, logp in stratum:
-                mix = _weighted_mix(logp, weights)
-                sums += np.bincount(ids, weights=mix, minlength=self.n_strata)
-                counts += np.bincount(ids, minlength=self.n_strata)
-            means[i] = float(np.sum(sums / counts)) / self.n_strata
-        return means
+        return np.array([_stratified_moments(batches, weights, self.n_strata)[0]
+                         for batches in self._batches])
 
     def mutual_information(self, weights) -> float:
         weights = np.asarray(weights, dtype=float)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fading_capacity import (ChannelModel, DiscreteMeasure, McConfig,
                              McEstimate, OutputShell, chi_square_tail,
                              conditional_entropy, cross_term, derive_seed,
                              log_chi_square_tail, mutual_information,
                              shell_probability)
-from fading_capacity.estimate import _mutual_information_arrays
+from fading_capacity.estimate import (_ConditionalLaws, _mutual_information_arrays,
+                                      _weighted_mix)
 from conftest import radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
@@ -132,6 +134,51 @@ class TestCrossTerm:
         a = cross_term(scalar_model, mu, [1.0 + 0j], cfg)
         b = cross_term(scalar_model, mu, [1.0 + 0j], cfg)
         assert a == b
+
+
+class TestMixtureKernel:
+    @staticmethod
+    def _reference(logp, w):
+        return logsumexp(logp, b=w[:, None], axis=0)
+
+    def test_matches_logsumexp(self):
+        rng = np.random.default_rng(11)
+        logp = rng.normal(-3.0, 4.0, size=(4, 500))
+        w = np.array([0.1, 0.4, 0.2, 0.3])
+        np.testing.assert_allclose(_weighted_mix(logp, w),
+                                   self._reference(logp, w), rtol=1e-12)
+
+    def test_dominant_zero_weight_row_is_dropped(self):
+        rng = np.random.default_rng(12)
+        logp = rng.normal(-2.0, 1.0, size=(3, 200))
+        logp[1] += 800.0  # exp(-800) underflows to 0 after a shift by this row
+        w = np.array([0.6, 0.0, 0.4])
+        got = _weighted_mix(logp, w)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, self._reference(logp[[0, 2]], w[[0, 2]]),
+                                   rtol=1e-12)
+
+    def test_fano_scale_separation(self):
+        # components hundreds of nats apart, with the lead changing per column
+        rng = np.random.default_rng(13)
+        logp = np.vstack([rng.normal(0.0, 1.0, 300) - 600.0 * j for j in range(3)])
+        logp[:, ::2] = logp[::-1, ::2]
+        w = np.array([1e-300, 0.5, 0.5 - 1e-300])
+        got = _weighted_mix(logp, w)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, self._reference(logp, w), rtol=1e-12)
+
+
+class TestStreamDraws:
+    def test_cached_draws_are_read_only(self, scalar_model):
+        cfg = McConfig(1000, seed=3, batch=400)
+        dense = random_model(np.random.default_rng(3), 2, 2)
+        for model in (scalar_model, dense):
+            laws = _ConditionalLaws(model, np.zeros((1, model.N), dtype=complex))
+            for draw in laws._stream_draws(cfg, 0):
+                for arr in (draw if isinstance(draw, tuple) else (draw,)):
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
 
 
 class TestShellProbability:

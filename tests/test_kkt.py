@@ -209,6 +209,27 @@ class TestKktScan:
             max(report.support_residuals()) > 5e-3
         assert flagged
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_points_equal_kkt_value(self, scalar_model, dense):
+        # one law object serves the whole scan; the origin atom, the cross
+        # stream and the support atoms must each see their own stream
+        if dense:
+            model = random_model(np.random.default_rng(3), 2, 2)
+            atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+            mu = DiscreteMeasure(atoms, [0.5, 0.3, 0.2])
+        else:
+            model = scalar_model
+            mu = radial_measure([0.0, 5.867], [0.8296, 0.1704])
+        ctx = KktContext(0.113480, 1.0, 0.195547)
+        cfg = McConfig(3000, seed=5, batch=1000)
+        grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
+                                n_directions=2, seed=5)
+        grid.insert(3, mu.atoms[1])
+        report = kkt_scan(model, mu, ctx, grid, cfg)
+        for p in report.points + report.support:
+            est = kkt_value(model, mu, ctx, p.x, cfg)
+            assert (p.value, p.std_error) == (est.value, est.std_error)
+
     def test_empty_grid_rejected(self, scalar_model):
         mu = DiscreteMeasure.single([0j])
         with pytest.raises(ValueError):

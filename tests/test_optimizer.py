@@ -8,6 +8,7 @@ from fading_capacity import (DiscreteMeasure, KktContext, McConfig,
                              estimate_gamma, insert_atom, kkt_scan,
                              mutual_information, optimize_measure,
                              optimize_weights, radial_scan_grid)
+from fading_capacity.estimate import _ConditionalLaws
 from fading_capacity.optimizer import (_SupportEvaluator, _insertion_candidate,
                                        _match_power)
 from conftest import radial_measure, random_model
@@ -120,6 +121,23 @@ class TestInsertAtom:
         assert start == min(r[0] for r in runs if r is not None)
         assert values.min() < values[j] < -tol
         assert float(np.sum(np.abs(x) ** 2)) < cap
+
+
+class TestSupportEvaluator:
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_cross_means_match_stream_stats(self, scalar_model, dense):
+        if dense:
+            model = random_model(np.random.default_rng(3), 2, 2)
+            atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+        else:
+            model = scalar_model
+            atoms = np.array([[0j], [math.sqrt(5.867) + 0j], [6.5 + 0j]])
+        w = np.array([0.6, 0.4, 0.0])
+        mc = McConfig(3000, seed=6, batch=1000)
+        got = _SupportEvaluator(model, atoms, mc).cross_means(w)
+        laws = _ConditionalLaws(model, atoms)
+        for i in range(atoms.shape[0]):
+            assert got[i] == laws.stream_stats(atoms[i], w, mc, i)[0]
 
 
 class TestMatchPower:
