@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine for integrals over the output space.
+"""Integrals over the output space: seeded Monte Carlo and radial quadrature.
 
 All stochastic results are McEstimate values (point estimate, standard error,
 sample count, seed) and are bit-reproducible for a fixed configuration:
@@ -12,10 +12,13 @@ the output radius is additionally stratified over equiprobable shells, which
 tames the large cross-term variance at inputs far outside the measure's
 support.
 
-One sample path serves the estimators, kkt_scan and the optimizer: a
-_ConditionalLaws object draws each stream (keeping the last one's draws),
-forms component-major (atoms x samples) log densities and reduces them with
-the mixture kernel _weighted_mix, so all callers agree bit for bit.
+One sample path serves the estimators, and kkt_scan and the optimizer on
+dense channels: a _ConditionalLaws object draws each stream (keeping the
+last one's draws), forms component-major (atoms x samples) log densities and
+reduces them with the mixture kernel _weighted_mix, so all callers agree bit
+for bit. On isotropic channels kkt_scan and the optimizer instead integrate
+ln f_mu, a function of ||y||^2 alone, by radial quadrature (_RadialTable);
+the public estimators stay Monte Carlo, its independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,13 +27,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaincinv, logsumexp
+from scipy.special import gammaincc, gammainccinv, gammaincinv, logsumexp
 
 from .channel import (ChannelModel, _as_input, _complex_standard_normals,
                       conditional_covariance, conditional_entropy)
 from .measure import DiscreteMeasure
 
 _U64 = (1 << 64) - 1
+
+# Radial quadrature: Gauss-Legendre rule per panel, the Gamma(M) tail mass
+# left beyond the last octave, and the panel edges around a crossover of two
+# mixture lines, in transition widths.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_TAIL_MASS = 1e-18
+_CROSSOVER_GRADING = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
 _DEFAULT_BATCH = 50_000
 
 # Stream tags outside the per-atom index range.
@@ -136,21 +146,24 @@ def _weighted_mix(logp: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return amax + np.log(weights @ np.exp(logp - amax))
 
 
-def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[float, float]:
-    """Mean and SE of the mixture log density over (stratum ids, logp) batches.
-
-    The strata are equiprobable, so the mean averages the per-stratum means.
+def _stratified_moments(batches, weights: np.ndarray, n_strata: int,
+                        with_se: bool = True) -> tuple[float, float | None]:
+    """Mean and SE (None unless with_se) of the mixture log density over
+    (stratum ids, logp) batches; the mean averages the equiprobable strata's.
     """
     s1, s2, count = np.zeros(n_strata), np.zeros(n_strata), np.zeros(n_strata)
     for ids, logp in batches:
         mix = _weighted_mix(logp, weights)
         s1 += np.bincount(ids, weights=mix, minlength=n_strata)
-        s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
+        if with_se:
+            s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
         count += np.bincount(ids, minlength=n_strata)
     means = s1 / count
+    mean = float(np.sum(means)) / n_strata
+    if not with_se:
+        return mean, None
     var = np.maximum(s2 - s1 * means, 0.0) / np.maximum(count - 1, 1)
-    se = math.sqrt(float(np.sum(var / count)) / (n_strata * n_strata))
-    return float(np.sum(means)) / n_strata, se
+    return mean, math.sqrt(float(np.sum(var / count)) / (n_strata * n_strata))
 
 
 def chi_square_tail(t: float, m: int) -> float:
@@ -177,6 +190,61 @@ def log_chi_square_tail(log_t: float, m: int) -> float:
     return float(-t + logsumexp(terms))
 
 
+class _RadialTable:
+    """ln f_mu for one weight vector on composite Gauss-Legendre nodes in u = ||y||^2.
+
+    ln f_mu(u) is a log-sum-exp of the lines ln w_j - M ln(pi c_j) - u / c_j.
+    Panels are the octaves [c0 2^(j-1), c0 2^j] up from the noise variance c0
+    (the least variance of any law), split at the lines' crossovers and
+    graded around each by its transition width 1 / |1/c_i - 1/c_j|. None of
+    it depends on the input, so one table serves every input. The octaves
+    the atoms' laws need are tabulated in one block, later ones one at a
+    time, so a node's value does not depend on which inputs came before.
+    """
+
+    def __init__(self, laws: "_ConditionalLaws", weights: np.ndarray):
+        self.laws, self.weights = laws, weights.copy()
+        i, j = laws.pairs
+        live = (weights[i] > 0.0) & (weights[j] > 0.0) & (laws.inv_var[i] != laws.inv_var[j])
+        i, j = i[live], j[live]
+        b = (np.log(weights[i]) - laws.log_norm[i]) - (np.log(weights[j]) - laws.log_norm[j])
+        slope = laws.inv_var[i] - laws.inv_var[j]
+        splits = ((b / slope)[:, None] + _CROSSOVER_GRADING / np.abs(slope)[:, None]).ravel()
+        self.splits = splits[splits > 0.0]
+        self.ends: list[int] = []  # node count up to the end of each octave
+        self._tabulate(self._octave(laws.u_max))
+
+    def _octave(self, u_max: float) -> int:
+        return max(0, math.ceil(math.log2(u_max / self.laws.model.noise_var)))
+
+    def _tabulate(self, top: int):
+        """Append the octaves after the last tabulated one, up to octave top."""
+        c0, first = self.laws.model.noise_var, len(self.ends)
+        bounds = [math.ldexp(c0, j) for j in range(first, top + 1)]
+        lo = 0.0 if first == 0 else math.ldexp(c0, first - 1)
+        inner = self.splits[(self.splits > lo) & (self.splits < bounds[-1])]
+        edges = np.unique(np.concatenate(([lo], inner, bounds)))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+        logp = -np.outer(self.laws.inv_var, u) - self.laws.log_norm[:, None]
+        du = (half[:, None] * _GL_WEIGHTS).ravel()
+        lnf = _weighted_mix(logp, self.weights)
+        if first:
+            u, du = np.concatenate((self.u, u)), np.concatenate((self.du, du))
+            logp = np.concatenate((self.logp, logp), axis=1)
+            lnf = np.concatenate((self.lnf, lnf))
+        base = self.ends[-1] if first else 0
+        self.ends += (base + _GL_NODES.size * np.searchsorted(edges, bounds)).tolist()
+        self.u, self.du, self.logp, self.lnf = u, du, logp, lnf
+
+    def nodes_below(self, u_max: float) -> int:
+        """Node count of the octaves that cover [0, u_max], tabulating new ones."""
+        top = self._octave(u_max)
+        while len(self.ends) <= top:
+            self._tabulate(len(self.ends))
+        return self.ends[top]
+
+
 class _ConditionalLaws:
     """Pre-factored conditional output laws p(.|x_j) for a fixed atom list.
 
@@ -199,9 +267,18 @@ class _ConditionalLaws:
         if self.iso:
             self.scalar_var = model.noise_var + model.iso_var * self.norms_sq
             self.log_norm = model.M * np.log(np.pi * self.scalar_var)
+            self.inv_var = 1.0 / self.scalar_var
+            self.pairs = np.triu_indices(self.scalar_var.size, 1)
+            self.tail_s = float(gammainccinv(model.M, _TAIL_MASS))
+            self.u_max = float(np.max(self.scalar_var)) * self.tail_s
+            self._table = None
         else:
             self.covs = [conditional_covariance(model, a) for a in self.atoms]
         self._draws_key = self._draws = None
+
+    def scalar_variance(self, x) -> float:
+        """c_x = noise_var + iso_var ||x||^2, the variance of p(.|x), isotropic only."""
+        return self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
 
     def n_strata(self, cfg: McConfig) -> int:
         """Radial strata of isotropic streams: at least 8 draws each, at most 64."""
@@ -239,9 +316,7 @@ class _ConditionalLaws:
         logp is (k, n): row j holds ln p(y|x_j) at the batch's n outputs.
         """
         if self.iso:
-            cx = self.model.noise_var + self.model.iso_var * float(
-                np.real(np.vdot(x, x)))
-            ratios = cx / self.scalar_var
+            ratios = self.scalar_variance(x) / self.scalar_var
             for ids, s in self._stream_draws(cfg, stream):
                 yield ids, -np.outer(ratios, s) - self.log_norm[:, None]
             return
@@ -250,6 +325,30 @@ class _ConditionalLaws:
             y = w @ covx.factor.T
             yield (np.zeros(w.shape[0], dtype=np.intp),
                    np.vstack([c.log_densities(y) for c in self.covs]))
+
+    def radial_quadrature(self, x, weights):
+        """(q, table, n): E_{Y~p(.|x)}[g(||Y||^2)] ~ q @ g(table.u[:n]), isotropic only.
+
+        ||Y||^2 ~ Gamma(M, c_x); q is its density times the node weights of
+        the octaves that hold all but _TAIL_MASS of it. The table is kept for
+        the last weight vector used.
+        """
+        weights = np.asarray(weights, dtype=float)
+        if self._table is None or not np.array_equal(self._table.weights, weights):
+            self._table = _RadialTable(self, weights)
+        table = self._table
+        m, cx = self.model.M, self.scalar_variance(x)
+        n = table.nodes_below(cx * self.tail_s)
+        r = table.u[:n] / cx
+        q = table.du[:n] * np.exp(-r) / cx
+        if m > 1:
+            q *= r ** (m - 1) / math.gamma(m)
+        return q, table, n
+
+    def cross_quadrature(self, x, weights) -> float:
+        """E_{Y~p(.|x)}[ln f_mu(Y)] by radial quadrature, isotropic only."""
+        q, table, n = self.radial_quadrature(x, weights)
+        return float(q @ table.lnf[:n])
 
     def stream_stats(self, x, weights, cfg: McConfig, stream: int) -> tuple[float, float]:
         """Mean and SE of ln f_mu(Y) over Y ~ p(.|x), accumulated batch-wise.

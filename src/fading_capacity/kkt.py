@@ -139,16 +139,21 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
 def _kkt_estimate(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
                   ctx: KktContext, x: np.ndarray, cfg: McConfig) -> McEstimate:
     """KKT(x) with the cross term taken through laws, built for mu's atoms."""
-    mean, se = laws.stream_stats(x, mu.weights, cfg, _stream_index(mu, x))
-    cov = conditional_covariance(model, x)
+    if laws.iso:
+        mean, se, samples = laws.cross_quadrature(x, mu.weights), 0.0, 0
+        log_det = model.M * math.log(laws.scalar_variance(x))
+    else:
+        mean, se = laws.stream_stats(x, mu.weights, cfg, _stream_index(mu, x))
+        log_det, samples = conditional_covariance(model, x).log_det, cfg.samples
     value = (ctx.gamma * (input_norm_sq(x) / model.N - ctx.a) + ctx.capacity
-             + model.M * LOG_PI_E + cov.log_det + mean)
-    return McEstimate(value, se, cfg.samples, cfg.seed)
+             + model.M * LOG_PI_E + log_det + mean)
+    return McEstimate(value, se, samples, cfg.seed)
 
 
 def kkt_value(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext, x,
               cfg: McConfig) -> McEstimate:
-    """Monte Carlo evaluation of KKT(x); the SE comes from the cross term only."""
+    """KKT(x). Isotropic channels take the cross term by radial quadrature
+    (SE 0, samples 0), others by Monte Carlo, the only source of the SE."""
     x = _as_input(model, x)
     return _kkt_estimate(model, _ConditionalLaws(model, mu.atoms), mu, ctx, x, cfg)
 
@@ -237,8 +242,10 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
              grid, cfg: McConfig) -> KktReport:
     """Evaluate KKT on every grid point and every atom of mu.
 
-    All points share one law object for mu, so the grid points that are not
-    atoms reuse the cross stream's draws; each value equals kkt_value's.
+    All points share one law object for mu, so on isotropic channels one
+    quadrature table serves every point, and otherwise the grid points that
+    are not atoms reuse the cross stream's draws; each value equals
+    kkt_value's.
     """
     grid = list(grid)
     if not grid:

@@ -1,6 +1,6 @@
 """Discrete-input capacity optimization under an average power constraint.
 
-Smith-style outer loop: multiplicative weight updates on a fixed support,
+Smith-style outer loop: damped Newton steps on the weights of a fixed support,
 golden-section moves of atom radii, insertion of new atoms where the scan of
 the optimality functional dips negative, and dual bisection of the power
 multiplier until the optimal measure's power matches the budget. New atoms go
@@ -8,10 +8,12 @@ to the minimum of the nearest run of scan violations (the smallest-radius one
 along any scanned direction), not to the global minimum, which on a truncated
 scan is often just the scan cap. Tail atoms too light for the radius mover to
 resolve are placed from the certificate scan instead: such an atom is moved to
-the minimum of the nearest violation run and the power is matched again. All
-Monte Carlo evaluations reuse common random numbers (streams keyed by atom
-index), so comparisons between nearby supports are low-variance and the whole
-run is deterministic for a fixed seed.
+the minimum of the nearest violation run, and keeps following it, while the
+power is matched again after each move. On
+isotropic channels every cross term is a deterministic radial quadrature; on
+dense channels the Monte Carlo evaluations reuse common random numbers
+(streams keyed by atom index), so comparisons between nearby supports are
+low-variance. Either way the whole run is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .channel import ChannelModel, conditional_entropy
 from .errors import NotConvergedError
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stratified_moments,
-                       derive_seed, mutual_information)
+                       _weighted_mix, derive_seed, mutual_information)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
 from .measure import DiscreteMeasure, PowerConstraint, average_power
 
@@ -37,17 +39,21 @@ _MERGE_SQ = 1e-10
 # below this weight the Lagrangian cannot resolve an atom's radius, so the
 # mover leaves the atom alone and the certificate scan places it instead
 _MOVE_RESOLUTION = 1e-5
-# certificate rounds that may relocate a light atom to the scan's dip
-_RELOCATIONS = 3
+# weight solves stop once the atoms' gains agree within this (nats); a
+# Newton step may lower the objective by rounding noise up to the slack
+_GAIN_TOLERANCE = 1e-9
+_ASCENT_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Budgets and tolerances for optimize_measure.
 
-    kkt_tolerance is in nats and should stay above roughly three standard
-    errors of the Monte Carlo config; search_radius_sq caps the squared norm
-    scanned for new atoms (None picks 32 * a * N at run time).
+    kkt_tolerance is in nats. On dense channels the KKT scan is a Monte
+    Carlo estimate, and the tolerance should stay above roughly three of its
+    standard errors; isotropic channels evaluate it by quadrature (SE 0).
+    search_radius_sq caps the squared norm scanned for new atoms (None picks
+    32 * a * N at run time).
     """
 
     mc: McConfig = field(default_factory=lambda: McConfig(samples=200_000, seed=0))
@@ -67,7 +73,8 @@ class OptimizerConfig:
             raise ValueError("search_radius_sq must be positive")
         if self.kkt_tolerance < 5e-3 and self.mc.samples < 200_000:
             warnings.warn("kkt_tolerance below 5e-3 normally needs >= 2e5 samples per atom "
-                          "to keep the standard error under a third of the tolerance",
+                          "on dense channels to keep the standard error under a third "
+                          "of the tolerance",
                           stacklevel=2)
 
 
@@ -89,15 +96,13 @@ class Optimum:
 
 
 class _SupportEvaluator:
-    """Cached per-atom log densities for a fixed support.
+    """Per-atom cross terms E_i[ln f_w] of a fixed support, as functions of w.
 
-    Atom i's batches are the (stratum ids, log densities) that
-    _ConditionalLaws.stream_log_densities yields on stream i, the stream the
-    public estimators use for that atom, and cross_means reduces them with
-    the same stratified mixture reduction. So weight iterations reuse one
-    set of samples (the objective is a smooth deterministic function of the
-    weights) and cross_means(w)[i] equals stream_stats(atoms[i], w, mc, i)'s
-    mean bit for bit.
+    On isotropic channels cross_means(w)[i] is the radial quadrature that
+    kkt_value takes, _ConditionalLaws.cross_quadrature(atoms[i], w).
+    Otherwise it reduces the cached batches of atom i's stream like
+    stream_stats(atoms[i], w, mc, i) does, and equals its mean bit for bit.
+    Either way it is a smooth deterministic function of the weights.
     """
 
     def __init__(self, model: ChannelModel, atoms, mc: McConfig):
@@ -108,14 +113,34 @@ class _SupportEvaluator:
         self.norms_sq = laws.norms_sq
         self.neg_h = np.array([-conditional_entropy(model, self.atoms[i])
                                for i in range(self.k)])
-        self.n_strata = laws.n_strata(mc)
-        self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i))
-                         for i in range(self.k)]
+        self._laws = laws
+        if not laws.iso:
+            self.n_strata = laws.n_strata(mc)
+            self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i))
+                             for i in range(self.k)]
 
     def cross_means(self, weights) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
-        return np.array([_stratified_moments(batches, weights, self.n_strata)[0]
+        if self._laws.iso:
+            return np.array([self._laws.cross_quadrature(x, weights) for x in self.atoms])
+        return np.array([_stratified_moments(batches, weights, self.n_strata, with_se=False)[0]
                          for batches in self._batches])
+
+    def posteriors(self, weights) -> np.ndarray:
+        """P[i, j] = w_j E_i[p_j / f_mu]: atom j's mean posterior under atom i's law."""
+        weights = np.asarray(weights, dtype=float)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights)[:, None]
+        rows = []
+        for i, x in enumerate(self.atoms):
+            if self._laws.iso:
+                q, table, n = self._laws.radial_quadrature(x, weights)
+                rows.append(np.exp(table.logp[:, :n] + log_w - table.lnf[:n]) @ q)
+            else:  # one stratum: the plain sample mean
+                logps = [logp for _, logp in self._batches[i]]
+                rows.append(sum(np.exp(logp + log_w - _weighted_mix(logp, weights)).sum(axis=1)
+                                for logp in logps) / sum(logp.shape[1] for logp in logps))
+        return np.array(rows)
 
     def mutual_information(self, weights) -> float:
         weights = np.asarray(weights, dtype=float)
@@ -126,12 +151,37 @@ class _SupportEvaluator:
         return self.mutual_information(weights) - gamma * (power - a)
 
 
-def _multiplicative_solve(ev: _SupportEvaluator, gamma: float, a: float,
-                          tol: float, iterations: int, w0=None):
-    """Blahut-Arimoto-style ascent of I - gamma*(P - a) over the simplex.
+def _newton_step(post, w, scores, damping):
+    """Log-weight step that equalizes the gains to first order.
 
-    Returns (weights, scores, lagrangian); scores are the per-atom gains
-    D_i - gamma*(||x_i||^2/N - a), equalized on the support at a fixed point.
+    The gains' Jacobian in log weights is -P up to normalization, so the
+    Newton step solves P theta + lam = scores, w . theta = 0. damping blends
+    P with the identity, whose step is the Blahut-Arimoto one.
+    """
+    k = w.size
+    system = np.zeros((k + 1, k + 1))
+    system[:k, :k] = (1.0 - damping) * post + damping * np.eye(k)
+    system[:k, k] = 1.0
+    system[k, :k] = w
+    try:
+        return np.linalg.solve(system, np.append(scores, 0.0))[:k]
+    except np.linalg.LinAlgError:  # singular: the plain Blahut-Arimoto step
+        return scores
+
+
+def _multiplicative_solve(ev: _SupportEvaluator, gamma: float, a: float,
+                          iterations: int, w0=None):
+    """Ascent of I - gamma*(P - a) over the simplex by multiplicative updates.
+
+    Each step scales w_i by a factor set by theta_i, the damped Newton step
+    of _newton_step. A step that lowers the objective is retried from the
+    point before it with more damping (near-duplicate atoms make P nearly
+    singular); damping 1 gives the Blahut-Arimoto step. Stops when the gains
+    of the atoms of weight >= _PRUNE_FLOOR agree with the objective within
+    _GAIN_TOLERANCE and no other gain exceeds it by more, when a step no
+    longer moves the weights, or when the budget runs out. Returns (weights,
+    scores, lagrangian); scores are the per-atom gains
+    D_i - gamma*(||x_i||^2/N - a).
     """
     k = ev.k
     w = np.full(k, 1.0 / k) if w0 is None else np.asarray(w0, dtype=float).copy()
@@ -140,22 +190,35 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float, a: float,
     penalty = gamma * (ev.norms_sq / ev.model.N - a)
     scores = np.zeros(k)
     value = 0.0
+    damping, before = 0.0, None  # before: the point ahead of an unchecked step
     for _ in range(iterations):
-        d = ev.neg_h - ev.cross_means(w)
-        scores = d - penalty
+        scores = ev.neg_h - ev.cross_means(w) - penalty
         value = float(np.dot(w, scores))
-        active = w > 1e-12
-        if not np.any(active) or \
-                float(np.max(np.abs(scores[active] - value))) <= tol:
-            break
-        shifted = scores - scores.max()
+        if before is not None and value < before[2] - _ASCENT_SLACK:
+            w, scores, value, post = before
+            damping = min(1.0, 4.0 * damping + 1.0 / 16.0)
+        else:
+            gaps = scores - value
+            active = w >= _PRUNE_FLOOR
+            if np.all(np.abs(gaps[active]) <= _GAIN_TOLERANCE) and \
+                    np.all(gaps[~active] <= _GAIN_TOLERANCE):
+                break
+            post = ev.posteriors(w)
+            damping *= 0.25
+        theta = _newton_step(post, w, scores, damping)
+        theta -= np.dot(w, theta)
+        before = (w, scores, value, post) if damping < 1.0 else None
+        # weights grow linearly, so an atom at the floor can take real mass
+        # in one step, and shrink geometrically, so they stay positive; the
         # floor keeps squashed weights recoverable (0.0 would stick forever)
-        w_new = np.maximum(w * np.exp(shifted), 1e-20)
+        with np.errstate(over="ignore"):
+            w_new = np.maximum(np.where(theta > 0.0, w + np.minimum(w * theta, 1.0),
+                                        w * np.exp(theta)), 1e-20)
         w_new /= w_new.sum()
-        if float(np.max(np.abs(w_new - w))) < 1e-14:
-            w = w_new
-            break
+        still = bool(np.all(np.abs(w_new - w) <= 1e-12 * w))
         w = w_new
+        if still:
+            break
     return w, scores, value
 
 
@@ -163,17 +226,16 @@ def optimize_weights(model: ChannelModel, atoms, a: float, gamma: float,
                      cfg: OptimizerConfig) -> np.ndarray:
     """Optimal weights on a fixed support for the power-penalized objective.
 
-    Multiplicative updates w_i <- w_i exp(D_i - gamma ||x_i||^2 / N) / Z with
-    common random numbers across iterations; stops when the active per-atom
-    gains agree with the objective value within kkt_tolerance, or when the
-    iteration budget runs out. Always returns a simplex point.
+    Damped Newton steps on the log weights (_multiplicative_solve) on one
+    evaluator; stops when the per-atom gains agree with the objective value
+    within _GAIN_TOLERANCE, or when the iteration budget runs out. Always
+    returns a simplex point.
     """
     atoms = np.atleast_2d(np.asarray(atoms, dtype=complex))
     if atoms.shape[0] == 0:
         raise ValueError("need at least one atom")
     ev = _SupportEvaluator(model, atoms, cfg.mc)
-    w, _, _ = _multiplicative_solve(ev, gamma, a, cfg.kkt_tolerance,
-                                    cfg.weight_iterations)
+    w, _, _ = _multiplicative_solve(ev, gamma, a, cfg.weight_iterations)
     return w
 
 
@@ -338,84 +400,21 @@ def insert_atom(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
                                 cfg.kkt_tolerance, srs, 64, 4)
 
 
-def _equilibrate_small_atoms(ev: _SupportEvaluator, w, gamma: float, a: float,
-                             tol: float, small: float = 0.05):
-    """Pin small weights to their stationary values by log-weight bisection.
-
-    Multiplicative updates crawl when an atom's gain sits within ~0.01 nats of
-    the objective: a freshly inserted or dying atom can need thousands of
-    steps. The gain is monotone decreasing in the atom's own weight, so
-    bisection settles it directly; atoms whose gain stays below the objective
-    even at negligible weight are zeroed for pruning.
-    """
-    penalty = gamma * (ev.norms_sq / ev.model.N - a)
-
-    def stats(ww):
-        sc = ev.neg_h - ev.cross_means(ww) - penalty
-        return sc, float(np.dot(ww, sc))
-
-    def reweighted(ww, i, wi):
-        out = ww.copy()
-        out[i] = 0.0
-        s = out.sum()
-        if s <= 0.0:
-            return ww
-        out *= (1.0 - wi) / s
-        out[i] = wi
-        return out
-
-    w = np.asarray(w, dtype=float).copy()
-    lw_floor = math.log(1e-15)
-    for _ in range(min(2 * ev.k, 6)):
-        scores, value = stats(w)
-        gaps = scores - value
-        cand = [i for i in range(ev.k)
-                if w[i] <= small and abs(gaps[i]) > tol and w[i] > 0.0]
-        if not cand:
-            break
-        i = max(cand, key=lambda j: abs(gaps[j]))
-        lo, hi = lw_floor, math.log(small)
-        sc_lo, val_lo = stats(reweighted(w, i, math.exp(lo)))
-        if sc_lo[i] - val_lo <= tol:
-            # not support-worthy even with negligible mass
-            w = reweighted(w, i, 0.0)
-            continue
-        sc_hi, val_hi = stats(reweighted(w, i, math.exp(hi)))
-        if sc_hi[i] - val_hi >= -tol:
-            w = reweighted(w, i, small)  # wants real mass; main solve takes over
-            continue
-        for _ in range(16):
-            mid = 0.5 * (lo + hi)
-            sc_m, val_m = stats(reweighted(w, i, math.exp(mid)))
-            if sc_m[i] - val_m > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        w = reweighted(w, i, math.exp(0.5 * (lo + hi)))
-    scores, value = stats(w)
-    return w, scores, value
-
-
 def _match_power(ev: _SupportEvaluator, a: float, cfg: OptimizerConfig,
                  weight_iters: int, gamma_hint: float | None = None, w0=None):
     """Bisect gamma until the weight-optimal measure's power matches the budget.
 
     The support is fixed, so power is a monotone non-increasing function of
-    gamma and the weight solves reuse one sample cache. Returns
+    gamma and the weight solves reuse one evaluator. Returns
     (gamma, weights, scores, value, power); gamma = 0 when the unconstrained
     weights already satisfy the budget.
     """
-    tol_w = cfg.kkt_tolerance / 3.0
     # the tail of the optimality functional is razor-sensitive to gamma, so
     # match power well inside the feasibility envelope
     target = a * min(0.5 * cfg.power_tolerance, 2e-3)
 
     def solve(gamma, w_init):
-        w, scores, value = _multiplicative_solve(ev, gamma, a, tol_w,
-                                                 weight_iters, w_init)
-        w, scores, value = _equilibrate_small_atoms(ev, w, gamma, a, tol_w)
-        w, scores, value = _multiplicative_solve(ev, gamma, a, tol_w,
-                                                 min(weight_iters, 40), w)
+        w, scores, value = _multiplicative_solve(ev, gamma, a, weight_iters, w_init)
         power = float(np.dot(w, ev.norms_sq) / ev.model.N)
         return w, scores, value, power
 
@@ -436,16 +435,6 @@ def _match_power(ev: _SupportEvaluator, a: float, cfg: OptimizerConfig,
         g_hi *= 2.0
     if not bracketed:
         return g_hi, w_hi, sc_hi, val_hi, p_hi
-    if gamma_hint and g_lo == 0.0:
-        # tighten the lower bracket near the hint instead of bisecting from 0
-        g_try = 0.5 * g_hi
-        for _ in range(6):
-            w_try, sc_try, val_try, p_try = solve(g_try, w_lo)
-            if p_try > a:
-                g_lo, w_lo = g_try, w_try
-                break
-            g_hi, w_hi, sc_hi, val_hi, p_hi = g_try, w_try, sc_try, val_try, p_try
-            g_try *= 0.5
     best = ((0, abs(p_hi - a)), g_hi, w_hi, sc_hi, val_hi, p_hi)
     for _ in range(40):
         if best[0][1] <= target:
@@ -529,11 +518,13 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
     with the multiplier re-matched to the power budget at every round; a full
     fidelity phase polishes it. The returned Optimum carries a fresh-seed
     capacity estimate and a full-density KKT scan as the certificate. When
-    that scan shows a violation and an atom is lighter than the mover can
-    resolve, the lightest such atom is moved to the minimum of the nearest
-    violation run (the insert_atom rule) and the power is matched again, at
-    most _RELOCATIONS times. converged=False flags a dirty certificate or a
-    power mismatch rather than raising.
+    that scan shows a violation, the atom moved there last, or else the
+    lightest atom the mover cannot resolve, is moved to the minimum of the
+    nearest violation run (the insert_atom rule); with neither, a new atom
+    goes there while the support has room. The power is matched again each
+    time, until the scan is clean or the dip is one an atom was already
+    moved to. converged=False flags a dirty certificate or a power mismatch
+    rather than raising.
     """
     a = constraint.a
     srs = cfg.search_radius_sq if cfg.search_radius_sq is not None \
@@ -559,21 +550,32 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
     ppd, decades = 64, 4
     grid = radial_scan_grid(model, srs, points_per_decade=ppd, decades=decades,
                             seed=cfg.mc.seed)
-    for attempt in range(_RELOCATIONS + 1):
+    dips = []  # scan points an atom was moved to, in order
+    while True:
         atoms, weights, gamma, value, power = _polish(model, a, atoms, weights,
                                                       gamma, cfg)
         mu = DiscreteMeasure(atoms, weights)
         ctx = KktContext(gamma, a, max(value, 0.0))
         report = kkt_scan(model, mu, ctx, grid, cfg.mc)
-        if attempt == _RELOCATIONS or not report.violations(cfg.kkt_tolerance):
+        if not report.violations(cfg.kkt_tolerance):
             break
-        light = np.flatnonzero(weights < _MOVE_RESOLUTION)
         dip = _nearest_violation(report.points, cfg.kkt_tolerance,
                                  ppd * decades + 1)
-        if light.size == 0 or dip is None:
+        # the atom placed last keeps following the dip, even once it is
+        # heavier than the mover's resolution
+        movable = [i for i in range(atoms.shape[0])
+                   if dips and np.array_equal(atoms[i], dips[-1])] or \
+            list(np.flatnonzero(weights < _MOVE_RESOLUTION))
+        if dip is None or any(np.array_equal(dip.x, d) for d in dips) or \
+                not (movable or atoms.shape[0] < cfg.max_atoms):
             break
-        atoms = atoms.copy()
-        atoms[light[np.argmin(weights[light])]] = dip.x
+        dips.append(dip.x)
+        if movable:
+            atoms = atoms.copy()
+            atoms[min(movable, key=lambda i: weights[i])] = dip.x
+        else:  # nothing light to move: a new atom, as insert_atom would add
+            atoms = np.vstack([atoms, dip.x])
+            weights = np.append(weights * 0.98, 0.02)
     fresh = McConfig(samples=cfg.mc.samples,
                      seed=derive_seed(cfg.mc.seed, 0xF5E5), batch=cfg.mc.batch)
     capacity = mutual_information(model, mu, fresh)

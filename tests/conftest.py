@@ -6,6 +6,22 @@ import pytest
 from fading_capacity import ChannelModel, DiscreteMeasure
 
 
+# ScalarRadialOracle(1, 1).capacity(a) optima: squared norms, weights,
+# multiplier gamma and capacity in nats, as recorded for the benchmark's
+# scalar-curve workload. The a = 1 tail weights sit at the oracle's 1e-9
+# bound.
+ORACLE_OPTIMA = {
+    0.1: ([0.0, 3.8444052931417887], [0.9739881744055642, 0.02601182559443585],
+          0.3057372501510802, 0.036337331487556065),
+    1.0: ([0.0, 5.8670372365001935, 42.25081076357633, 47.92004800732623],
+          [0.8295562340491096, 0.17044376395089014, 1.0000002737033993e-09, 1e-09],
+          0.11347955395780232, 0.1955469686265297),
+    4.0: ([0.0, 9.418554153813115, 25.0065343417135],
+          [0.6834239734322824, 0.2512493109821867, 0.0653267155855309],
+          0.03433554416335246, 0.37461444375568875),
+}
+
+
 @pytest.fixture(scope="session")
 def scalar_model():
     """M = N = 1, unit noise, unit isotropic fading variance."""

@@ -8,10 +8,10 @@ from fading_capacity import (ChannelModel, DiscreteMeasure, McConfig,
                              McEstimate, OutputShell, chi_square_tail,
                              conditional_entropy, cross_term, derive_seed,
                              log_chi_square_tail, mutual_information,
-                             shell_probability)
+                             radial_scan_grid, shell_probability)
 from fading_capacity.estimate import (_ConditionalLaws, _mutual_information_arrays,
                                       _weighted_mix)
-from conftest import radial_measure, random_model, random_input
+from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
 ORACLE = ScalarRadialOracle(1.0, 1.0)
@@ -167,6 +167,65 @@ class TestMixtureKernel:
         got = _weighted_mix(logp, w)
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, self._reference(logp, w), rtol=1e-12)
+
+
+class TestRadialQuadrature:
+    @staticmethod
+    def _laws(model, ts):
+        atoms = np.zeros((len(ts), model.N), dtype=complex)
+        atoms[:, 0] = np.sqrt(ts)
+        return _ConditionalLaws(model, atoms)
+
+    @pytest.mark.parametrize("a", sorted(ORACLE_OPTIMA))
+    def test_matches_oracle_on_scan_grid(self, scalar_model, a):
+        ts, ws, _, _ = ORACLE_OPTIMA[a]
+        laws = self._laws(scalar_model, ts)
+        for x in radial_scan_grid(scalar_model, 48.0 * a):
+            t = float(np.real(np.vdot(x, x)))
+            got = laws.cross_quadrature(x, ws)
+            assert abs(got - ORACLE.cross_term(t, ts, ws)) <= 1e-9
+
+    def test_zero_weight_atom_is_ignored(self, scalar_model):
+        ts, ws, _, _ = ORACLE_OPTIMA[4.0]
+        ts, ws = ts + [60.0], ws + [0.0]
+        laws = self._laws(scalar_model, ts)
+        for t in (0.0, 9.4, 30.0, 60.0, 150.0):
+            got = laws.cross_quadrature([math.sqrt(t) + 0j], ws)
+            assert abs(got - ORACLE.cross_term(t, ts, ws)) <= 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fano_scale_separation(self, m):
+        # c_1 / c_0 = 1e200: each atom's outputs see only its own component
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        ts, ws = [0.0, 1e200], [0.3, 0.7]
+        laws = self._laws(model, ts)
+        for t, w in zip(ts, ws):
+            c = 1.0 + t
+            got = laws.cross_quadrature([math.sqrt(t) + 0j], ws)
+            want = math.log(w) - m * math.log(math.pi * math.e * c)
+            assert abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_point_mass_closed_form(self, m):
+        # E[ln p(Y|x_0)] = -M ln(pi c_0) - M c_x / c_0 for Y ~ CN(0, c_x I_M)
+        model = ChannelModel.isotropic(m, 2, 0.5, 2.0)
+        laws = _ConditionalLaws(model, [[1.0 + 0.5j, -0.5j]])
+        c0 = 0.5 + 2.0 * 1.5
+        for x in ([0j, 0j], [1.0 + 0.5j, -0.5j], [3.0, 2.0j], [20.0, 0j]):
+            cx = 0.5 + 2.0 * float(np.real(np.vdot(x, x)))
+            want = -m * math.log(math.pi * c0) - m * cx / c0
+            assert abs(laws.cross_quadrature(x, [1.0]) - want) <= 1e-9
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_agrees_with_monte_carlo(self, m):
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        ts, ws = [0.0, 4.0, 30.0], [0.6, 0.3, 0.1]
+        mu = radial_measure(ts, ws)
+        laws = self._laws(model, ts)
+        for t in (0.0, 4.0, 12.0):
+            x = [math.sqrt(t) + 0j]
+            est = cross_term(model, mu, x, McConfig(20_000, seed=21))
+            assert abs(laws.cross_quadrature(x, ws) - est.value) <= 3 * est.std_error
 
 
 class TestStreamDraws:

@@ -11,7 +11,7 @@ from fading_capacity import (DiscreteMeasure, KktContext, McConfig,
 from fading_capacity.estimate import _ConditionalLaws
 from fading_capacity.optimizer import (_SupportEvaluator, _insertion_candidate,
                                        _match_power)
-from conftest import radial_measure, random_model
+from conftest import ORACLE_OPTIMA, radial_measure, random_model
 from oracles import ScalarRadialOracle
 
 ORACLE = ScalarRadialOracle(1.0, 1.0)
@@ -47,6 +47,24 @@ class TestOptimizeWeights:
                              cfg=small_config(3))
         w_star = ORACLE.best_two_atom_weight(10.0, gamma=0.0)
         assert abs(w[1] - w_star) <= 0.02
+
+    @pytest.mark.parametrize("a", [0.1, 4.0])
+    def test_oracle_support_is_equalized(self, scalar_model, a):
+        # at the oracle multiplier every atom of real weight must sit at
+        # KKT = 0 within kkt_tolerance; the isotropic scan is exact (SE 0)
+        ts, _, gamma, _ = ORACLE_OPTIMA[a]
+        atoms = [[math.sqrt(t) + 0j] for t in ts]
+        cfg = small_config(31)
+        w = optimize_weights(scalar_model, atoms, a, gamma, cfg)
+        mu = DiscreteMeasure(atoms, w)
+        cap = mutual_information(scalar_model, mu, cfg.mc)
+        ctx = KktContext(gamma, a, max(cap.value, 0.0))
+        grid = radial_scan_grid(scalar_model, 48.0 * a, seed=cfg.mc.seed)
+        report = kkt_scan(scalar_model, mu, ctx, grid, cfg.mc)
+        assert all(p.std_error == 0.0 for p in report.points + report.support)
+        for wi, p in zip(w, report.support):
+            if wi > 1e-6:
+                assert abs(p.value) <= cfg.kkt_tolerance
 
     def test_returns_simplex_point(self, scalar_model):
         w = optimize_weights(scalar_model, [[0j], [2.0 + 0j], [4.0 + 0j]],
@@ -137,7 +155,31 @@ class TestSupportEvaluator:
         got = _SupportEvaluator(model, atoms, mc).cross_means(w)
         laws = _ConditionalLaws(model, atoms)
         for i in range(atoms.shape[0]):
-            assert got[i] == laws.stream_stats(atoms[i], w, mc, i)[0]
+            if dense:
+                assert got[i] == laws.stream_stats(atoms[i], w, mc, i)[0]
+            else:  # the radial quadrature kkt_value takes on isotropic channels
+                assert got[i] == laws.cross_quadrature(atoms[i], w)
+
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_posteriors_are_the_cross_means_jacobian(self, scalar_model, dense):
+        # P_ij = w_j d cross_i / d w_j, and each row of P sums to 1
+        if dense:
+            model = random_model(np.random.default_rng(3), 2, 2)
+            atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+        else:
+            model = scalar_model
+            atoms = np.array([[0j], [math.sqrt(5.867) + 0j], [6.5 + 0j]])
+        w = np.array([0.6, 0.3, 0.1])
+        ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6, batch=1000))
+        post = ev.posteriors(w)
+        np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=1e-12)
+        h = 1e-6
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+            slope = (ev.cross_means(w + step) - ev.cross_means(w - step)) / (2 * h)
+            np.testing.assert_allclose(slope * w[j], post[:, j], rtol=1e-6, atol=1e-9)
 
 
 class TestMatchPower:
@@ -202,6 +244,14 @@ class TestEstimateGamma:
     def test_positive_slope_at_unit_budget(self, scalar_model):
         cfg = small_config(15, max_atoms=3, outer_iterations=3)
         assert estimate_gamma(scalar_model, 1.0, cfg) > 0.0
+
+
+class TestCapacityCurve:
+    @pytest.mark.slow
+    def test_certifies_low_middle_and_high_budgets(self, scalar_model):
+        from fading_capacity import capacity_curve
+        points = capacity_curve(scalar_model, [0.1, 1.0, 4.0], small_config(302))
+        assert [p.converged for p in points] == [True, True, True]
 
 
 class TestCapacityCurveValidation:
