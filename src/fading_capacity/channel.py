@@ -178,18 +178,24 @@ class ConditionalCovariance:
         return None
 
 
-def conditional_covariance(model: ChannelModel, x) -> ConditionalCovariance:
-    """C(x) = noise_var * I + (I kron x^H) Sigma (I kron x), factorized."""
-    x = _as_input(model, x)
-    quad = np.einsum("n,mnpq,q->mp", x.conj(), model._sigma4, x)
+def _conditional_covariances(model: ChannelModel, xs):
+    """(matrices, factors, log_dets) of C(x) for the K rows of xs, batched;
+    conditional_covariance is the one-point case."""
+    quad = np.einsum("kn,mnpq,kq->kmp", xs.conj(), model._sigma4, xs)
     matrix = model.noise_var * np.eye(model.M) + quad
-    matrix = 0.5 * (matrix + matrix.conj().T)
+    matrix = 0.5 * (matrix + np.conj(np.swapaxes(matrix, -1, -2)))
     try:
         factor = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:  # only reachable with a defective sigma
         raise InvalidCovarianceError(f"conditional covariance is not PD: {exc}") from exc
-    log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(factor)))))
-    return ConditionalCovariance(matrix=matrix, log_det=log_det, factor=factor)
+    log_det = 2.0 * np.sum(np.log(np.real(np.diagonal(factor, axis1=-2, axis2=-1))), axis=-1)
+    return matrix, factor, log_det
+
+
+def conditional_covariance(model: ChannelModel, x) -> ConditionalCovariance:
+    """C(x) = noise_var * I + (I kron x^H) Sigma (I kron x), factorized."""
+    matrix, factor, log_det = _conditional_covariances(model, _as_input(model, x)[None])
+    return ConditionalCovariance(matrix=matrix[0], log_det=float(log_det[0]), factor=factor[0])
 
 
 def log_density(model: ChannelModel, y, x) -> float:

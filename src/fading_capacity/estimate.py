@@ -16,9 +16,11 @@ One sample path serves the estimators, and kkt_scan and the optimizer on
 dense channels: a _ConditionalLaws object draws each stream (keeping the
 last one's draws), forms component-major (atoms x samples) log densities and
 reduces them with the mixture kernel _weighted_mix, so all callers agree bit
-for bit. On isotropic channels kkt_scan and the optimizer instead integrate
-ln f_mu, a function of ||y||^2 alone, by radial quadrature (_RadialTable);
-the public estimators stay Monte Carlo, its independent cross-check.
+for bit. Dense channels whiten real-packed draws against precomputed
+inverse factors L_j^-1 (stream_log_densities). On isotropic channels
+kkt_scan and the optimizer instead integrate ln f_mu, a function of ||y||^2
+alone, by radial quadrature (_RadialTable); the public estimators stay Monte
+Carlo, its independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 from scipy.special import gammaincc, gammainccinv, gammaincinv, logsumexp
 
 from .channel import (ChannelModel, _as_input, _complex_standard_normals,
-                      conditional_covariance, conditional_entropy)
+                      _conditional_covariances, conditional_covariance,
+                      conditional_entropy)
 from .measure import DiscreteMeasure
 
 _U64 = (1 << 64) - 1
@@ -150,10 +153,16 @@ def _stratified_moments(batches, weights: np.ndarray, n_strata: int,
                         with_se: bool = True) -> tuple[float, float | None]:
     """Mean and SE (None unless with_se) of the mixture log density over
     (stratum ids, logp) batches; the mean averages the equiprobable strata's.
+    One stratum (the dense path, ids None) reduces by plain sums.
     """
     s1, s2, count = np.zeros(n_strata), np.zeros(n_strata), np.zeros(n_strata)
     for ids, logp in batches:
         mix = _weighted_mix(logp, weights)
+        if n_strata == 1:
+            s1 += mix.sum()
+            s2 += mix @ mix if with_se else 0.0
+            count += mix.size
+            continue
         s1 += np.bincount(ids, weights=mix, minlength=n_strata)
         if with_se:
             s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
@@ -250,10 +259,11 @@ class _ConditionalLaws:
 
     For isotropic fading the law depends on the input norm only, so the
     per-sample work reduces to outer products of squared radii against the
-    per-atom scalar variances. The draws of the last stream used are kept
-    (read-only), so consecutive inputs evaluated on one stream, such as the
-    non-atom points of a KKT scan, share one set of samples instead of
-    redrawing it.
+    per-atom scalar variances. Otherwise the atoms' inverse Cholesky factors
+    L_j^-1 are kept, and log_norm holds ln det(pi C_j) on both paths. The
+    draws of the last stream used are kept (read-only), so consecutive inputs
+    evaluated on one stream, such as the non-atom points of a KKT scan, share
+    one set of samples instead of redrawing it.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -273,7 +283,9 @@ class _ConditionalLaws:
             self.u_max = float(np.max(self.scalar_var)) * self.tail_s
             self._table = None
         else:
-            self.covs = [conditional_covariance(model, a) for a in self.atoms]
+            _, self.factors, log_det = _conditional_covariances(model, self.atoms)
+            self.inv_factors = np.linalg.inv(self.factors)
+            self.log_norm = model.M * math.log(math.pi) + log_det
         self._draws_key = self._draws = None
 
     def scalar_variance(self, x) -> float:
@@ -288,8 +300,9 @@ class _ConditionalLaws:
         """Per-batch draws of one stream, seeded by (seed, stream, batch).
 
         Isotropic channels get (ids, s): stratum ids and normalized squared
-        radii; the general path gets complex standard normals w. Only the
-        last stream's draws are cached.
+        radii; the general path gets the complex standard normals w (n, M)
+        real-packed and component-major, [Re w^T; Im w^T] of shape (2M, n).
+        Only the last stream's draws are cached.
         """
         key = (cfg, stream)
         if key != self._draws_key:
@@ -303,28 +316,40 @@ class _ConditionalLaws:
                     draw = _stratified_radii_sq(seed_key, offset, nb, m, n_strata)
                     draw[0].flags.writeable = draw[1].flags.writeable = False
                 else:
-                    draw = _complex_standard_normals(seed_key, nb, m)
+                    w = _complex_standard_normals(seed_key, nb, m)
+                    draw = np.concatenate((w.real.T, w.imag.T))
                     draw.flags.writeable = False
                 draws.append(draw)
                 offset += nb
             self._draws_key, self._draws = key, draws
         return self._draws
 
-    def stream_log_densities(self, x, cfg: McConfig, stream: int):
+    def stream_log_densities(self, x, cfg: McConfig, stream: int, factor=None):
         """Yield (stratum ids, logp) per batch of the stream's samples of p(.|x).
 
-        logp is (k, n): row j holds ln p(y|x_j) at the batch's n outputs.
+        logp is (k, n): row j holds ln p(y|x_j) at the batch's n outputs. On
+        dense channels ids is None (one stratum), and row j is
+        -||A_j w||^2 - log_norm[j] with A_j = L_j^-1 L_x, taken as one real
+        matmul of A_j's block form [[Re, -Im], [Im, Re]] with the real-packed
+        draws; factor is L_x when the caller already has it.
         """
         if self.iso:
             ratios = self.scalar_variance(x) / self.scalar_var
             for ids, s in self._stream_draws(cfg, stream):
                 yield ids, -np.outer(ratios, s) - self.log_norm[:, None]
             return
-        covx = conditional_covariance(self.model, x)
+        if factor is None:
+            factor = conditional_covariance(self.model, x).factor
+        a = self.inv_factors @ factor
+        blocks = np.concatenate((np.concatenate((a.real, -a.imag), axis=2),
+                                 np.concatenate((a.imag, a.real), axis=2)), axis=1)
         for w in self._stream_draws(cfg, stream):
-            y = w @ covx.factor.T
-            yield (np.zeros(w.shape[0], dtype=np.intp),
-                   np.vstack([c.log_densities(y) for c in self.covs]))
+            logp, z = np.empty((len(blocks), w.shape[1])), np.empty(w.shape)
+            for j, b in enumerate(blocks):  # per atom: no (2kM, n) temporary
+                np.square(np.matmul(b, w, out=z), out=z)
+                np.add.reduce(z, axis=0, out=logp[j])
+            logp += self.log_norm[:, None]
+            yield None, np.negative(logp, out=logp)
 
     def radial_quadrature(self, x, weights):
         """(q, table, n): E_{Y~p(.|x)}[g(||Y||^2)] ~ q @ g(table.u[:n]), isotropic only.
@@ -350,14 +375,15 @@ class _ConditionalLaws:
         q, table, n = self.radial_quadrature(x, weights)
         return float(q @ table.lnf[:n])
 
-    def stream_stats(self, x, weights, cfg: McConfig, stream: int) -> tuple[float, float]:
+    def stream_stats(self, x, weights, cfg: McConfig, stream: int,
+                     factor=None) -> tuple[float, float]:
         """Mean and SE of ln f_mu(Y) over Y ~ p(.|x), accumulated batch-wise.
 
         Isotropic channels sample the normalized squared radius directly,
-        stratified over equiprobable shells; the general path draws full
-        output vectors.
+        stratified over equiprobable shells; the general path whitens full
+        output vectors (stream_log_densities). factor is L_x, if known.
         """
-        return _stratified_moments(self.stream_log_densities(x, cfg, stream),
+        return _stratified_moments(self.stream_log_densities(x, cfg, stream, factor),
                                    np.asarray(weights, dtype=float),
                                    self.n_strata(cfg))
 

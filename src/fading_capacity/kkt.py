@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input,
-                      conditional_covariance, input_norm_sq)
+                      _conditional_covariances, conditional_covariance,
+                      input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stream_index,
                        derive_seed)
@@ -137,14 +138,18 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
 
 
 def _kkt_estimate(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
-                  ctx: KktContext, x: np.ndarray, cfg: McConfig) -> McEstimate:
-    """KKT(x) with the cross term taken through laws, built for mu's atoms."""
+                  ctx: KktContext, x: np.ndarray, cfg: McConfig,
+                  cov=None) -> McEstimate:
+    """KKT(x) through laws, built for mu's atoms; cov is (L_x, ln det C(x)) or None."""
     if laws.iso:
         mean, se, samples = laws.cross_quadrature(x, mu.weights), 0.0, 0
         log_det = model.M * math.log(laws.scalar_variance(x))
     else:
-        mean, se = laws.stream_stats(x, mu.weights, cfg, _stream_index(mu, x))
-        log_det, samples = conditional_covariance(model, x).log_det, cfg.samples
+        if cov is None:
+            c = conditional_covariance(model, x)
+            cov = c.factor, c.log_det
+        mean, se = laws.stream_stats(x, mu.weights, cfg, _stream_index(mu, x), cov[0])
+        log_det, samples = float(cov[1]), cfg.samples
     value = (ctx.gamma * (input_norm_sq(x) / model.N - ctx.a) + ctx.capacity
              + model.M * LOG_PI_E + log_det + mean)
     return McEstimate(value, se, samples, cfg.seed)
@@ -243,22 +248,21 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
     """Evaluate KKT on every grid point and every atom of mu.
 
     All points share one law object for mu, so on isotropic channels one
-    quadrature table serves every point, and otherwise the grid points that
-    are not atoms reuse the cross stream's draws; each value equals
-    kkt_value's.
+    quadrature table serves every point. On dense channels all points'
+    Cholesky factors come from one batch, the non-atom points reuse the
+    cross stream's real-packed draws, and log densities under the atoms are
+    real matmuls against the atoms' inverse factors, not triangular solves.
+    Each value equals kkt_value's.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("scan grid must be nonempty")
     laws = _ConditionalLaws(model, mu.atoms)
-    points = []
-    for x in grid:
-        est = _kkt_estimate(model, laws, mu, ctx, _as_input(model, x), cfg)
-        points.append(KktPoint(np.asarray(x, dtype=complex), input_norm_sq(x),
-                               est.value, est.std_error))
-    support = []
-    for i in range(mu.n_atoms):
-        est = _kkt_estimate(model, laws, mu, ctx, mu.atoms[i], cfg)
-        support.append(KktPoint(mu.atoms[i], float(mu.norms_sq[i]),
-                                est.value, est.std_error))
-    return KktReport(points=tuple(points), support=tuple(support))
+    xs = np.array([_as_input(model, x) for x in grid] + list(mu.atoms))
+    covs = [None] * len(xs) if laws.iso else zip(*_conditional_covariances(model, xs)[1:])
+    values = [_kkt_estimate(model, laws, mu, ctx, x, cfg, cov) for x, cov in zip(xs, covs)]
+    points = tuple(KktPoint(np.asarray(x, dtype=complex), input_norm_sq(x), est.value,
+                            est.std_error) for x, est in zip(grid, values))
+    support = tuple(KktPoint(mu.atoms[i], float(mu.norms_sq[i]), est.value, est.std_error)
+                    for i, est in enumerate(values[len(grid):]))
+    return KktReport(points=points, support=support)

@@ -43,6 +43,8 @@ _MOVE_RESOLUTION = 1e-5
 # Newton step may lower the objective by rounding noise up to the slack
 _GAIN_TOLERANCE = 1e-9
 _ASCENT_SLACK = 1e-12
+# default cap on the squared norm scanned for new atoms, in units of a * N
+_SEARCH_RADIUS_FACTOR = 48.0
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,10 @@ class OptimizerConfig:
 
     kkt_tolerance is in nats. On dense channels the KKT scan is a Monte
     Carlo estimate, and the tolerance should stay above roughly three of its
-    standard errors; isotropic channels evaluate it by quadrature (SE 0).
-    search_radius_sq caps the squared norm scanned for new atoms (None picks
-    32 * a * N at run time).
+    standard errors (optimize_measure warns when it likely does not);
+    isotropic channels evaluate it by quadrature (SE 0). search_radius_sq
+    caps the squared norm scanned for new atoms (None picks 48 * a * N at
+    run time).
     """
 
     mc: McConfig = field(default_factory=lambda: McConfig(samples=200_000, seed=0))
@@ -71,11 +74,6 @@ class OptimizerConfig:
             raise ValueError("tolerances must be positive")
         if self.search_radius_sq is not None and not self.search_radius_sq > 0.0:
             raise ValueError("search_radius_sq must be positive")
-        if self.kkt_tolerance < 5e-3 and self.mc.samples < 200_000:
-            warnings.warn("kkt_tolerance below 5e-3 normally needs >= 2e5 samples per atom "
-                          "on dense channels to keep the standard error under a third "
-                          "of the tolerance",
-                          stacklevel=2)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,8 @@ class _SupportEvaluator:
         self._laws = laws
         if not laws.iso:
             self.n_strata = laws.n_strata(mc)
-            self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i))
+            self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i,
+                                                            laws.factors[i]))
                              for i in range(self.k)]
 
     def cross_means(self, weights) -> np.ndarray:
@@ -394,8 +393,7 @@ def insert_atom(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
     not used, because on a truncated scan it often sits at the cap while the
     functional is still falling there.
     """
-    srs = cfg.search_radius_sq if cfg.search_radius_sq is not None \
-        else 48.0 * ctx.a * model.N
+    srs = cfg.search_radius_sq or _SEARCH_RADIUS_FACTOR * ctx.a * model.N
     return _insertion_candidate(model, mu.atoms, mu.weights, ctx, cfg.mc,
                                 cfg.kkt_tolerance, srs, 64, 4)
 
@@ -524,11 +522,16 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
     goes there while the support has room. The power is matched again each
     time, until the scan is clean or the dip is one an atom was already
     moved to. converged=False flags a dirty certificate or a power mismatch
-    rather than raising.
+    rather than raising. On dense channels it warns when kkt_tolerance is
+    below 5e-3 with fewer than 2e5 samples per atom.
     """
     a = constraint.a
-    srs = cfg.search_radius_sq if cfg.search_radius_sq is not None \
-        else 48.0 * a * model.N
+    srs = cfg.search_radius_sq or _SEARCH_RADIUS_FACTOR * a * model.N
+    if model.iso_var is None and cfg.kkt_tolerance < 5e-3 and cfg.mc.samples < 200_000:
+        warnings.warn("kkt_tolerance below 5e-3 normally needs >= 2e5 samples per atom "
+                      "on dense channels to keep the standard error under a third "
+                      "of the tolerance",
+                      stacklevel=2)
     e0 = np.zeros(model.N, dtype=complex)
     e0[0] = 1.0
     atoms = np.vstack([np.zeros(model.N, dtype=complex),

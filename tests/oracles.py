@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 _NODES, _WEIGHTS = leggauss(64)
 
@@ -198,12 +198,16 @@ class ScalarRadialOracle:
             ws = list(np.asarray(ws) * 0.999) + [0.001]
         return capacity, ts, ws, gamma
 
-    def best_two_atom_weight(self, t2, gamma=0.0, a=1.0, grid=1001):
-        """Grid search over w for atoms {0, t2} maximizing I - gamma*(P - a)."""
-        ws = np.linspace(1e-6, 1.0 - 1e-6, grid)
-        vals = [self.mutual_information([0.0, t2], [1.0 - w, w])
-                - gamma * (w * t2 - a) for w in ws]
-        return float(ws[int(np.argmax(vals))])
+    def best_two_atom_weight(self, t2, gamma=0.0, a=1.0, xatol=1e-7):
+        """Weight w of atom t2 in {0, t2} maximizing I - gamma*(P - a).
+
+        With the atoms fixed the objective is concave in w, so a bounded
+        scalar search on [1e-6, 1 - 1e-6] finds the maximizer to xatol.
+        """
+        res = minimize_scalar(
+            lambda w: gamma * (w * t2 - a) - self.mutual_information([0.0, t2], [1.0 - w, w]),
+            bounds=(1e-6, 1.0 - 1e-6), method="bounded", options={"xatol": xatol})
+        return float(res.x)
 
 
 def importance_normalization(model, x, samples, seed):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from fading_capacity import (ChannelModel, DiscreteMeasure, McConfig,
-                             McEstimate, OutputShell, chi_square_tail,
-                             conditional_entropy, cross_term, derive_seed,
-                             log_chi_square_tail, mutual_information,
-                             radial_scan_grid, shell_probability)
+from fading_capacity import (ChannelModel, DiscreteMeasure,
+                             InvalidCovarianceError, McConfig, McEstimate,
+                             OutputShell, chi_square_tail,
+                             conditional_covariance, conditional_entropy,
+                             cross_term, derive_seed, log_chi_square_tail,
+                             mutual_information, radial_scan_grid,
+                             shell_probability)
+from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_ConditionalLaws, _mutual_information_arrays,
                                       _weighted_mix)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
@@ -238,6 +241,67 @@ class TestStreamDraws:
                 for arr in (draw if isinstance(draw, tuple) else (draw,)):
                     with pytest.raises(ValueError):
                         arr[0] = 0
+
+
+class TestDenseKernel:
+    @staticmethod
+    def _atoms(rng, model, norms_sq):
+        dirs = np.array([random_input(rng, model.N) for _ in norms_sq])
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        return np.sqrt(norms_sq)[:, None] * dirs
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3)])
+    def test_matches_triangular_solve(self, m, n):
+        # the whitened (k, n) log densities against ConditionalCovariance's
+        # triangular solves on the very same outputs y = L_x w
+        rng = np.random.default_rng(100 * m + n)
+        model = random_model(rng, m, n)
+        atoms = self._atoms(rng, model, np.geomspace(1e-3, 1e6, 10))
+        laws = _ConditionalLaws(model, atoms)
+        covs = [conditional_covariance(model, a) for a in atoms]
+        cfg = McConfig(1000, seed=4, batch=300)
+        inputs = [np.zeros(n, dtype=complex), atoms[0], atoms[-1],
+                  random_input(rng, n), random_input(rng, n, scale=300.0)]
+        for stream, x in enumerate(inputs):
+            factor = conditional_covariance(model, x).factor
+            batches = list(laws.stream_log_densities(x, cfg, stream))
+            assert len(batches) == 4
+            for b, (ids, logp) in enumerate(batches):
+                w = _complex_standard_normals(derive_seed(cfg.seed, stream, b),
+                                              logp.shape[1], m)
+                ref = np.array([c.log_densities(w @ factor.T) for c in covs])
+                assert ids is None and logp.shape == (10, w.shape[0])
+                np.testing.assert_allclose(logp, ref, rtol=1e-12, atol=0.0)
+
+    def test_draws_are_the_complex_normals_real_packed(self):
+        model = random_model(np.random.default_rng(5), 2, 2)
+        cfg = McConfig(1000, seed=4, batch=300)
+        draws = _ConditionalLaws(model, np.zeros((1, 2), complex))._stream_draws(cfg, 3)
+        for b, draw in enumerate(draws):
+            w = _complex_standard_normals(derive_seed(cfg.seed, 3, b), draw.shape[1], 2)
+            assert np.array_equal(draw, np.vstack([w.real.T, w.imag.T]))
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3)])
+    def test_batched_covariances_equal_one_point(self, m, n):
+        rng = np.random.default_rng(7 * m + n)
+        model = random_model(rng, m, n)
+        xs = np.array([np.zeros(n, dtype=complex)]
+                      + [random_input(rng, n, scale=s) for s in np.geomspace(1e-3, 1e3, 30)])
+        matrices, factors, log_dets = _conditional_covariances(model, xs)
+        for x, matrix, factor, log_det in zip(xs, matrices, factors, log_dets):
+            cov = conditional_covariance(model, x)
+            assert np.array_equal(cov.matrix, matrix)
+            assert np.array_equal(cov.factor, factor)
+            assert cov.log_det == log_det
+
+    def test_defective_sigma_raises(self):
+        model = random_model(np.random.default_rng(9), 2, 2)
+        model._sigma4 = -model._sigma4  # negative definite: C(x) fails for large x
+        x = np.array([3.0, 1j])
+        with pytest.raises(InvalidCovarianceError):
+            _conditional_covariances(model, np.array([np.zeros(2, complex), x]))
+        with pytest.raises(InvalidCovarianceError):
+            conditional_covariance(model, x)
 
 
 class TestShellProbability:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,19 @@ class TestOptimizeMeasure:
         assert np.array_equal(a.measure.atoms, b.measure.atoms)
         assert np.array_equal(a.measure.weights, b.measure.weights)
         assert a.capacity_estimate == b.capacity_estimate
+
+
+    def test_sample_warning_only_on_dense_channels(self, scalar_model):
+        # isotropic scans are quadrature (SE 0), so few samples are fine there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            cfg = small_config(18, kkt_tolerance=1e-3, max_atoms=2, outer_iterations=1)
+            optimize_measure(scalar_model, PowerConstraint(1.0), cfg)
+        dense = random_model(np.random.default_rng(3), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # stop at the warning
+            with pytest.raises(UserWarning, match="kkt_tolerance below 5e-3"):
+                optimize_measure(dense, PowerConstraint(1.0), cfg)
 
 
 class TestEstimateGamma:
