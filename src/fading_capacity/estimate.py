@@ -16,8 +16,9 @@ One sample path serves the estimators, and kkt_scan and the optimizer on
 dense channels: a _ConditionalLaws object draws each stream (keeping the
 last one's draws), forms component-major (atoms x samples) log densities and
 reduces them with the mixture kernel _weighted_mix, so all callers agree bit
-for bit. Dense channels whiten real-packed draws against precomputed
-inverse factors L_j^-1 (stream_log_densities). On isotropic channels
+for bit. On dense channels y = L_x w with w standard normal, so log
+densities and ||y||^2 are quadratic forms in w: one small matmul of their
+coefficients with each batch's cached monomials of w. On isotropic channels
 kkt_scan and the optimizer instead integrate ln f_mu, a function of ||y||^2
 alone, by radial quadrature (_RadialTable); the public estimators stay Monte
 Carlo, its independent cross-check.
@@ -29,11 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, gammaincinv, logsumexp
+from scipy.special import gammaincc, gammainccinv, gammaincinv
 
-from .channel import (ChannelModel, _as_input, _complex_standard_normals,
-                      _conditional_covariances, conditional_covariance,
-                      conditional_entropy)
+from .channel import (ChannelModel, ConditionalCovariance, _as_input,
+                      _complex_standard_normals, _conditional_covariances,
+                      conditional_covariance, conditional_entropy)
 from .measure import DiscreteMeasure
 
 _U64 = (1 << 64) - 1
@@ -195,8 +196,25 @@ def log_chi_square_tail(log_t: float, m: int) -> float:
     if log_t > 709.0:  # exp would overflow; the tail is identically 0 there
         return -math.inf
     t = math.exp(log_t)
-    terms = np.array([k * log_t - math.lgamma(k + 1) for k in range(m)])
-    return float(-t + logsumexp(terms))
+    terms = [k * log_t - math.lgamma(k + 1) for k in range(m)]
+    return float(-t + np.logaddexp.reduce(terms))
+
+
+def _monomials(w: np.ndarray, upper) -> np.ndarray:
+    """(M^2, n) second-order monomials of the n draws w (n, M): |w_p|^2 for
+    each p, then Re and Im of conj(w_p) w_q for each p < q (upper)."""
+    w = w.T
+    cross = w[upper[0]].conj() * w[upper[1]]
+    return np.concatenate((w.real ** 2 + w.imag ** 2, cross.real, cross.imag))
+
+
+def _norm_coefficients(a: np.ndarray, upper) -> np.ndarray:
+    """(k, M^2) rows c_j with c_j @ _monomials(w) = ||A_j w||^2 for a (k, M, M):
+    with G = A^H A, the diagonal of G, then 2 Re G_pq and -2 Im G_pq for p < q."""
+    g = np.conj(np.swapaxes(a, 1, 2)) @ a
+    off = g[:, upper[0], upper[1]]
+    return np.concatenate((np.diagonal(g, axis1=1, axis2=2).real,
+                           2.0 * off.real, -2.0 * off.imag), axis=1)
 
 
 class _RadialTable:
@@ -259,11 +277,12 @@ class _ConditionalLaws:
 
     For isotropic fading the law depends on the input norm only, so the
     per-sample work reduces to outer products of squared radii against the
-    per-atom scalar variances. Otherwise the atoms' inverse Cholesky factors
-    L_j^-1 are kept, and log_norm holds ln det(pi C_j) on both paths. The
-    draws of the last stream used are kept (read-only), so consecutive inputs
-    evaluated on one stream, such as the non-atom points of a KKT scan, share
-    one set of samples instead of redrawing it.
+    per-atom scalar variances. Otherwise the atoms' Cholesky factors L_j and
+    their inverses are kept, and draws are kept as their monomials, against
+    which log densities are quadratic forms. log_norm holds ln det(pi C_j)
+    on both paths. The draws of the last stream used are kept (read-only),
+    so consecutive inputs evaluated on one stream, such as the non-atom
+    points of a KKT scan, share one set of samples instead of redrawing it.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -286,6 +305,7 @@ class _ConditionalLaws:
             _, self.factors, log_det = _conditional_covariances(model, self.atoms)
             self.inv_factors = np.linalg.inv(self.factors)
             self.log_norm = model.M * math.log(math.pi) + log_det
+            self.upper = np.triu_indices(model.M, 1)
         self._draws_key = self._draws = None
 
     def scalar_variance(self, x) -> float:
@@ -300,9 +320,9 @@ class _ConditionalLaws:
         """Per-batch draws of one stream, seeded by (seed, stream, batch).
 
         Isotropic channels get (ids, s): stratum ids and normalized squared
-        radii; the general path gets the complex standard normals w (n, M)
-        real-packed and component-major, [Re w^T; Im w^T] of shape (2M, n).
-        Only the last stream's draws are cached.
+        radii; the general path gets the (M^2, n) monomials (_monomials) of
+        the complex standard normals w (n, M). Only the last stream's draws
+        are cached.
         """
         key = (cfg, stream)
         if key != self._draws_key:
@@ -316,8 +336,7 @@ class _ConditionalLaws:
                     draw = _stratified_radii_sq(seed_key, offset, nb, m, n_strata)
                     draw[0].flags.writeable = draw[1].flags.writeable = False
                 else:
-                    w = _complex_standard_normals(seed_key, nb, m)
-                    draw = np.concatenate((w.real.T, w.imag.T))
+                    draw = _monomials(_complex_standard_normals(seed_key, nb, m), self.upper)
                     draw.flags.writeable = False
                 draws.append(draw)
                 offset += nb
@@ -329,9 +348,9 @@ class _ConditionalLaws:
 
         logp is (k, n): row j holds ln p(y|x_j) at the batch's n outputs. On
         dense channels ids is None (one stratum), and row j is
-        -||A_j w||^2 - log_norm[j] with A_j = L_j^-1 L_x, taken as one real
-        matmul of A_j's block form [[Re, -Im], [Im, Re]] with the real-packed
-        draws; factor is L_x when the caller already has it.
+        -w^H G_j w - log_norm[j] with G_j = A_j^H A_j, A_j = L_j^-1 L_x: one
+        (k, M^2) @ (M^2, n) matmul of the forms' coefficients with the cached
+        monomials for all atoms. factor is L_x when the caller already has it.
         """
         if self.iso:
             ratios = self.scalar_variance(x) / self.scalar_var
@@ -340,16 +359,11 @@ class _ConditionalLaws:
             return
         if factor is None:
             factor = conditional_covariance(self.model, x).factor
-        a = self.inv_factors @ factor
-        blocks = np.concatenate((np.concatenate((a.real, -a.imag), axis=2),
-                                 np.concatenate((a.imag, a.real), axis=2)), axis=1)
-        for w in self._stream_draws(cfg, stream):
-            logp, z = np.empty((len(blocks), w.shape[1])), np.empty(w.shape)
-            for j, b in enumerate(blocks):  # per atom: no (2kM, n) temporary
-                np.square(np.matmul(b, w, out=z), out=z)
-                np.add.reduce(z, axis=0, out=logp[j])
-            logp += self.log_norm[:, None]
-            yield None, np.negative(logp, out=logp)
+        coef = -_norm_coefficients(self.inv_factors @ factor, self.upper)
+        for monomials in self._stream_draws(cfg, stream):
+            logp = coef @ monomials
+            logp -= self.log_norm[:, None]
+            yield None, logp
 
     def radial_quadrature(self, x, weights):
         """(q, table, n): E_{Y~p(.|x)}[g(||Y||^2)] ~ q @ g(table.u[:n]), isotropic only.
@@ -380,8 +394,9 @@ class _ConditionalLaws:
         """Mean and SE of ln f_mu(Y) over Y ~ p(.|x), accumulated batch-wise.
 
         Isotropic channels sample the normalized squared radius directly,
-        stratified over equiprobable shells; the general path whitens full
-        output vectors (stream_log_densities). factor is L_x, if known.
+        stratified over equiprobable shells; the general path evaluates the
+        log densities as quadratic forms in the draws (stream_log_densities).
+        factor is L_x, if known.
         """
         return _stratified_moments(self.stream_log_densities(x, cfg, stream, factor),
                                    np.asarray(weights, dtype=float),
@@ -438,28 +453,45 @@ def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) 
     return McEstimate(value, se, cfg.samples * mu.n_atoms, cfg.seed)
 
 
+def _shell_probabilities(model: ChannelModel, xs: np.ndarray, shells,
+                         cfg: McConfig) -> list[McEstimate]:
+    """shell_probability for the K inputs xs, each against its own shell.
+
+    All Monte Carlo inputs share the shell stream, drawn once per batch: the
+    squared radii ||L_x w||^2 of every input come from one matmul of their
+    coefficients with the batch's monomials.
+    """
+    matrices, factors, log_dets = _conditional_covariances(model, xs)
+    scalar = [ConditionalCovariance(*c).scalar_variance()
+              for c in zip(matrices, log_dets, factors)]
+    mc = [i for i, c in enumerate(scalar) if c is None]
+    hits = np.zeros(len(scalar), dtype=np.int64)
+    if mc:
+        upper = np.triu_indices(model.M, 1)
+        coef = _norm_coefficients(factors[mc], upper)
+        rho = np.array([[shells[i].rho1, shells[i].rho2] for i in mc])
+        for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
+            w = _complex_standard_normals(derive_seed(cfg.seed, _SHELL_STREAM, b), nb, model.M)
+            r = np.sqrt(coef @ _monomials(w, upper))
+            hits[mc] += np.count_nonzero((r >= rho[:, :1]) & (r < rho[:, 1:]), axis=1)
+    n, out = cfg.samples, []
+    for c, shell, h in zip(scalar, shells, hits):
+        if c is None:
+            p = float(h) / n
+            out.append(McEstimate(p, math.sqrt(p * (1.0 - p) * n / (n - 1) / n), n, cfg.seed))
+        else:  # inf ** 2 / c is inf, whose tail is 0
+            p = chi_square_tail(shell.rho1 ** 2 / c, model.M) \
+                - chi_square_tail(shell.rho2 ** 2 / c, model.M)
+            out.append(McEstimate(float(p), 0.0, 0, cfg.seed))
+    return out
+
+
 def shell_probability(model: ChannelModel, x, shell: OutputShell, cfg: McConfig) -> McEstimate:
     """Probability that ||y|| lands in [rho1, rho2) under y ~ p(.|x).
 
     If C(x) is a scalar multiple of the identity (isotropic channels, or
     M == 1) the value is exact with std_error 0, via the incomplete-gamma
-    radial tail; otherwise it is estimated by Monte Carlo.
+    radial tail; otherwise it is estimated by Monte Carlo on the shell
+    stream (the one-point case of _shell_probabilities).
     """
-    x = _as_input(model, x)
-    cov = conditional_covariance(model, x)
-    c = cov.scalar_variance()
-    if c is not None:
-        t1 = shell.rho1 ** 2 / c
-        t2 = shell.rho2 ** 2 / c if not math.isinf(shell.rho2) else math.inf
-        p = chi_square_tail(t1, model.M) - chi_square_tail(t2, model.M)
-        return McEstimate(float(p), 0.0, 0, cfg.seed)
-    hits = 0.0
-    for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
-        w = _complex_standard_normals(derive_seed(cfg.seed, _SHELL_STREAM, b), nb, model.M)
-        y = w @ cov.factor.T
-        r = np.sqrt(np.sum(np.abs(y) ** 2, axis=1))
-        hits += float(np.count_nonzero((r >= shell.rho1) & (r < shell.rho2)))
-    n = cfg.samples
-    p = hits / n
-    var = p * (1.0 - p) * n / (n - 1)
-    return McEstimate(p, math.sqrt(var / n), n, cfg.seed)
+    return _shell_probabilities(model, _as_input(model, x)[None], [shell], cfg)[0]

@@ -25,8 +25,8 @@ import numpy as np
 
 from .channel import ChannelModel, _as_input
 from .errors import ScaleOverflowError
-from .estimate import (McConfig, McEstimate, OutputShell, log_chi_square_tail,
-                       mutual_information, shell_probability)
+from .estimate import (McConfig, McEstimate, OutputShell, _shell_probabilities,
+                       log_chi_square_tail, mutual_information)
 from .measure import DiscreteMeasure
 
 # Largest exponent allowed anywhere in a construction (double overflows at ~709.8).
@@ -88,8 +88,7 @@ class FanoConstruction:
 
     def log_average_power(self) -> float:
         """ln of sum_i ||x_i||^2 / (n N)."""
-        from scipy.special import logsumexp
-        return float(logsumexp(2.0 * self.log_k) - math.log(self.n)
+        return float(np.logaddexp.reduce(2.0 * self.log_k) - math.log(self.n)
                      - math.log(self.direction.shape[0]))
 
 
@@ -180,7 +179,8 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
 
     Detection probabilities are exact whenever C(x_i) is a scalar matrix
     (isotropic fading or M == 1); otherwise they fall back to Monte Carlo,
-    which requires the construction to be representable in plain doubles.
+    which requires the construction to be representable in plain doubles,
+    and count all n shells on one draw of the shell stream.
     """
     scalar_law = model.iso_var is not None or model.M == 1
     if scalar_law:
@@ -199,9 +199,8 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
         radii = np.exp(fc.log_r)
         if not np.all(np.isfinite(radii)):
             raise ScaleOverflowError("shell radii exceed double range for the MC path")
-        detections = tuple(
-            shell_probability(model, atoms[i], OutputShell(radii[i], radii[i + 1]), cfg)
-            for i in range(fc.n))
+        shells = [OutputShell(radii[i], radii[i + 1]) for i in range(fc.n)]
+        detections = tuple(_shell_probabilities(model, atoms, shells, cfg))
     bounds = tuple(_analytic_shell_bound(fc, i) for i in range(fc.n))
     min_detection = min(d.value for d in detections)
     mi = None
@@ -209,8 +208,8 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
     if include_mi and fc.atoms_representable and distinct_atoms:
         mi = mutual_information(model, fc.measure(), cfg)
     fano_lower = fc.lambda_impl * math.log(fc.n) - 1.0
-    avg_power = math.exp(fc.log_average_power()) if fc.log_average_power() < _LOG_CAP \
-        else math.inf
+    log_power = fc.log_average_power()
+    avg_power = math.exp(log_power) if log_power < _LOG_CAP else math.inf
     return FanoReport(construction=fc, detections=detections, bounds=bounds,
                       lambda_paper=fc.lambda_paper, lambda_impl=fc.lambda_impl,
                       min_detection=min_detection,

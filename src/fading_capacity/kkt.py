@@ -23,8 +23,8 @@ from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input,
                       _conditional_covariances, conditional_covariance,
                       input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
-from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stream_index,
-                       derive_seed)
+from .estimate import (_CROSS_STREAM, McConfig, McEstimate, _ConditionalLaws,
+                       _stream_index, derive_seed)
 from .measure import DiscreteMeasure, InputShell
 
 
@@ -249,18 +249,22 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
 
     All points share one law object for mu, so on isotropic channels one
     quadrature table serves every point. On dense channels all points'
-    Cholesky factors come from one batch, the non-atom points reuse the
-    cross stream's real-packed draws, and log densities under the atoms are
-    real matmuls against the atoms' inverse factors, not triangular solves.
-    Each value equals kkt_value's.
+    Cholesky factors come from one batch, and the points are evaluated
+    grouped by sample stream (the non-atom points share the cross stream),
+    so each stream is drawn once; log densities under the atoms are
+    quadratic forms in the draws. Each value equals kkt_value's.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("scan grid must be nonempty")
     laws = _ConditionalLaws(model, mu.atoms)
     xs = np.array([_as_input(model, x) for x in grid] + list(mu.atoms))
-    covs = [None] * len(xs) if laws.iso else zip(*_conditional_covariances(model, xs)[1:])
-    values = [_kkt_estimate(model, laws, mu, ctx, x, cfg, cov) for x, cov in zip(xs, covs)]
+    covs = [None] * len(xs) if laws.iso else list(zip(*_conditional_covariances(model, xs)[1:]))
+    match = np.all(xs[:, None] == mu.atoms[None], axis=2)  # _stream_index of every point
+    streams = np.where(match.any(axis=1), match.argmax(axis=1), _CROSS_STREAM)
+    values = [None] * len(xs)
+    for i in np.argsort(streams, kind="stable"):
+        values[i] = _kkt_estimate(model, laws, mu, ctx, xs[i], cfg, covs[i])
     points = tuple(KktPoint(np.asarray(x, dtype=complex), input_norm_sq(x), est.value,
                             est.std_error) for x, est in zip(grid, values))
     support = tuple(KktPoint(mu.atoms[i], float(mu.norms_sq[i]), est.value, est.std_error)

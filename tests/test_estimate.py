@@ -13,7 +13,7 @@ from fading_capacity import (ChannelModel, DiscreteMeasure,
                              shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_ConditionalLaws, _mutual_information_arrays,
-                                      _weighted_mix)
+                                      _shell_probabilities, _weighted_mix)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
@@ -250,9 +250,9 @@ class TestDenseKernel:
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         return np.sqrt(norms_sq)[:, None] * dirs
 
-    @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3)])
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3), (4, 2)])
     def test_matches_triangular_solve(self, m, n):
-        # the whitened (k, n) log densities against ConditionalCovariance's
+        # the quadratic-form (k, n) log densities against ConditionalCovariance's
         # triangular solves on the very same outputs y = L_x w
         rng = np.random.default_rng(100 * m + n)
         model = random_model(rng, m, n)
@@ -273,13 +273,21 @@ class TestDenseKernel:
                 assert ids is None and logp.shape == (10, w.shape[0])
                 np.testing.assert_allclose(logp, ref, rtol=1e-12, atol=0.0)
 
-    def test_draws_are_the_complex_normals_real_packed(self):
-        model = random_model(np.random.default_rng(5), 2, 2)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_draws_are_the_monomials_of_the_complex_normals(self, m):
+        model = random_model(np.random.default_rng(5), m, 2)
         cfg = McConfig(1000, seed=4, batch=300)
         draws = _ConditionalLaws(model, np.zeros((1, 2), complex))._stream_draws(cfg, 3)
+        assert len(draws) == 4
+        p, q = np.triu_indices(m, 1)
         for b, draw in enumerate(draws):
-            w = _complex_standard_normals(derive_seed(cfg.seed, 3, b), draw.shape[1], 2)
-            assert np.array_equal(draw, np.vstack([w.real.T, w.imag.T]))
+            w = _complex_standard_normals(derive_seed(cfg.seed, 3, b), draw.shape[1], m)
+            cross = w[:, p].conj() * w[:, q]
+            expected = np.vstack([np.abs(w.T) ** 2, cross.real.T, cross.imag.T])
+            assert draw.shape == (m * m, w.shape[0])
+            np.testing.assert_allclose(draw, expected, rtol=1e-15, atol=0.0)
+            with pytest.raises(ValueError):
+                draw[0, 0] = 0.0
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3)])
     def test_batched_covariances_equal_one_point(self, m, n):
@@ -357,6 +365,22 @@ class TestShellProbability:
         total = sum(e.value for e in ests)
         pooled = math.sqrt(sum(e.std_error ** 2 for e in ests))
         assert abs(total - 1.0) <= 3 * pooled + 1e-12
+
+
+class TestBatchedShells:
+    def test_equals_one_call_per_input(self):
+        model = random_model(np.random.default_rng(11), 2, 2)
+        rng = np.random.default_rng(12)
+        xs = np.array([np.zeros(2, complex)] + [random_input(rng, 2, scale=s)
+                                                 for s in (0.5, 2.0, 10.0)])
+        shells = [OutputShell(0.5, 2.0), OutputShell(1.0, 3.0),
+                  OutputShell(2.0, math.inf), OutputShell(5.0, 20.0)]
+        cfg = McConfig(1000, seed=4, batch=300)
+        batched = _shell_probabilities(model, xs, shells, cfg)
+        single = [shell_probability(model, x, s, cfg) for x, s in zip(xs, shells)]
+        assert batched == single
+        assert batched[0].std_error == 0.0 and batched[0].samples == 0
+        assert all(0.0 < e.value < 1.0 and e.samples == 1000 for e in batched[1:])
 
 
 class TestErrorScaling:

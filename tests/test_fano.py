@@ -5,7 +5,7 @@ import pytest
 
 from fading_capacity import (ChannelModel, McConfig, ScaleOverflowError,
                              build_construction, detection_report,
-                             find_sufficient_K, lambda_constant)
+                             estimate, find_sufficient_K, lambda_constant)
 
 CFG = McConfig(samples=5000, seed=33)
 
@@ -108,6 +108,18 @@ class TestDetectionReport:
         assert all(d.std_error > 0 for d in report.detections)
         for det, bnd in zip(report.detections, report.bounds):
             assert det.value >= bnd - 3 * det.std_error
+
+    def test_shell_stream_drawn_once_per_batch(self, monkeypatch):
+        model = model_with_eigs([0.8, 1.4], M=2, N=1)
+        fc = build_construction(model, n=3, K=2.0)
+        seeds = []
+        draw = estimate._complex_standard_normals
+        monkeypatch.setattr(estimate, "_complex_standard_normals",
+                            lambda seed, *a: seeds.append(seed) or draw(seed, *a))
+        report = detection_report(model, fc, McConfig(1000, seed=9, batch=300),
+                                  include_mi=False)
+        assert len(report.detections) == 3
+        assert len(seeds) == 4 == len(set(seeds))
 
     def test_mutual_information_grows_with_n(self, scalar_model):
         K = find_sufficient_K(scalar_model, 3, CFG)

@@ -9,7 +9,7 @@ from fading_capacity import (ChannelModel, InputShell, InsufficientMassError,
                              cross_term, kkt_lower_bound, kkt_scan, kkt_value,
                              lemma1_bound, lemma1_lower_bound,
                              radial_scan_grid, support_radius_bound)
-from fading_capacity import DiscreteMeasure
+from fading_capacity import DiscreteMeasure, estimate
 from conftest import radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
@@ -229,6 +229,21 @@ class TestKktScan:
         for p in report.points + report.support:
             est = kkt_value(model, mu, ctx, p.x, cfg)
             assert (p.value, p.std_error) == (est.value, est.std_error)
+
+    def test_dense_scan_draws_each_stream_once(self, monkeypatch):
+        # the grid's origin is atom 0: evaluated in grid order, stream 0 would
+        # be drawn, then the cross stream, then stream 0 again
+        model = random_model(np.random.default_rng(3), 2, 2)
+        atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+        mu = DiscreteMeasure(atoms, [0.5, 0.3, 0.2])
+        grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
+                                n_directions=2, seed=5)
+        seeds = []
+        draw = estimate._complex_standard_normals
+        monkeypatch.setattr(estimate, "_complex_standard_normals",
+                            lambda seed, *a: seeds.append(seed) or draw(seed, *a))
+        kkt_scan(model, mu, KktContext(0.1, 1.0, 0.2), grid, McConfig(1000, seed=5))
+        assert len(seeds) == mu.n_atoms + 1 == len(set(seeds))
 
     def test_empty_grid_rejected(self, scalar_model):
         mu = DiscreteMeasure.single([0j])
