@@ -318,6 +318,9 @@ def _cmd_fano(cfg, model, mc, out_dir, args):
         "min_detection": report.min_detection, "meets_lambda": report.meets_lambda,
         "fano_lower_bound": report.fano_lower_bound,
         "average_power": report.average_power,
+        "margins_impl": list(report.margins_impl),
+        "margins_paper": list(report.margins_paper),
+        "log_cap_headroom": report.construction.log_cap_headroom,
         "mutual_information": (_estimate_dict(report.mutual_info)
                                if report.mutual_info is not None else None),
     }

@@ -22,7 +22,7 @@ class ScaleOverflowError(AnalysisError):
 
 
 class NotConvergedError(AnalysisError):
-    """An optimization run exhausted its iteration budget."""
+    """An optimization run or iterative solve exhausted its iteration budget."""
 
 
 class ConfigError(Exception):

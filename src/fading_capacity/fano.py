@@ -57,7 +57,7 @@ class FanoConstruction:
     log_k[i] = ln K_(i+1) for i = 0..n-1; log_r has n+1 entries, the last
     closing the final shell; log_a[i] = ln a_(i+1); f_values[i] = F(K_(i+1)).
     For K > 1 both log_k and log_r are strictly increasing; K = 1 degenerates
-    to empty shells.
+    to empty shells. log_cap_headroom = 700 - n 2^n ln K, the room below the cap.
     """
 
     n: int
@@ -69,6 +69,7 @@ class FanoConstruction:
     f_values: np.ndarray
     lambda_paper: float
     lambda_impl: float
+    log_cap_headroom: float
 
     @property
     def atoms_representable(self) -> bool:
@@ -112,9 +113,10 @@ def build_construction(model: ChannelModel, n: int, K: float,
     if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
         raise ValueError("direction must have unit norm within 1e-12")
     log_K = math.log(K)
-    if n * (2.0 ** n) * log_K > _LOG_CAP:
+    headroom = _LOG_CAP - n * 2.0 ** n * log_K
+    if headroom < 0.0:
         raise ScaleOverflowError(
-            f"n * 2^n * ln(K) = {n * 2.0 ** n * log_K:.1f} exceeds the {_LOG_CAP:.0f} cap")
+            f"n * 2^n * ln(K) exceeds the {_LOG_CAP:.0f} cap by {-headroom:.1f}")
     log_k = np.array([(2.0 ** i) * log_K for i in range(1, n + 1)])
     log_k_next = (2.0 ** (n + 1)) * log_K
     base = model.noise_var + model.lambda_min
@@ -127,7 +129,8 @@ def build_construction(model: ChannelModel, n: int, K: float,
     lam_paper, lam_impl = lambda_constant(model)
     return FanoConstruction(n=n, k_base=K, direction=direction, log_k=log_k,
                             log_r=log_r, log_a=log_a, f_values=f_values,
-                            lambda_paper=lam_paper, lambda_impl=lam_impl)
+                            lambda_paper=lam_paper, lambda_impl=lam_impl,
+                            log_cap_headroom=headroom)
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,7 @@ class FanoReport:
     bounds[i] is the analytic floor F_i (e^{-a_i r_i^2} - e^{-a_i r_(i+1)^2}).
     mutual_info is the Monte Carlo estimate for the uniform atom measure and
     may be None when the atoms are not representable in plain doubles.
+    margins_* are the detections minus lambda_impl and minus lambda_paper.
     """
 
     construction: FanoConstruction
@@ -151,6 +155,8 @@ class FanoReport:
     mutual_info: McEstimate | None
     fano_lower_bound: float
     average_power: float
+    margins_impl: tuple[float, ...]
+    margins_paper: tuple[float, ...]
 
 
 def _exact_shell_detection(model: ChannelModel, fc: FanoConstruction, i: int,
@@ -215,7 +221,9 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
                       min_detection=min_detection,
                       meets_lambda=min_detection >= fc.lambda_impl,
                       mutual_info=mi, fano_lower_bound=fano_lower,
-                      average_power=avg_power)
+                      average_power=avg_power,
+                      margins_impl=tuple(d.value - fc.lambda_impl for d in detections),
+                      margins_paper=tuple(d.value - fc.lambda_paper for d in detections))
 
 
 def find_sufficient_K(model: ChannelModel, n: int, cfg: McConfig) -> float:

@@ -92,6 +92,18 @@ class TestFanoCommand:
         assert len(shells) == 2
 
 
+class TestFanoMargins:
+    def test_summary_reports_margins_and_headroom(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"channel": SCALAR_CHANNEL, "seed": 3,
+                            "mc": {"samples": 2000}, "include_mi": False})
+        assert run(["fano", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--n", "1", "--K", "2"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        margin = summary["min_detection"] - summary["lambda_impl"]
+        assert summary["margins_impl"] == summary["margins_paper"] == [margin]
+        assert summary["log_cap_headroom"] == pytest.approx(700.0 - 2.0 * math.log(2.0))
+
 class TestBoundsCommand:
     def test_slope_error_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {

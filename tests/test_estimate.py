@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, logsumexp
 
 from fading_capacity import (ChannelModel, DiscreteMeasure,
                              InvalidCovarianceError, McConfig, McEstimate,
-                             OutputShell, chi_square_tail,
+                             NotConvergedError, OutputShell, chi_square_tail,
                              conditional_covariance, conditional_entropy,
                              cross_term, derive_seed, log_chi_square_tail,
                              mutual_information, radial_scan_grid,
                              shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
-from fading_capacity.estimate import (_ConditionalLaws, _mutual_information_arrays,
-                                      _shell_probabilities, _weighted_mix)
+from fading_capacity.estimate import (_ConditionalLaws, _gamma_quantile,
+                                      _mutual_information_arrays, _shell_probabilities,
+                                      _stratified_radii_sq, _weighted_mix)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
@@ -219,6 +220,17 @@ class TestRadialQuadrature:
             want = -m * math.log(math.pi * c0) - m * cx / c0
             assert abs(laws.cross_quadrature(x, [1.0]) - want) <= 1e-9
 
+    def test_large_order_point_mass(self):
+        # r^(M-1) and (M-1)! leave double range here; 12-node octave panels
+        # resolve the narrow Gamma(150) peak only to about 1e-5
+        m = 150
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        laws = _ConditionalLaws(model, [[2.0 + 0j]])
+        for t in (0.0, 4.0, 30.0):
+            want = -m * math.log(5.0 * math.pi) - m * (1.0 + t) / 5.0
+            got = laws.cross_quadrature([math.sqrt(t) + 0j], [1.0])
+            assert got == pytest.approx(want, rel=1e-5)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_monte_carlo(self, m):
         model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
@@ -241,6 +253,90 @@ class TestStreamDraws:
                 for arr in (draw if isinstance(draw, tuple) else (draw,)):
                     with pytest.raises(ValueError):
                         arr[0] = 0
+
+
+class TestStratifiedRadii:
+    """The closed-form Gamma(M) quantile behind the isotropic sample streams."""
+
+    N_STRATA = 64
+
+    @classmethod
+    def _points(cls):
+        # 10^4 stratified points, as a stream forms them, plus both tails
+        n = cls.N_STRATA
+        ids = np.arange(10_000) % n
+        u = np.random.default_rng(8).random(ids.size)
+        low = np.array([2.0 ** -53, 1 / 64, 0.5])
+        high = np.array([2.0 ** -53, 1e-10, 1e-18])  # qbar
+        q = np.concatenate(((ids + u) / n, low, 1.0 - high))
+        qbar = np.concatenate(((n - ids - u) / n, 1.0 - low, high))
+        return q, qbar
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_forward_residual(self, m):
+        # scipy's P itself is 1.2e-14 off at q = 1e-30 (M = 6) and 1e-13 at
+        # 1e-300 against 40 digits; the extended-precision test covers those.
+        q, qbar = self._points()
+        s = _gamma_quantile(m, q, qbar)
+        lower = q <= 0.5
+        np.testing.assert_allclose(gammainc(m, s[lower]), q[lower], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(gammaincc(m, s[~lower]), qbar[~lower], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("m", [*range(1, 9), 150, 200])
+    def test_matches_gammaincinv_in_bulk(self, m):
+        # gammaincinv is itself up to ~45 ulp (1e-14) off here, against a
+        # 50-digit inverse; test_within_4_ulp_of_extended_precision holds the
+        # quantile to 4 ulp.
+        q, qbar = self._points()
+        bulk = (q >= 2.0 ** -30) & (q <= 1.0 - 2.0 ** -10)
+        np.testing.assert_allclose(_gamma_quantile(m, q[bulk], qbar[bulk]),
+                                   gammaincinv(m, q[bulk]), rtol=2e-14, atol=0)
+
+    @pytest.mark.parametrize("m", [150, 200])
+    def test_large_order_stays_finite(self, m):
+        # s^m and m! leave double range here; the residual never forms them
+        assert np.all(np.isfinite(_gamma_quantile(m, *self._points())))
+        tail = _gamma_quantile(m, 1.0, 1e-18)
+        assert float(tail) == pytest.approx(gammainccinv(m, 1e-18), rel=2e-14)
+
+    def test_unsettled_steps_raise(self):
+        with pytest.raises(NotConvergedError):
+            _gamma_quantile(3, np.array([0.75]), np.array([np.nan]))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_within_4_ulp_of_extended_precision(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        q, qbar = self._points()
+        q = np.concatenate((q[:64], q[-6:], [2.0 ** -1074, 1e-300, 1e-30, 63 / 64]))
+        qbar = np.concatenate((qbar[:64], qbar[-6:], [1.0, 1.0, 1.0, 1 / 64]))
+        for qi, qbi, s in zip(q, qbar, _gamma_quantile(m, q, qbar)):
+            lower = qi <= 0.5
+            x = mpmath.mpf(float(s))
+            for _ in range(2):  # Newton in 40 digits, from s
+                tail = (mpmath.gammainc(m, 0, x, regularized=True) - qi if lower
+                        else qbi - mpmath.gammainc(m, x, mpmath.inf, regularized=True))
+                x -= tail / (mpmath.exp(-x) * x ** (m - 1) / mpmath.factorial(m - 1))
+            assert abs(float(s) - x) <= 4 * np.spacing(s), (qi, qbi)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_zero_quantile_is_zero(self, m):
+        assert _gamma_quantile(m, np.zeros(3), np.ones(3)).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_top_stratum_stays_finite(self, m):
+        n, u = self.N_STRATA, 1.0 - 2.0 ** -53
+        q, qbar = (n - 1 + u) / n, (n - (n - 1) - u) / n
+        assert q == 1.0  # the quantile of q alone is infinite here
+        s = _gamma_quantile(m, np.array([q]), np.array([qbar]))
+        assert np.isfinite(s[0])
+        assert gammaincc(m, s[0]) == pytest.approx(qbar, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_reruns_are_bit_identical(self, m):
+        first = _stratified_radii_sq(derive_seed(5, 0, 0), 7, 1000, m, self.N_STRATA)
+        again = _stratified_radii_sq(derive_seed(5, 0, 0), 7, 1000, m, self.N_STRATA)
+        assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
 
 class TestDenseKernel:

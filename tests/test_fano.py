@@ -91,6 +91,16 @@ class TestDetectionReport:
         assert report.min_detection >= report.lambda_impl
         assert report.meets_lambda
 
+    def test_scalar_n1_k2_margins(self, scalar_model):
+        fc = build_construction(scalar_model, n=1, K=2.0)
+        report = detection_report(scalar_model, fc, CFG, include_mi=False)
+        expected = math.exp(-32.0 / 17.0) - math.exp(-512.0 / 17.0)
+        margin = expected - 0.5 * math.exp(-2.0)  # lambda_paper = lambda_impl at M = 1
+        assert report.margins_impl == pytest.approx((margin,), abs=1e-12)
+        assert report.margins_paper == pytest.approx((margin,), abs=1e-12)
+        assert report.construction.log_cap_headroom == pytest.approx(
+            700.0 - 2.0 * math.log(2.0), rel=1e-15)
+
     def test_detection_beats_bound_everywhere(self, scalar_model):
         rng = np.random.default_rng(0)
         for _ in range(4):
