@@ -26,8 +26,7 @@ from .measure import (DiscreteMeasure, InputShell, PowerConstraint,
                       average_power, mixture_log_density, prune_weights,
                       shell_mass)
 from .optimizer import (CurvePoint, OptimizerConfig, Optimum, capacity_curve,
-                        estimate_gamma, insert_atom, optimize_measure,
-                        optimize_weights)
+                        insert_atom, optimize_measure, optimize_weights)
 
 __version__ = "0.1.0"
 
@@ -41,8 +40,8 @@ __all__ = [
     "SlopeNonPositiveError", "average_power", "build_construction",
     "capacity_curve", "certified_pi_bar", "chi_square_tail",
     "conditional_covariance", "conditional_entropy", "cross_term",
-    "derive_seed", "detection_report", "eigen_bounds", "estimate_gamma",
-    "find_sufficient_K", "input_norm_sq", "insert_atom", "kkt_lower_bound",
+    "derive_seed", "detection_report", "eigen_bounds", "find_sufficient_K",
+    "input_norm_sq", "insert_atom", "kkt_lower_bound",
     "kkt_scan", "kkt_value", "lambda_constant", "lemma1_bound",
     "lemma1_lower_bound", "log_chi_square_tail", "log_density",
     "mixture_log_density", "mutual_information", "optimize_measure",

@@ -25,7 +25,8 @@ from .fano import build_construction, detection_report, find_sufficient_K
 from .kkt import KktContext, kkt_scan, lemma1_bound, radial_scan_grid, \
     support_radius_bound, kkt_lower_bound
 from .measure import DiscreteMeasure, PowerConstraint
-from .optimizer import OptimizerConfig, capacity_curve, optimize_measure
+from .optimizer import (_SEARCH_RADIUS_FACTOR, OptimizerConfig, capacity_curve,
+                        optimize_measure)
 
 _COMMANDS = ("density", "mi", "kkt-scan", "optimize", "capacity-curve",
              "fano", "bounds")
@@ -212,7 +213,9 @@ def _cmd_kkt_scan(cfg, model, mc, out_dir):
     mu = _measure_from_config(cfg, model)
     ctx = _context_from_config(cfg, model, mc, mu)
     grid_spec = cfg.get("grid", {})
-    max_norm_sq = _number(grid_spec.get("max_norm_sq", 32.0 * ctx.a * model.N),
+    # by default scan as far as optimize certifies, so a rerun checks it all
+    max_norm_sq = _number(grid_spec.get("max_norm_sq",
+                                        _SEARCH_RADIUS_FACTOR * ctx.a * model.N),
                           "config.grid.max_norm_sq", positive=True)
     ppd = _integer(grid_spec.get("points_per_decade", 64),
                    "config.grid.points_per_decade", 1)

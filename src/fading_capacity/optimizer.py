@@ -1,15 +1,15 @@
 """Discrete-input capacity optimization under an average power constraint.
 
 Smith-style outer loop: damped Newton steps on the weights of a fixed support,
-golden-section moves of atom radii, insertion of new atoms where the scan of
-the optimality functional dips negative, and dual bisection of the power
-multiplier until the optimal measure's power matches the budget. New atoms go
-to the minimum of the nearest run of scan violations (the smallest-radius one
-along any scanned direction), not to the global minimum, which on a truncated
-scan is often just the scan cap. Tail atoms too light for the radius mover to
-resolve are placed from the certificate scan instead: such an atom is moved to
-the minimum of the nearest violation run, and keeps following it, while the
-power is matched again after each move. On
+which solve for the power multiplier in the same step so that the optimal
+measure's power meets the budget, golden-section moves of atom radii, and
+insertion of new atoms where the scan of the optimality functional dips
+negative. New atoms go to the minimum of the nearest run of scan violations
+(the smallest-radius one along any scanned direction), not to the global
+minimum, which on a truncated scan is often just the scan cap. Tail atoms too
+light for the radius mover to resolve are placed from the certificate scan
+instead: such an atom is moved to the minimum of the nearest violation run,
+and keeps following it, while the power is matched again after each move. On
 isotropic channels every cross term is a deterministic radial quadrature; on
 dense channels the Monte Carlo evaluations reuse common random numbers
 (streams keyed by atom index), so comparisons between nearby supports are
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import ChannelModel, conditional_entropy
-from .errors import NotConvergedError
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stratified_moments,
                        _weighted_mix, derive_seed, mutual_information)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
@@ -54,9 +53,10 @@ class OptimizerConfig:
     kkt_tolerance is in nats. On dense channels the KKT scan is a Monte
     Carlo estimate, and the tolerance should stay above roughly three of its
     standard errors (optimize_measure warns when it likely does not);
-    isotropic channels evaluate it by quadrature (SE 0). search_radius_sq
-    caps the squared norm scanned for new atoms (None picks 48 * a * N at
-    run time).
+    isotropic channels evaluate it by quadrature (SE 0). power_tolerance
+    only gates Optimum.converged: the weight solve meets the budget itself.
+    search_radius_sq caps the squared norm scanned for new atoms (None picks
+    48 * a * N at run time).
     """
 
     mc: McConfig = field(default_factory=lambda: McConfig(samples=200_000, seed=0))
@@ -81,9 +81,11 @@ class Optimum:
     """Certified optimization result.
 
     capacity_estimate is a fresh-seed Monte Carlo evaluation of the mutual
-    information at the final measure; kkt_report is the certification scan;
-    converged means no scan value below -kkt_tolerance, all support
-    residuals within kkt_tolerance, and power within tolerance of the budget.
+    information at the final measure; gamma is the final support's exact
+    power multiplier, solved with its weights (0 when the budget is slack);
+    kkt_report is the certification scan; converged means no scan value
+    below -kkt_tolerance, all support residuals within kkt_tolerance, and
+    power within tolerance of the budget.
     """
 
     measure: DiscreteMeasure
@@ -150,51 +152,71 @@ class _SupportEvaluator:
         return self.mutual_information(weights) - gamma * (power - a)
 
 
-def _newton_step(post, w, scores, damping):
+def _newton_step(post, w, gains, damping, excess=None):
     """Log-weight step that equalizes the gains to first order.
 
     The gains' Jacobian in log weights is -P up to normalization, so the
-    Newton step solves P theta + lam = scores, w . theta = 0. damping blends
-    P with the identity, whose step is the Blahut-Arimoto one.
+    Newton step solves P theta + lam = gains, w . theta = 0. damping blends
+    P with the identity, whose step is the Blahut-Arimoto one. Returns
+    (theta, None). Given excess, the atoms' power excess ||x_i||^2/N - a,
+    the gains are taken before the power penalty and the multiplier is an
+    unknown too: P theta + lam + gamma e = gains, w . theta = 0 and
+    (w e) . theta = -w . e, so the step also meets the budget to first
+    order. It returns (theta, gamma) then, gamma None when the system is
+    singular.
     """
     k = w.size
-    system = np.zeros((k + 1, k + 1))
+    m = k + 1 if excess is None else k + 2
+    system = np.zeros((m, m))
     system[:k, :k] = (1.0 - damping) * post + damping * np.eye(k)
     system[:k, k] = 1.0
     system[k, :k] = w
+    rhs = np.append(gains, np.zeros(m - k))
+    if excess is not None:
+        system[:k, k + 1] = excess
+        system[k + 1, :k] = w * excess
+        rhs[k + 1] = -np.dot(w, excess)
     try:
-        return np.linalg.solve(system, np.append(scores, 0.0))[:k]
+        sol = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:  # singular: the plain Blahut-Arimoto step
-        return scores
+        return gains, None
+    return sol[:k], None if excess is None else float(sol[k + 1])
 
 
-def _multiplicative_solve(ev: _SupportEvaluator, gamma: float, a: float,
+def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
                           iterations: int, w0=None):
     """Ascent of I - gamma*(P - a) over the simplex by multiplicative updates.
 
     Each step scales w_i by a factor set by theta_i, the damped Newton step
-    of _newton_step. A step that lowers the objective is retried from the
-    point before it with more damping (near-duplicate atoms make P nearly
-    singular); damping 1 gives the Blahut-Arimoto step. Stops when the gains
-    of the atoms of weight >= _PRUNE_FLOOR agree with the objective within
-    _GAIN_TOLERANCE and no other gain exceeds it by more, when a step no
-    longer moves the weights, or when the budget runs out. Returns (weights,
-    scores, lagrangian); scores are the per-atom gains
+    of _newton_step. With gamma None the multiplier is solved for in the same
+    step, so each step is the fixed-gamma one at the gamma that meets the
+    power budget to first order; a negative gamma means the budget is slack,
+    and the step is taken at gamma = 0. A step that lowers the objective, or
+    leaves the weights where they are, is retried from the point before it
+    with more damping (near-duplicate atoms make P nearly singular); damping
+    1 gives the Blahut-Arimoto step. Stops when the gains of the atoms of
+    weight >= _PRUNE_FLOOR agree with the objective within _GAIN_TOLERANCE
+    and no other gain exceeds it by more, when even the Blahut-Arimoto step
+    no longer moves the weights, or when the budget runs out. Returns
+    (weights, gamma, scores, lagrangian); scores are the per-atom gains
     D_i - gamma*(||x_i||^2/N - a).
     """
     k = ev.k
     w = np.full(k, 1.0 / k) if w0 is None else np.asarray(w0, dtype=float).copy()
     w = np.maximum(w, 0.0)
     w /= w.sum()
-    penalty = gamma * (ev.norms_sq / ev.model.N - a)
+    excess = ev.norms_sq / ev.model.N - a
+    free = gamma is None
+    gamma = 0.0 if free else gamma
     scores = np.zeros(k)
     value = 0.0
     damping, before = 0.0, None  # before: the point ahead of an unchecked step
     for _ in range(iterations):
-        scores = ev.neg_h - ev.cross_means(w) - penalty
+        gains = ev.neg_h - ev.cross_means(w)
+        scores = gains - gamma * excess
         value = float(np.dot(w, scores))
         if before is not None and value < before[2] - _ASCENT_SLACK:
-            w, scores, value, post = before
+            w, gains, _, post = before
             damping = min(1.0, 4.0 * damping + 1.0 / 16.0)
         else:
             gaps = scores - value
@@ -204,21 +226,34 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float, a: float,
                 break
             post = ev.posteriors(w)
             damping *= 0.25
-        theta = _newton_step(post, w, scores, damping)
-        theta -= np.dot(w, theta)
-        before = (w, scores, value, post) if damping < 1.0 else None
-        # weights grow linearly, so an atom at the floor can take real mass
-        # in one step, and shrink geometrically, so they stay positive; the
-        # floor keeps squashed weights recoverable (0.0 would stick forever)
-        with np.errstate(over="ignore"):
-            w_new = np.maximum(np.where(theta > 0.0, w + np.minimum(w * theta, 1.0),
-                                        w * np.exp(theta)), 1e-20)
-        w_new /= w_new.sum()
-        still = bool(np.all(np.abs(w_new - w) <= 1e-12 * w))
+        while True:
+            if free:
+                theta, gamma = _newton_step(post, w, gains, damping, excess)
+                if gamma is None or gamma < 0.0:
+                    gamma = 0.0
+            if not free or gamma == 0.0:
+                theta, _ = _newton_step(post, w, gains - gamma * excess, damping)
+            theta -= np.dot(w, theta)
+            # weights grow linearly, so an atom at the floor can take real mass
+            # in one step, and shrink geometrically, so they stay positive; the
+            # floor keeps squashed weights recoverable (0.0 would stick forever)
+            with np.errstate(over="ignore"):
+                w_new = np.maximum(np.where(theta > 0.0, w + np.minimum(w * theta, 1.0),
+                                            w * np.exp(theta)), 1e-20)
+            w_new /= w_new.sum()
+            # a step capped at +1 on every gaining atom renormalizes to the
+            # point it started from: that is a failed step too
+            still = bool(np.all(np.abs(w_new - w) <= 1e-12 * w))
+            if not still or damping >= 1.0:
+                break
+            damping = min(1.0, 4.0 * damping + 1.0 / 16.0)
+        scores = gains - gamma * excess
+        value = float(np.dot(w, scores))
+        before = (w, gains, value, post) if damping < 1.0 else None
         w = w_new
         if still:
             break
-    return w, scores, value
+    return w, gamma, scores, value
 
 
 def optimize_weights(model: ChannelModel, atoms, a: float, gamma: float,
@@ -234,7 +269,7 @@ def optimize_weights(model: ChannelModel, atoms, a: float, gamma: float,
     if atoms.shape[0] == 0:
         raise ValueError("need at least one atom")
     ev = _SupportEvaluator(model, atoms, cfg.mc)
-    w, _, _ = _multiplicative_solve(ev, gamma, a, cfg.weight_iterations)
+    w, _, _, _ = _multiplicative_solve(ev, gamma, a, cfg.weight_iterations)
     return w
 
 
@@ -398,84 +433,34 @@ def insert_atom(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
                                 cfg.kkt_tolerance, srs, 64, 4)
 
 
-def _match_power(ev: _SupportEvaluator, a: float, cfg: OptimizerConfig,
-                 weight_iters: int, gamma_hint: float | None = None, w0=None):
-    """Bisect gamma until the weight-optimal measure's power matches the budget.
+def _match_power(ev: _SupportEvaluator, a: float, weight_iters: int, w0=None):
+    """Weights and power multiplier of the support's budget-constrained optimum.
 
-    The support is fixed, so power is a monotone non-increasing function of
-    gamma and the weight solves reuse one evaluator. Returns
-    (gamma, weights, scores, value, power); gamma = 0 when the unconstrained
-    weights already satisfy the budget.
+    One _multiplicative_solve with the multiplier free, on one evaluator.
+    Returns (gamma, weights, scores, value, power); gamma = 0 when the budget
+    is slack.
     """
-    # the tail of the optimality functional is razor-sensitive to gamma, so
-    # match power well inside the feasibility envelope
-    target = a * min(0.5 * cfg.power_tolerance, 2e-3)
-
-    def solve(gamma, w_init):
-        w, scores, value = _multiplicative_solve(ev, gamma, a, weight_iters, w_init)
-        power = float(np.dot(w, ev.norms_sq) / ev.model.N)
-        return w, scores, value, power
-
-    # w_lo tracks the equilibrium on the high-power side; warm starts come
-    # from there because the low-power side can collapse onto the zero atom.
-    w_lo, scores, value, power = solve(0.0, w0)
-    if power <= a + target:
-        return 0.0, w_lo, scores, value, power
-    g_lo = 0.0
-    g_hi = gamma_hint if gamma_hint else 1.0
-    bracketed = False
-    for _ in range(60):
-        w_hi, sc_hi, val_hi, p_hi = solve(g_hi, w_lo)
-        if p_hi <= a:
-            bracketed = True
-            break
-        g_lo, w_lo = g_hi, w_hi
-        g_hi *= 2.0
-    if not bracketed:
-        return g_hi, w_hi, sc_hi, val_hi, p_hi
-    best = ((0, abs(p_hi - a)), g_hi, w_hi, sc_hi, val_hi, p_hi)
-    for _ in range(40):
-        if best[0][1] <= target:
-            break
-        g_mid = 0.5 * (g_lo + g_hi)
-        w_mid, sc, val, p = solve(g_mid, w_lo)
-        feasible = p <= a * (1.0 + cfg.power_tolerance)
-        key = (0 if feasible else 1, abs(p - a))
-        if key < best[0]:
-            best = (key, g_mid, w_mid, sc, val, p)
-        if p > a:
-            g_lo, w_lo = g_mid, w_mid
-        else:
-            g_hi = g_mid
-        if g_hi - g_lo <= 1e-10 * max(1.0, g_hi):
-            break
-    _, gamma, w, scores, value, power = best
-    return gamma, w, scores, value, power
+    w, gamma, scores, value = _multiplicative_solve(ev, None, a, weight_iters, w0)
+    return gamma, w, scores, value, float(np.dot(w, ev.norms_sq) / ev.model.N)
 
 
-def _adapt_support(model, a, atoms, weights, gamma, mc, cfg, srs, ppd, decades,
+def _adapt_support(model, a, atoms, weights, mc, cfg, srs, ppd, decades,
                    rounds, weight_iters, insert_tol):
     """Alternate power-matched weight solves, radius moves, and insertions."""
-    value = 0.0
-    power = a
     for rnd in range(rounds):
         # rotate streams across rounds so one unlucky draw cannot freeze a
         # wrong keep-or-kill verdict; the caller certifies on the base seed
-        mc_rnd = McConfig(samples=mc.samples,
-                          seed=derive_seed(mc.seed, 0xAD, rnd), batch=mc.batch)
+        mc_rnd = replace(mc, seed=derive_seed(mc.seed, 0xAD, rnd))
         ev = _SupportEvaluator(model, atoms, mc_rnd)
         w0 = weights if weights.shape[0] == ev.k else None
-        gamma, weights, scores, value, power = _match_power(
-            ev, a, cfg, weight_iters, gamma, w0)
+        gamma, weights, _, value, _ = _match_power(ev, a, weight_iters, w0)
         atoms, weights, pruned = _consolidate(atoms, weights)
         atoms, moved, value = _move_radii(model, atoms, weights, gamma, a,
                                           mc_rnd, srs, value)
         inserted = False
         if atoms.shape[0] < cfg.max_atoms:
             ctx = KktContext(gamma, a, max(value, 0.0))
-            scan_mc = McConfig(samples=mc.samples,
-                               seed=derive_seed(mc.seed, 0x5CA7, rnd),
-                               batch=mc.batch)
+            scan_mc = replace(mc, seed=derive_seed(mc.seed, 0x5CA7, rnd))
             cand = _insertion_candidate(model, atoms, weights, ctx, scan_mc,
                                         insert_tol, srs, ppd, decades)
             if cand is not None:
@@ -489,22 +474,22 @@ def _adapt_support(model, a, atoms, weights, gamma, mc, cfg, srs, ppd, decades,
                     inserted = True
         if not (pruned or moved or inserted):
             break
-    return atoms, weights, gamma, value, power
+    return atoms, weights
 
 
-def _polish(model, a, atoms, weights, gamma, cfg):
+def _polish(model, a, atoms, weights, cfg):
     """Full-fidelity power match on the consolidated support, again if it prunes."""
-    def match(atoms, weights, gamma):
+    def match(atoms, weights):
         ev = _SupportEvaluator(model, atoms, cfg.mc)
         gamma, weights, _, value, power = _match_power(
-            ev, a, cfg, cfg.weight_iterations, gamma, weights)
+            ev, a, cfg.weight_iterations, weights)
         return gamma, weights, value, power
 
     atoms, weights, _ = _consolidate(atoms, weights)
-    gamma, weights, value, power = match(atoms, weights, gamma)
+    gamma, weights, value, power = match(atoms, weights)
     atoms, weights, pruned = _consolidate(atoms, weights)
     if pruned:
-        gamma, weights, value, power = match(atoms, weights, gamma)
+        gamma, weights, value, power = match(atoms, weights)
     return atoms, weights, gamma, value, power
 
 
@@ -537,15 +522,15 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
     atoms = np.vstack([np.zeros(model.N, dtype=complex),
                        math.sqrt(2.0 * a * model.N) * e0])
     weights = np.array([0.5, 0.5])
-    fast_mc = McConfig(samples=min(max(cfg.mc.samples // 4, 20_000), cfg.mc.samples),
-                       seed=cfg.mc.seed, batch=cfg.mc.batch)
+    fast_mc = replace(cfg.mc,
+                      samples=min(max(cfg.mc.samples // 4, 20_000), cfg.mc.samples))
     fast_iters = min(cfg.weight_iterations, 80)
 
-    atoms, weights, gamma, value, power = _adapt_support(
-        model, a, atoms, weights, None, fast_mc, cfg, srs, 16, 3,
+    atoms, weights = _adapt_support(
+        model, a, atoms, weights, fast_mc, cfg, srs, 16, 3,
         cfg.outer_iterations, fast_iters, 2.0 * cfg.kkt_tolerance)
-    atoms, weights, gamma, value, power = _adapt_support(
-        model, a, atoms, weights, gamma, cfg.mc, cfg, srs, 32, 4,
+    atoms, weights = _adapt_support(
+        model, a, atoms, weights, cfg.mc, cfg, srs, 32, 4,
         max(2, cfg.outer_iterations // 3), cfg.weight_iterations,
         cfg.kkt_tolerance)
 
@@ -555,8 +540,7 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
                             seed=cfg.mc.seed)
     dips = []  # scan points an atom was moved to, in order
     while True:
-        atoms, weights, gamma, value, power = _polish(model, a, atoms, weights,
-                                                      gamma, cfg)
+        atoms, weights, gamma, value, power = _polish(model, a, atoms, weights, cfg)
         mu = DiscreteMeasure(atoms, weights)
         ctx = KktContext(gamma, a, max(value, 0.0))
         report = kkt_scan(model, mu, ctx, grid, cfg.mc)
@@ -579,8 +563,7 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
         else:  # nothing light to move: a new atom, as insert_atom would add
             atoms = np.vstack([atoms, dip.x])
             weights = np.append(weights * 0.98, 0.02)
-    fresh = McConfig(samples=cfg.mc.samples,
-                     seed=derive_seed(cfg.mc.seed, 0xF5E5), batch=cfg.mc.batch)
+    fresh = replace(cfg.mc, seed=derive_seed(cfg.mc.seed, 0xF5E5))
     capacity = mutual_information(model, mu, fresh)
     residual_ok = max(report.support_residuals()) <= cfg.kkt_tolerance
     scan_ok = not report.violations(cfg.kkt_tolerance)
@@ -590,34 +573,13 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
                    kkt_report=report, converged=converged)
 
 
-def estimate_gamma(model: ChannelModel, a: float, cfg: OptimizerConfig) -> float:
-    """Central finite-difference slope of the capacity curve at a, clamped at 0.
-
-    Uses optimize_measure at a +/- 5%; raises NotConvergedError if either run
-    fails to certify. The slope is strictly positive for this channel family.
-    """
-    if a <= 0.0:
-        raise ValueError(f"power budget must be positive, got {a}")
-    delta = 0.05 * a
-    caps = []
-    for i, point in enumerate((a + delta, a - delta)):
-        sub = OptimizerConfig(
-            mc=McConfig(samples=cfg.mc.samples,
-                        seed=derive_seed(cfg.mc.seed, 0xFD, i), batch=cfg.mc.batch),
-            max_atoms=cfg.max_atoms, outer_iterations=cfg.outer_iterations,
-            weight_iterations=cfg.weight_iterations,
-            kkt_tolerance=cfg.kkt_tolerance, power_tolerance=cfg.power_tolerance,
-            search_radius_sq=cfg.search_radius_sq)
-        opt = optimize_measure(model, PowerConstraint(point), sub)
-        if not opt.converged:
-            raise NotConvergedError(f"optimization at a={point} did not certify")
-        caps.append(opt.capacity_estimate.value)
-    return max((caps[0] - caps[1]) / (2.0 * delta), 0.0)
-
-
 @dataclass(frozen=True)
 class CurvePoint:
-    """One capacity-curve sample: budget, capacity estimate, multiplier, flag."""
+    """One capacity-curve sample: budget, capacity estimate, multiplier, flag.
+
+    gamma is Optimum.gamma, the final support's power multiplier; at the
+    optimum it is the capacity curve's slope dC/da at this budget.
+    """
 
     a: float
     capacity: McEstimate
@@ -634,14 +596,8 @@ def capacity_curve(model: ChannelModel, a_grid, cfg: OptimizerConfig) -> list[Cu
         raise ValueError("a_grid must be strictly increasing")
     points = []
     for i, a in enumerate(a_grid):
-        sub = OptimizerConfig(
-            mc=McConfig(samples=cfg.mc.samples,
-                        seed=derive_seed(cfg.mc.seed, 0xCC, i), batch=cfg.mc.batch),
-            max_atoms=cfg.max_atoms, outer_iterations=cfg.outer_iterations,
-            weight_iterations=cfg.weight_iterations,
-            kkt_tolerance=cfg.kkt_tolerance, power_tolerance=cfg.power_tolerance,
-            search_radius_sq=cfg.search_radius_sq)
-        opt = optimize_measure(model, PowerConstraint(a), sub)
+        mc = replace(cfg.mc, seed=derive_seed(cfg.mc.seed, 0xCC, i))
+        opt = optimize_measure(model, PowerConstraint(a), replace(cfg, mc=mc))
         points.append(CurvePoint(a=a, capacity=opt.capacity_estimate,
                                  gamma=opt.gamma, converged=opt.converged))
     return points

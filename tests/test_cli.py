@@ -147,6 +147,22 @@ class TestKktScanCommand:
         values = [float(r.split(",")[1]) for r in rows[1:]]
         assert summary["minimum"] == pytest.approx(min(values), abs=1e-12)
 
+    def test_default_grid_reaches_the_optimizer_scan_cap(self, tmp_path, capsys):
+        # a rerun of an optimize result must scan all the optimizer certified:
+        # squared norms up to 48 * a * N
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "seed": 5, "mc": {"samples": 1000},
+            "measure": {"atoms": [{"re": [0.0], "im": [0.0]},
+                                  {"re": [2.42], "im": [0.0]}],
+                        "weights": [0.83, 0.17]},
+            "gamma": 0.1135, "a": 2.0, "capacity": 0.1955,
+        })
+        assert run(["kkt-scan", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "kkt_scan.csv").read_text().splitlines()
+        norms = [float(r.split(",")[0]) for r in rows[1:]]
+        assert max(norms) == pytest.approx(48.0 * 2.0 * 1, rel=1e-12)
+
 
 class TestOptimizeCommands:
     def test_optimize_smoke(self, tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from fading_capacity import (DiscreteMeasure, KktContext, McConfig,
                              OptimizerConfig, PowerConstraint, average_power,
-                             estimate_gamma, insert_atom, kkt_scan,
-                             mutual_information, optimize_measure,
-                             optimize_weights, radial_scan_grid)
+                             insert_atom, kkt_scan, mutual_information,
+                             optimize_measure, optimize_weights,
+                             radial_scan_grid)
 from fading_capacity.estimate import _ConditionalLaws
 from fading_capacity.optimizer import (_SupportEvaluator, _insertion_candidate,
                                        _match_power)
@@ -66,6 +66,16 @@ class TestOptimizeWeights:
         for wi, p in zip(w, report.support):
             if wi > 1e-6:
                 assert abs(p.value) <= cfg.kkt_tolerance
+
+    @pytest.mark.parametrize("gamma", [1.0, 8.0])
+    def test_near_duplicate_tail_does_not_stall(self, scalar_model, gamma):
+        # on the a = 1 optimum's support the undamped step caps every gaining
+        # atom at +1 and renormalizes to where it started; at a steep
+        # multiplier all mass belongs on the origin
+        ts = ORACLE_OPTIMA[1.0][0]
+        w = optimize_weights(scalar_model, [[math.sqrt(t) + 0j] for t in ts],
+                             a=1.0, gamma=gamma, cfg=small_config(31))
+        assert w[0] >= 0.99
 
     def test_returns_simplex_point(self, scalar_model):
         w = optimize_weights(scalar_model, [[0j], [2.0 + 0j], [4.0 + 0j]],
@@ -188,8 +198,7 @@ class TestMatchPower:
         atoms = np.array([[0j], [1.0 + 0j]])
         ev = _SupportEvaluator(scalar_model, atoms, McConfig(5000, seed=8))
         cfg = small_config(8)
-        gamma, w, scores, value, power = _match_power(ev, a=10.0, cfg=cfg,
-                                                      weight_iters=100)
+        gamma, w, scores, value, power = _match_power(ev, a=10.0, weight_iters=100)
         assert gamma == 0.0
         assert power <= 10.0
 
@@ -197,10 +206,20 @@ class TestMatchPower:
         atoms = np.array([[0j], [math.sqrt(8.0) + 0j]])
         ev = _SupportEvaluator(scalar_model, atoms, McConfig(10_000, seed=9))
         cfg = small_config(9)
-        gamma, w, scores, value, power = _match_power(ev, a=1.0, cfg=cfg,
-                                                      weight_iters=200)
+        gamma, w, scores, value, power = _match_power(ev, a=1.0, weight_iters=200)
         assert gamma > 0.0
         assert abs(power - 1.0) <= 1.0 * cfg.power_tolerance
+
+    @pytest.mark.parametrize("a", sorted(ORACLE_OPTIMA))
+    def test_cold_start_recovers_oracle_multiplier(self, scalar_model, a):
+        # the multiplier is dC/da: it must match the oracle's to the 1e-4
+        # the benchmark's oracle check allows, with the budget met exactly
+        ts, _, gamma_star, _ = ORACLE_OPTIMA[a]
+        atoms = np.array([[math.sqrt(t) + 0j] for t in ts])
+        ev = _SupportEvaluator(scalar_model, atoms, McConfig(20_000, seed=31))
+        gamma, w, scores, value, power = _match_power(ev, a=a, weight_iters=200)
+        assert abs(gamma - gamma_star) <= 1e-4 * gamma_star
+        assert abs(power - a) <= 1e-9 * a
 
 
 class TestOptimizeMeasure:
@@ -249,19 +268,7 @@ class TestOptimizeMeasure:
                 optimize_measure(dense, PowerConstraint(1.0), cfg)
 
 
-class TestEstimateGamma:
-    def test_rejects_nonpositive_budget(self, scalar_model):
-        with pytest.raises(ValueError):
-            estimate_gamma(scalar_model, 0.0, small_config(14))
-
-    @pytest.mark.slow
-    def test_positive_slope_at_unit_budget(self, scalar_model):
-        cfg = small_config(15, max_atoms=3, outer_iterations=3)
-        assert estimate_gamma(scalar_model, 1.0, cfg) > 0.0
-
-
 class TestCapacityCurve:
-    @pytest.mark.slow
     def test_certifies_low_middle_and_high_budgets(self, scalar_model):
         from fading_capacity import capacity_curve
         points = capacity_curve(scalar_model, [0.1, 1.0, 4.0], small_config(302))
