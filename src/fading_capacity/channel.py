@@ -121,13 +121,19 @@ class ChannelModel:
         return f"ChannelModel(M={self.M}, N={self.N}, noise_var={self.noise_var}, {kind})"
 
 
-def _as_input(model: ChannelModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if x.shape != (model.N,):
-        raise ValueError(f"input must have dimension {model.N}, got {x.shape}")
-    if not np.all(np.isfinite(x.view(float))):
+def _as_inputs(model: ChannelModel, xs) -> np.ndarray:
+    """(K, N) array of the K inputs xs, each flattened; ragged xs raise ValueError too."""
+    xs = np.asarray(xs, dtype=complex)
+    xs = xs.reshape(xs.shape[0], -1)
+    if xs.shape[1] != model.N:
+        raise ValueError(f"input must have dimension {model.N}, got {xs.shape[1:]}")
+    if not np.all(np.isfinite(xs.view(float))):
         raise ValueError("input has non-finite entries")
-    return x
+    return xs
+
+
+def _as_input(model: ChannelModel, x) -> np.ndarray:
+    return _as_inputs(model, [x])[0]
 
 
 def _as_outputs(model: ChannelModel, y) -> np.ndarray:

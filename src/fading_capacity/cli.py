@@ -377,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
         p.add_argument("--samples", type=int, default=None,
-                       help="Monte Carlo samples per stratum (overrides config)")
+                       help="Monte Carlo samples per stream, per atom for mutual "
+                            "information (overrides config)")
         if name == "fano":
             p.add_argument("--n", type=int, default=None, help="number of atoms")
             p.add_argument("--K", type=float, default=None, help="base scale (>= 1)")

@@ -22,7 +22,10 @@ densities and ||y||^2 are quadratic forms in w: one small matmul of their
 coefficients with each batch's cached monomials of w. On isotropic channels
 kkt_scan and the optimizer instead integrate ln f_mu, a function of ||y||^2
 alone, by radial quadrature (_RadialTable); the public estimators stay Monte
-Carlo, its independent cross-check.
+Carlo, its independent cross-check. The quadrature is batched
+(_ConditionalLaws.cross_quadratures): all inputs of a scan or a support are
+grouped by the node count their Gamma(M, c_x) law needs, each group is one
+array pass, and each row reduces on its own, so no value depends on the batch.
 """
 
 from __future__ import annotations
@@ -261,11 +264,15 @@ class _RadialTable:
 
     ln f_mu(u) is a log-sum-exp of the lines ln w_j - M ln(pi c_j) - u / c_j.
     Panels are the octaves [c0 2^(j-1), c0 2^j] up from the noise variance c0
-    (the least variance of any law), split at the lines' crossovers and
-    graded around each by its transition width 1 / |1/c_i - 1/c_j|. None of
-    it depends on the input, so one table serves every input. The octaves
-    the atoms' laws need are tabulated in one block, later ones one at a
-    time, so a node's value does not depend on which inputs came before.
+    (the least variance of any law), each cut into ceil(sqrt(M) / 3) equal
+    parts so that a panel spans a few widths of the Gamma(M) peak (one part up
+    to M = 9), split at the lines' crossovers and graded around each by its
+    transition width 1 / |1/c_i - 1/c_j|. None of it depends on the input, so
+    one table serves every input. The octaves the atoms' laws need are
+    tabulated in one block, later ones one at a time, so a node's value does
+    not depend on which inputs came before. An input needs the nodes up to
+    the end of the first octave that holds its law's tail (node_counts), and
+    inputs that need the same count form one group of the batched quadrature.
     """
 
     def __init__(self, laws: "_ConditionalLaws", weights: np.ndarray):
@@ -277,11 +284,11 @@ class _RadialTable:
         slope = laws.inv_var[i] - laws.inv_var[j]
         splits = ((b / slope)[:, None] + _CROSSOVER_GRADING / np.abs(slope)[:, None]).ravel()
         self.splits = splits[splits > 0.0]
+        parts = math.ceil(math.sqrt(laws.model.M) / 3.0)
+        self.cuts = [j / parts for j in range(1, parts)]  # inner panel edges, in octave widths
         self.ends: list[int] = []  # node count up to the end of each octave
-        self._tabulate(self._octave(laws.u_max))
-
-    def _octave(self, u_max: float) -> int:
-        return max(0, math.ceil(math.log2(u_max / self.laws.model.noise_var)))
+        self.tops: list[float] = []  # each octave's upper edge in u
+        self._tabulate(max(0, math.ceil(math.log2(laws.u_max / laws.model.noise_var))))
 
     def _tabulate(self, top: int):
         """Append the octaves after the last tabulated one, up to octave top."""
@@ -289,7 +296,8 @@ class _RadialTable:
         bounds = [math.ldexp(c0, j) for j in range(first, top + 1)]
         lo = 0.0 if first == 0 else math.ldexp(c0, first - 1)
         inner = self.splits[(self.splits > lo) & (self.splits < bounds[-1])]
-        edges = np.unique(np.concatenate(([lo], inner, bounds)))
+        cuts = [a + (b - a) * f for a, b in zip([lo] + bounds[:-1], bounds) for f in self.cuts]
+        edges = np.unique(np.concatenate(([lo], inner, cuts, bounds)))
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
         logp = -np.outer(self.laws.inv_var, u) - self.laws.log_norm[:, None]
@@ -301,14 +309,14 @@ class _RadialTable:
             lnf = np.concatenate((self.lnf, lnf))
         base = self.ends[-1] if first else 0
         self.ends += (base + _GL_NODES.size * np.searchsorted(edges, bounds)).tolist()
+        self.tops += bounds
         self.u, self.du, self.logp, self.lnf = u, du, logp, lnf
 
-    def nodes_below(self, u_max: float) -> int:
-        """Node count of the octaves that cover [0, u_max], tabulating new ones."""
-        top = self._octave(u_max)
-        while len(self.ends) <= top:
+    def node_counts(self, u_max: np.ndarray) -> np.ndarray:
+        """Node counts of the octaves that cover [0, u_max], tabulating new ones."""
+        while self.tops[-1] < u_max.max():
             self._tabulate(len(self.ends))
-        return self.ends[top]
+        return np.asarray(self.ends)[np.searchsorted(self.tops, u_max)]
 
 
 class _ConditionalLaws:
@@ -322,6 +330,9 @@ class _ConditionalLaws:
     on both paths. The draws of the last stream used are kept (read-only),
     so consecutive inputs evaluated on one stream, such as the non-atom
     points of a KKT scan, share one set of samples instead of redrawing it.
+    On isotropic channels the radial quadrature takes a whole batch of input
+    variances at once (radial_weights, cross_quadratures) on one _RadialTable,
+    kept for the last weight vector used.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -404,29 +415,45 @@ class _ConditionalLaws:
             logp -= self.log_norm[:, None]
             yield None, logp
 
-    def radial_quadrature(self, x, weights):
-        """(q, table, n): E_{Y~p(.|x)}[g(||Y||^2)] ~ q @ g(table.u[:n]), isotropic only.
+    def radial_weights(self, cxs, weights):
+        """(table, groups), isotropic only: for the inputs of variances cxs that
+        need n nodes, group (rows, q, n) gives E[g(||Y||^2)] ~ q @ g(table.u[:n]).
 
-        ||Y||^2 ~ Gamma(M, c_x); q is its density times the node weights of
-        the octaves that hold all but _TAIL_MASS of it. The table is kept for
-        the last weight vector used.
+        ||Y||^2 ~ Gamma(M, c_x); a row of q is its density times the node
+        weights of the octaves that hold all but _TAIL_MASS of it, computed
+        elementwise. The table is kept for the last weight vector used.
         """
         weights = np.asarray(weights, dtype=float)
         if self._table is None or not np.array_equal(self._table.weights, weights):
             self._table = _RadialTable(self, weights)
-        table = self._table
-        m, cx = self.model.M, self.scalar_variance(x)
-        n = table.nodes_below(cx * self.tail_s)
-        r = table.u[:n] / cx
-        # r^(m-1) e^-r / (m-1)! in one exp: each factor leaves double range near M = 150
-        log_density = -r if m == 1 else (m - 1) * np.log(r) - r - math.lgamma(m)
-        q = table.du[:n] * np.exp(log_density) / cx
-        return q, table, n
+        table, m, cxs = self._table, self.model.M, np.asarray(cxs, dtype=float)
+        counts = table.node_counts(cxs * self.tail_s)
+        order = np.argsort(counts, kind="stable")
+        ns, cx_sorted = counts[order].tolist(), cxs[order, None]
+        groups, start = [], 0
+        for end in range(1, len(ns) + 1):
+            if end < len(ns) and ns[end] == ns[start]:
+                continue
+            n, cx = ns[start], cx_sorted[start:end]
+            r = table.u[:n] / cx
+            # r^(m-1) e^-r / (m-1)! in one exp: each factor leaves double range near M = 150
+            log_density = -r if m == 1 else (m - 1) * np.log(r) - r - math.lgamma(m)
+            groups.append((order[start:end], table.du[:n] * np.exp(log_density) / cx, n))
+            start = end
+        return table, groups
+
+    def cross_quadratures(self, cxs, weights) -> np.ndarray:
+        """E_{Y~p(.|x)}[ln f_mu(Y)] for inputs of variances cxs, isotropic only.
+        Rows reduce by np.add.reduce, not BLAS, so a value is the same in any batch."""
+        table, groups = self.radial_weights(cxs, weights)
+        out = np.empty(np.size(cxs))
+        for rows, q, n in groups:
+            out[rows] = np.add.reduce(q * table.lnf[:n], axis=1)
+        return out
 
     def cross_quadrature(self, x, weights) -> float:
-        """E_{Y~p(.|x)}[ln f_mu(Y)] by radial quadrature, isotropic only."""
-        q, table, n = self.radial_quadrature(x, weights)
-        return float(q @ table.lnf[:n])
+        """cross_quadratures for the one input x."""
+        return float(self.cross_quadratures([self.scalar_variance(x)], weights)[0])
 
     def stream_stats(self, x, weights, cfg: McConfig, stream: int,
                      factor=None) -> tuple[float, float]:

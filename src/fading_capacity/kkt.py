@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input,
+from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input, _as_inputs,
                       _conditional_covariances, conditional_covariance,
                       input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
 from .estimate import (_CROSS_STREAM, McConfig, McEstimate, _ConditionalLaws,
-                       _stream_index, derive_seed)
+                       derive_seed)
 from .measure import DiscreteMeasure, InputShell
 
 
@@ -137,30 +137,33 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
     return max(num / s, 0.0)
 
 
-def _kkt_estimate(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
-                  ctx: KktContext, x: np.ndarray, cfg: McConfig,
-                  cov=None) -> McEstimate:
-    """KKT(x) through laws, built for mu's atoms; cov is (L_x, ln det C(x)) or None."""
+def _kkt_values(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
+                ctx: KktContext, xs: np.ndarray, cfg: McConfig):
+    """(KKT, SE, ||x||^2) at the rows of xs, through laws built for mu's atoms."""
+    norms_sq = np.sum(np.abs(xs) ** 2, axis=1)
     if laws.iso:
-        mean, se, samples = laws.cross_quadrature(x, mu.weights), 0.0, 0
-        log_det = model.M * math.log(laws.scalar_variance(x))
+        cxs = model.noise_var + model.iso_var * norms_sq
+        log_det, ses = model.M * np.log(cxs), np.zeros(len(xs))
+        cross = laws.cross_quadratures(cxs, mu.weights)
     else:
-        if cov is None:
-            c = conditional_covariance(model, x)
-            cov = c.factor, c.log_det
-        mean, se = laws.stream_stats(x, mu.weights, cfg, _stream_index(mu, x), cov[0])
-        log_det, samples = float(cov[1]), cfg.samples
-    value = (ctx.gamma * (input_norm_sq(x) / model.N - ctx.a) + ctx.capacity
-             + model.M * LOG_PI_E + log_det + mean)
-    return McEstimate(value, se, samples, cfg.seed)
+        _, factors, log_det = _conditional_covariances(model, xs)
+        match = np.all(xs[:, None] == mu.atoms[None], axis=2)  # _stream_index of every point
+        streams = np.where(match.any(axis=1), match.argmax(axis=1), _CROSS_STREAM).tolist()
+        cross, ses = np.empty(len(xs)), np.empty(len(xs))
+        for i in np.argsort(streams, kind="stable"):
+            cross[i], ses[i] = laws.stream_stats(xs[i], mu.weights, cfg, streams[i], factors[i])
+    values = (ctx.gamma * (norms_sq / model.N - ctx.a) + ctx.capacity
+              + model.M * LOG_PI_E + log_det + cross)
+    return values, ses, norms_sq
 
 
 def kkt_value(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext, x,
               cfg: McConfig) -> McEstimate:
     """KKT(x). Isotropic channels take the cross term by radial quadrature
     (SE 0, samples 0), others by Monte Carlo, the only source of the SE."""
-    x = _as_input(model, x)
-    return _kkt_estimate(model, _ConditionalLaws(model, mu.atoms), mu, ctx, x, cfg)
+    laws = _ConditionalLaws(model, mu.atoms)
+    values, ses, _ = _kkt_values(model, laws, mu, ctx, _as_input(model, x)[None], cfg)
+    return McEstimate(float(values[0]), float(ses[0]), 0 if laws.iso else cfg.samples, cfg.seed)
 
 
 @dataclass(frozen=True)
@@ -247,26 +250,19 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
              grid, cfg: McConfig) -> KktReport:
     """Evaluate KKT on every grid point and every atom of mu.
 
-    All points share one law object for mu, so on isotropic channels one
-    quadrature table serves every point. On dense channels all points'
-    Cholesky factors come from one batch, and the points are evaluated
-    grouped by sample stream (the non-atom points share the cross stream),
-    so each stream is drawn once; log densities under the atoms are
-    quadratic forms in the draws. Each value equals kkt_value's.
+    The grid is validated as one array, and all points share one law object
+    for mu. On isotropic channels ln det C(x) = M ln c_x, and one batched
+    radial quadrature (_ConditionalLaws.cross_quadratures) gives every cross
+    term. On dense channels all points' Cholesky factors come from one batch,
+    and the points are evaluated grouped by sample stream (the non-atom points
+    share the cross stream), so each stream is drawn once; log densities under
+    the atoms are quadratic forms in the draws. Each value equals kkt_value's.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("scan grid must be nonempty")
-    laws = _ConditionalLaws(model, mu.atoms)
-    xs = np.array([_as_input(model, x) for x in grid] + list(mu.atoms))
-    covs = [None] * len(xs) if laws.iso else list(zip(*_conditional_covariances(model, xs)[1:]))
-    match = np.all(xs[:, None] == mu.atoms[None], axis=2)  # _stream_index of every point
-    streams = np.where(match.any(axis=1), match.argmax(axis=1), _CROSS_STREAM)
-    values = [None] * len(xs)
-    for i in np.argsort(streams, kind="stable"):
-        values[i] = _kkt_estimate(model, laws, mu, ctx, xs[i], cfg, covs[i])
-    points = tuple(KktPoint(np.asarray(x, dtype=complex), input_norm_sq(x), est.value,
-                            est.std_error) for x, est in zip(grid, values))
-    support = tuple(KktPoint(mu.atoms[i], float(mu.norms_sq[i]), est.value, est.std_error)
-                    for i, est in enumerate(values[len(grid):]))
-    return KktReport(points=points, support=support)
+    xs = np.concatenate((_as_inputs(model, grid), mu.atoms))
+    values, ses, norms_sq = _kkt_values(model, _ConditionalLaws(model, mu.atoms), mu, ctx,
+                                        xs, cfg)
+    points = tuple(map(KktPoint, xs, norms_sq.tolist(), values.tolist(), ses.tolist()))
+    return KktReport(points=points[:len(grid)], support=points[len(grid):])

@@ -98,8 +98,8 @@ class Optimum:
 class _SupportEvaluator:
     """Per-atom cross terms E_i[ln f_w] of a fixed support, as functions of w.
 
-    On isotropic channels cross_means(w)[i] is the radial quadrature that
-    kkt_value takes, _ConditionalLaws.cross_quadrature(atoms[i], w).
+    On isotropic channels cross_means(w) is one batched radial quadrature of
+    all atoms, _ConditionalLaws.cross_quadratures, as kkt_value takes it.
     Otherwise it reduces the cached batches of atom i's stream like
     stream_stats(atoms[i], w, mc, i) does, and equals its mean bit for bit.
     Either way it is a smooth deterministic function of the weights.
@@ -123,7 +123,7 @@ class _SupportEvaluator:
     def cross_means(self, weights) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         if self._laws.iso:
-            return np.array([self._laws.cross_quadrature(x, weights) for x in self.atoms])
+            return self._laws.cross_quadratures(self._laws.scalar_var, weights)
         return np.array([_stratified_moments(batches, weights, self.n_strata, with_se=False)[0]
                          for batches in self._batches])
 
@@ -132,15 +132,17 @@ class _SupportEvaluator:
         weights = np.asarray(weights, dtype=float)
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)[:, None]
+        if self._laws.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
+            table, groups = self._laws.radial_weights(self._laws.scalar_var, weights)
+            post = np.empty((self.k, self.k))
+            for rows, q, n in groups:
+                post[rows] = q @ np.exp(table.logp[:, :n] + log_w - table.lnf[:n]).T
+            return post
         rows = []
-        for i, x in enumerate(self.atoms):
-            if self._laws.iso:
-                q, table, n = self._laws.radial_quadrature(x, weights)
-                rows.append(np.exp(table.logp[:, :n] + log_w - table.lnf[:n]) @ q)
-            else:  # one stratum: the plain sample mean
-                logps = [logp for _, logp in self._batches[i]]
-                rows.append(sum(np.exp(logp + log_w - _weighted_mix(logp, weights)).sum(axis=1)
-                                for logp in logps) / sum(logp.shape[1] for logp in logps))
+        for batches in self._batches:  # one stratum: the plain sample mean
+            logps = [logp for _, logp in batches]
+            rows.append(sum(np.exp(logp + log_w - _weighted_mix(logp, weights)).sum(axis=1)
+                            for logp in logps) / sum(logp.shape[1] for logp in logps))
         return np.array(rows)
 
     def mutual_information(self, weights) -> float:

@@ -221,15 +221,33 @@ class TestRadialQuadrature:
             assert abs(laws.cross_quadrature(x, [1.0]) - want) <= 1e-9
 
     def test_large_order_point_mass(self):
-        # r^(M-1) and (M-1)! leave double range here; 12-node octave panels
-        # resolve the narrow Gamma(150) peak only to about 1e-5
-        m = 150
+        # r^(M-1) and (M-1)! leave double range from M = 150; the octaves are
+        # cut into ceil(sqrt(M) / 3) panels so the narrowing Gamma(M) peak
+        # stays resolved
+        for m in (16, 64, 150, 500):
+            model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+            laws = _ConditionalLaws(model, [[2.0 + 0j]])
+            for t in (0.0, 4.0, 30.0):
+                want = -m * math.log(5.0 * math.pi) - m * (1.0 + t) / 5.0
+                got = laws.cross_quadrature([math.sqrt(t) + 0j], [1.0])
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batch_equals_one_input_at_a_time(self, m):
+        # the origin, an atom and points whose octaves end at several node
+        # counts, in any order: each value is the one-input quadrature's
         model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
-        laws = _ConditionalLaws(model, [[2.0 + 0j]])
-        for t in (0.0, 4.0, 30.0):
-            want = -m * math.log(5.0 * math.pi) - m * (1.0 + t) / 5.0
-            got = laws.cross_quadrature([math.sqrt(t) + 0j], [1.0])
-            assert got == pytest.approx(want, rel=1e-5)
+        ts, ws = [0.0, 4.0, 30.0], [0.6, 0.3, 0.1]
+        xs = [[math.sqrt(t) + 0j] for t in (0.0, 0.3, 4.0, 7.5, 30.0, 90.0, 400.0, 2500.0)]
+        want = [self._laws(model, ts).cross_quadrature(x, ws) for x in xs]
+        laws = self._laws(model, ts)
+        cxs = np.array([laws.scalar_variance(x) for x in xs])
+        laws.cross_quadratures(cxs, ws)
+        assert len(set(laws._table.node_counts(cxs * laws.tail_s).tolist())) >= 3
+        for order in (np.arange(len(xs)), np.arange(len(xs))[::-1],
+                      np.random.default_rng(m).permutation(len(xs))):
+            got = self._laws(model, ts).cross_quadratures(cxs[order], ws)
+            assert got.tolist() == [want[i] for i in order]
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_monte_carlo(self, m):

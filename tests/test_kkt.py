@@ -245,6 +245,20 @@ class TestKktScan:
         kkt_scan(model, mu, KktContext(0.1, 1.0, 0.2), grid, McConfig(1000, seed=5))
         assert len(seeds) == mu.n_atoms + 1 == len(set(seeds))
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_malformed_grid_point_rejected(self, scalar_model, dense):
+        model = random_model(np.random.default_rng(3), 2, 2) if dense else scalar_model
+        mu = DiscreteMeasure.single(np.zeros(model.N, dtype=complex))
+        ctx, cfg = KktContext(0.1, 1.0, 0.2), McConfig(1000, seed=1)
+        grid = radial_scan_grid(model, 4.0, points_per_decade=2, decades=1, n_directions=1)
+        nan = grid[2].copy()
+        nan[-1] = complex(math.nan, 0.0)
+        for bad in (np.zeros(model.N + 1, dtype=complex), nan):
+            with pytest.raises(ValueError):
+                kkt_scan(model, mu, ctx, grid[:2] + [bad] + grid[2:], cfg)
+        with pytest.raises(ValueError):  # every point of the wrong dimension
+            kkt_scan(model, mu, ctx, [np.zeros(model.N + 1)] * 3, cfg)
+
     def test_empty_grid_rejected(self, scalar_model):
         mu = DiscreteMeasure.single([0j])
         with pytest.raises(ValueError):
