@@ -176,13 +176,6 @@ class ConditionalCovariance:
         norm = self.dim * LOG_PI + self.log_det
         return -self.quad_forms(outputs) - norm
 
-    def scalar_variance(self, rtol: float = 1e-9) -> float | None:
-        """The scalar c if matrix == c * I within relative tolerance, else None."""
-        c = float(np.mean(np.diag(self.matrix)).real)
-        if np.max(np.abs(self.matrix - c * np.eye(self.dim))) <= rtol * abs(c):
-            return c
-        return None
-
 
 def _conditional_covariances(model: ChannelModel, xs):
     """(matrices, factors, log_dets) of C(x) for the K rows of xs, batched;

@@ -46,6 +46,8 @@ def _number(value, path: str, positive: bool = False) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(path, f"expected a number, got {type(value).__name__}")
     value = float(value)
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        _fail(path, f"expected a finite number, got {value}")
     if positive and not value > 0.0:
         _fail(path, f"expected a positive number, got {value}")
     return value
@@ -97,15 +99,16 @@ def _channel_from_config(cfg: dict) -> ChannelModel:
         raise ConfigError(f"config.channel: {exc}") from exc
 
 
-def _vector_from_config(obj, path: str) -> np.ndarray:
+def _vector_from_config(obj, path: str, dim: int) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         _fail(path, 'expected {"re":[...], "im":[...]}')
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float) if obj.get("im") is not None \
-        else np.zeros_like(re)
-    if re.shape != im.shape:
-        _fail(path, "re and im must have the same length")
-    return re + 1j * im
+    parts = []
+    for key in ("re", "im"):
+        value = [0.0] * dim if obj.get(key) is None else obj[key]
+        if not isinstance(value, list) or len(value) != dim:
+            _fail(f"{path}.{key}", f"expected a list of {dim} numbers")
+        parts.append([_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(value)])
+    return np.array(parts[0]) + 1j * np.array(parts[1])
 
 
 def _measure_from_config(cfg: dict, model: ChannelModel) -> DiscreteMeasure:
@@ -116,7 +119,7 @@ def _measure_from_config(cfg: dict, model: ChannelModel) -> DiscreteMeasure:
         _fail("config.measure", 'expected {"atoms":[...], "weights":[...]} or a file path')
     try:
         mu = DiscreteMeasure.from_json(spec)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"config.measure: {exc}") from exc
     if mu.dim != model.N:
         _fail("config.measure", f"atom dimension {mu.dim} != channel N {model.N}")
@@ -167,13 +170,13 @@ def _estimate_dict(est) -> dict:
 
 
 def _cmd_density(cfg, model, mc, out_dir):
-    x = _vector_from_config(_require(cfg, "x", "config"), "config.x")
+    x = _vector_from_config(_require(cfg, "x", "config"), "config.x", model.N)
     outputs = _require(cfg, "outputs", "config")
     if not isinstance(outputs, list) or not outputs:
         _fail("config.outputs", "expected a nonempty list of output vectors")
     rows = []
     for i, obj in enumerate(outputs):
-        y = _vector_from_config(obj, f"config.outputs[{i}]")
+        y = _vector_from_config(obj, f"config.outputs[{i}]", model.M)
         rows.append((i, log_density(model, y, x), 0.0))
     _write_csv(out_dir, "density.csv", ["index", "log_density", "se"], rows)
     summary = {"command": "density", "count": len(rows),

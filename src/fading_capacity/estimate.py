@@ -26,6 +26,9 @@ Carlo, its independent cross-check. The quadrature is batched
 (_ConditionalLaws.cross_quadratures): all inputs of a scan or a support are
 grouped by the node count their Gamma(M, c_x) law needs, each group is one
 array pass, and each row reduces on its own, so no value depends on the batch.
+Shell probabilities (_shell_probabilities) take inputs and radii in logs: when
+C(x) is a scalar matrix the mass is exact at any scale, from log-domain gamma
+tails; the other inputs share one draw of the shell stream.
 """
 
 from __future__ import annotations
@@ -36,13 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from .channel import (ChannelModel, ConditionalCovariance, _as_input,
-                      _complex_standard_normals, _conditional_covariances,
-                      conditional_covariance, conditional_entropy)
-from .errors import NotConvergedError
+from .channel import (_U64, ChannelModel, _as_input, _complex_standard_normals,
+                      _conditional_covariances, conditional_covariance,
+                      conditional_entropy)
+from .errors import NotConvergedError, ScaleOverflowError
 from .measure import DiscreteMeasure
 
-_U64 = (1 << 64) - 1
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm: n * hi exact, |n| < 2^21
 
 # Radial quadrature: Gauss-Legendre rule per panel, the Gamma(M) tail mass
@@ -52,6 +54,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _TAIL_MASS = 1e-18
 _CROSSOVER_GRADING = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
 _DEFAULT_BATCH = 50_000
+# Largest exponent allowed for a plain-domain scale (double overflows at ~709.8).
+_LOG_CAP = 700.0
 
 # Stream tags outside the per-atom index range.
 _CROSS_STREAM = 1 << 20
@@ -69,8 +73,9 @@ def derive_seed(seed: int, *path: int) -> int:
 class McConfig:
     """Sampling budget for one estimator call.
 
-    samples counts draws per stream (per atom for mutual information), split over
-    up to 64 radial strata; batch is the evaluation chunk (default min(samples, 50000)).
+    samples counts draws per stream (per atom for mutual information); isotropic
+    streams split them over up to 64 radial strata, dense streams have a single
+    stratum. batch is the evaluation chunk (default min(samples, 50000)).
     """
 
     samples: int
@@ -192,28 +197,24 @@ def _weighted_mix(logp: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return amax + np.log(weights @ np.exp(logp - amax))
 
 
-def _stratified_moments(batches, weights: np.ndarray, n_strata: int,
-                        with_se: bool = True) -> tuple[float, float | None]:
-    """Mean and SE (None unless with_se) of the mixture log density over
-    (stratum ids, logp) batches; the mean averages the equiprobable strata's.
-    One stratum (the dense path, ids None) reduces by plain sums.
+def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[float, float]:
+    """Mean and SE of the mixture log density over (stratum ids, logp)
+    batches; the mean averages the equiprobable strata's. One stratum (the
+    dense path, ids None) reduces by plain sums.
     """
     s1, s2, count = np.zeros(n_strata), np.zeros(n_strata), np.zeros(n_strata)
     for ids, logp in batches:
         mix = _weighted_mix(logp, weights)
         if n_strata == 1:
             s1 += mix.sum()
-            s2 += mix @ mix if with_se else 0.0
+            s2 += mix @ mix
             count += mix.size
             continue
         s1 += np.bincount(ids, weights=mix, minlength=n_strata)
-        if with_se:
-            s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
+        s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
         count += np.bincount(ids, minlength=n_strata)
     means = s1 / count
     mean = float(np.sum(means)) / n_strata
-    if not with_se:
-        return mean, None
     var = np.maximum(s2 - s1 * means, 0.0) / np.maximum(count - 1, 1)
     return mean, math.sqrt(float(np.sum(var / count)) / (n_strata * n_strata))
 
@@ -276,7 +277,7 @@ class _RadialTable:
     """
 
     def __init__(self, laws: "_ConditionalLaws", weights: np.ndarray):
-        self.laws, self.weights = laws, weights.copy()
+        self.laws, self.weights = laws, weights
         i, j = laws.pairs
         live = (weights[i] > 0.0) & (weights[j] > 0.0) & (laws.inv_var[i] != laws.inv_var[j])
         i, j = i[live], j[live]
@@ -331,8 +332,8 @@ class _ConditionalLaws:
     so consecutive inputs evaluated on one stream, such as the non-atom
     points of a KKT scan, share one set of samples instead of redrawing it.
     On isotropic channels the radial quadrature takes a whole batch of input
-    variances at once (radial_weights, cross_quadratures) on one _RadialTable,
-    kept for the last weight vector used.
+    variances at once (radial_weights, cross_quadratures) on one _RadialTable
+    per call.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -350,7 +351,6 @@ class _ConditionalLaws:
             self.pairs = np.triu_indices(self.scalar_var.size, 1)
             self.tail_s = float(_gamma_quantile(model.M, 1.0, _TAIL_MASS))
             self.u_max = float(np.max(self.scalar_var)) * self.tail_s
-            self._table = None
         else:
             _, self.factors, log_det = _conditional_covariances(model, self.atoms)
             self.inv_factors = np.linalg.inv(self.factors)
@@ -421,12 +421,10 @@ class _ConditionalLaws:
 
         ||Y||^2 ~ Gamma(M, c_x); a row of q is its density times the node
         weights of the octaves that hold all but _TAIL_MASS of it, computed
-        elementwise. The table is kept for the last weight vector used.
+        elementwise. Each call builds its own table.
         """
-        weights = np.asarray(weights, dtype=float)
-        if self._table is None or not np.array_equal(self._table.weights, weights):
-            self._table = _RadialTable(self, weights)
-        table, m, cxs = self._table, self.model.M, np.asarray(cxs, dtype=float)
+        table = _RadialTable(self, np.asarray(weights, dtype=float))
+        m, cxs = self.model.M, np.asarray(cxs, dtype=float)
         counts = table.node_counts(cxs * self.tail_s)
         order = np.argsort(counts, kind="stable")
         ns, cx_sorted = counts[order].tolist(), cxs[order, None]
@@ -469,11 +467,11 @@ class _ConditionalLaws:
                                    self.n_strata(cfg))
 
 
-def _stream_index(mu: DiscreteMeasure, x: np.ndarray) -> int:
-    for i in range(mu.n_atoms):
-        if np.array_equal(mu.atoms[i], x):
-            return i
-    return _CROSS_STREAM
+def _stream_indices(atoms: np.ndarray, xs: np.ndarray) -> list[int]:
+    """Sample stream of each row of xs: the index of the first atom it equals,
+    else the cross stream."""
+    match = np.all(xs[:, None] == atoms[None], axis=2)
+    return np.where(match.any(axis=1), match.argmax(axis=1), _CROSS_STREAM).tolist()
 
 
 def cross_term(model: ChannelModel, mu: DiscreteMeasure, x, cfg: McConfig) -> McEstimate:
@@ -485,79 +483,86 @@ def cross_term(model: ChannelModel, mu: DiscreteMeasure, x, cfg: McConfig) -> Mc
     """
     x = _as_input(model, x)
     mean, se = _ConditionalLaws(model, mu.atoms).stream_stats(
-        x, mu.weights, cfg, _stream_index(mu, x))
+        x, mu.weights, cfg, _stream_indices(mu.atoms, x[None])[0])
     return McEstimate(mean, se, cfg.samples, cfg.seed)
-
-
-def _mutual_information_arrays(model, atoms, weights, cfg):
-    """(value, se, cross_means, cross_ses, neg_entropies) for raw atom arrays.
-
-    The conditional-entropy term is exact, so only the mixture cross terms
-    carry Monte Carlo error.
-    """
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=complex))
-    weights = np.asarray(weights, dtype=float)
-    laws = _ConditionalLaws(model, atoms)
-    k = atoms.shape[0]
-    neg_h = np.array([-conditional_entropy(model, atoms[i]) for i in range(k)])
-    cross = np.empty(k)
-    cross_se = np.empty(k)
-    for i in range(k):
-        cross[i], cross_se[i] = laws.stream_stats(atoms[i], weights, cfg, i)
-    value = float(np.dot(weights, neg_h) - np.dot(weights, cross))
-    se = float(np.sqrt(np.dot(weights ** 2, cross_se ** 2)))
-    return value, se, cross, cross_se, neg_h
 
 
 def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) -> McEstimate:
     """Estimate I(mu; W) = sum_i w_i E_{y~p(.|x_i)}[ln p(y|x_i) - ln f_mu(y)].
 
     Stratified sampler with cfg.samples draws per atom; the estimate is
-    nonnegative up to Monte Carlo error (about -3 standard errors).
+    nonnegative up to Monte Carlo error (about -3 standard errors). The
+    conditional-entropy term is exact, so only the mixture cross terms carry
+    Monte Carlo error.
     """
-    value, se, _, _, _ = _mutual_information_arrays(model, mu.atoms, mu.weights, cfg)
+    laws = _ConditionalLaws(model, mu.atoms)
+    neg_h = np.array([-conditional_entropy(model, x) for x in mu.atoms])
+    stats = [laws.stream_stats(x, mu.weights, cfg, i) for i, x in enumerate(mu.atoms)]
+    cross, cross_se = (np.array(v) for v in zip(*stats))
+    value = float(np.dot(mu.weights, neg_h) - np.dot(mu.weights, cross))
+    se = float(np.sqrt(np.dot(mu.weights ** 2, cross_se ** 2)))
     return McEstimate(value, se, cfg.samples * mu.n_atoms, cfg.seed)
 
 
-def _shell_probabilities(model: ChannelModel, xs: np.ndarray, shells,
-                         cfg: McConfig) -> list[McEstimate]:
-    """shell_probability for the K inputs xs, each against its own shell.
+def _shell_probabilities(model: ChannelModel, dirs: np.ndarray, log_norms: np.ndarray,
+                         log_rho: np.ndarray, cfg: McConfig) -> list[McEstimate]:
+    """shell_probability for the K inputs x_i = ||x_i|| u_i, each against its own shell.
 
-    All Monte Carlo inputs share the shell stream, drawn once per batch: the
-    squared radii ||L_x w||^2 of every input come from one matmul of their
-    coefficients with the batch's monomials.
+    dirs holds the unit directions u_i (K, N), log_norms ln ||x_i|| (-inf at
+    the origin) and log_rho the rows (ln rho1, ln rho2), so no scale has to
+    fit in a double. C(x) = noise_var I + ||x||^2 D(u) with D(u) = (I kron
+    u^H) Sigma (I kron u); it is the scalar matrix c I, c = noise_var +
+    ||x||^2 d with d the mean of D(u)'s diagonal, when ||x||^2 max|D(u) - d I|
+    <= 1e-9 c. That test and the mass are taken in logs: ||y||^2 / c is
+    Gamma(M, 1), so the mass is the difference of two log-domain gamma tails,
+    exact with std_error 0 at any scale. All other inputs share the shell
+    stream, drawn once per batch: the squared radii ||L_x w||^2 of every
+    input come from one matmul of their coefficients with the batch's
+    monomials. Their squared norms must stay below e^700 (ScaleOverflowError).
     """
-    matrices, factors, log_dets = _conditional_covariances(model, xs)
-    scalar = [ConditionalCovariance(*c).scalar_variance()
-              for c in zip(matrices, log_dets, factors)]
-    mc = [i for i, c in enumerate(scalar) if c is None]
-    hits = np.zeros(len(scalar), dtype=np.int64)
-    if mc:
-        upper = np.triu_indices(model.M, 1)
-        coef = _norm_coefficients(factors[mc], upper)
-        rho = np.array([[shells[i].rho1, shells[i].rho2] for i in mc])
+    m = model.M
+    d = np.einsum("kn,mnpq,kq->kmp", dirs.conj(), model._sigma4, dirs)
+    d_mean = np.mean(np.diagonal(d, axis1=1, axis2=2).real, axis=1)
+    spread = np.max(np.abs(d - d_mean[:, None, None] * np.eye(m)), axis=(1, 2))
+    with np.errstate(divide="ignore"):
+        log_c = np.logaddexp(math.log(model.noise_var), np.log(d_mean) + 2.0 * log_norms)
+        scalar = np.log(spread) + 2.0 * log_norms <= math.log(1e-9) + log_c
+    mc = np.flatnonzero(~scalar)
+    hits = np.zeros(len(dirs), dtype=np.int64)
+    if mc.size:
+        if np.any(2.0 * log_norms[mc] >= _LOG_CAP):
+            raise ScaleOverflowError("input squared norms exceed double range for Monte Carlo")
+        _, factors, _ = _conditional_covariances(model, np.exp(log_norms[mc])[:, None] * dirs[mc])
+        upper = np.triu_indices(m, 1)
+        coef = _norm_coefficients(factors, upper)
+        with np.errstate(over="ignore"):  # a radius past double range acts as infinite
+            rho = np.exp(log_rho[mc])
         for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
-            w = _complex_standard_normals(derive_seed(cfg.seed, _SHELL_STREAM, b), nb, model.M)
+            w = _complex_standard_normals(derive_seed(cfg.seed, _SHELL_STREAM, b), nb, m)
             r = np.sqrt(coef @ _monomials(w, upper))
             hits[mc] += np.count_nonzero((r >= rho[:, :1]) & (r < rho[:, 1:]), axis=1)
     n, out = cfg.samples, []
-    for c, shell, h in zip(scalar, shells, hits):
-        if c is None:
+    for is_scalar, lc, (lr1, lr2), h in zip(scalar, log_c, log_rho, hits):
+        if is_scalar:
+            q1, q2 = (log_chi_square_tail(2.0 * lr - lc, m) for lr in (lr1, lr2))
+            out.append(McEstimate(math.exp(q1) - math.exp(q2), 0.0, 0, cfg.seed))
+        else:
             p = float(h) / n
             out.append(McEstimate(p, math.sqrt(p * (1.0 - p) * n / (n - 1) / n), n, cfg.seed))
-        else:  # inf ** 2 / c is inf, whose tail is 0
-            p = chi_square_tail(shell.rho1 ** 2 / c, model.M) \
-                - chi_square_tail(shell.rho2 ** 2 / c, model.M)
-            out.append(McEstimate(float(p), 0.0, 0, cfg.seed))
     return out
 
 
 def shell_probability(model: ChannelModel, x, shell: OutputShell, cfg: McConfig) -> McEstimate:
     """Probability that ||y|| lands in [rho1, rho2) under y ~ p(.|x).
 
-    If C(x) is a scalar multiple of the identity (isotropic channels, or
-    M == 1) the value is exact with std_error 0, via the incomplete-gamma
-    radial tail; otherwise it is estimated by Monte Carlo on the shell
-    stream (the one-point case of _shell_probabilities).
+    If C(x) is a scalar matrix (isotropic channels, M == 1, or any channel
+    along a direction u with D(u) scalar) the value is exact with std_error
+    0, via log-domain gamma tails; otherwise it is estimated by Monte Carlo
+    on the shell stream. It is the one-input case of _shell_probabilities.
     """
-    return _shell_probabilities(model, _as_input(model, x)[None], [shell], cfg)[0]
+    x = _as_input(model, x)
+    norm = float(np.linalg.norm(x))
+    u = x / norm if norm > 0.0 else np.eye(model.N, dtype=complex)[0]
+    with np.errstate(divide="ignore"):
+        return _shell_probabilities(model, u[None], np.log([norm]),
+                                    np.log([[shell.rho1, shell.rho2]]), cfg)[0]

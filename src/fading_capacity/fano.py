@@ -25,12 +25,9 @@ import numpy as np
 
 from .channel import ChannelModel, _as_input
 from .errors import ScaleOverflowError
-from .estimate import (McConfig, McEstimate, OutputShell, _shell_probabilities,
-                       log_chi_square_tail, mutual_information)
+from .estimate import (_LOG_CAP, McConfig, McEstimate, _shell_probabilities,
+                       mutual_information)
 from .measure import DiscreteMeasure
-
-# Largest exponent allowed anywhere in a construction (double overflows at ~709.8).
-_LOG_CAP = 700.0
 
 
 def lambda_constant(model: ChannelModel) -> tuple[float, float]:
@@ -138,7 +135,7 @@ class FanoReport:
     """Per-shell detection audit plus the mutual-information side of the witness.
 
     detections[i] is the probability that atom i's output lands in shell i
-    (exact with std_error 0 when the conditional law is radially symmetric);
+    (exact with std_error 0 when C(x_i) is a scalar matrix);
     bounds[i] is the analytic floor F_i (e^{-a_i r_i^2} - e^{-a_i r_(i+1)^2}).
     mutual_info is the Monte Carlo estimate for the uniform atom measure and
     may be None when the atoms are not representable in plain doubles.
@@ -159,17 +156,6 @@ class FanoReport:
     margins_paper: tuple[float, ...]
 
 
-def _exact_shell_detection(model: ChannelModel, fc: FanoConstruction, i: int,
-                           log_var_dir: float) -> float:
-    """P(r_i <= ||y|| < r_(i+1)) for y ~ p(.|x_i), via log-domain gamma tails."""
-    log_c = np.logaddexp(math.log(model.noise_var), log_var_dir + 2.0 * fc.log_k[i])
-    log_t1 = 2.0 * fc.log_r[i] - log_c
-    log_t2 = 2.0 * fc.log_r[i + 1] - log_c
-    q1 = log_chi_square_tail(log_t1, model.M)
-    q2 = log_chi_square_tail(log_t2, model.M)
-    return math.exp(q1) - math.exp(q2)
-
-
 def _analytic_shell_bound(fc: FanoConstruction, i: int) -> float:
     """F(K_i) (e^{-a_i r_i^2} - e^{-a_i r_(i+1)^2}) with overflow saturation."""
     log_t1 = fc.log_a[i] + 2.0 * fc.log_r[i]
@@ -183,30 +169,15 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
                      include_mi: bool = True) -> FanoReport:
     """Audit every shell against its analytic floor and the constant lambda.
 
-    Detection probabilities are exact whenever C(x_i) is a scalar matrix
-    (isotropic fading or M == 1); otherwise they fall back to Monte Carlo,
-    which requires the construction to be representable in plain doubles,
-    and count all n shells on one draw of the shell stream.
+    Each detection is _shell_probabilities on the atom's direction, ln K_i
+    and its shell's log radii, so no scale leaves the log domain: exact
+    whenever C(x_i) is a scalar matrix; otherwise Monte Carlo, which requires
+    the atoms to be representable in plain doubles and counts all n shells on
+    one draw of the shell stream.
     """
-    scalar_law = model.iso_var is not None or model.M == 1
-    if scalar_law:
-        if model.iso_var is not None:
-            var_dir = model.iso_var
-        else:
-            quad = np.einsum("n,mnpq,q->mp", fc.direction.conj(), model._sigma4,
-                             fc.direction)
-            var_dir = float(np.real(quad[0, 0]))
-        log_var_dir = math.log(var_dir)
-        detections = tuple(
-            McEstimate(_exact_shell_detection(model, fc, i, log_var_dir), 0.0, 0, cfg.seed)
-            for i in range(fc.n))
-    else:
-        atoms = fc.atoms()  # raises ScaleOverflowError when out of range
-        radii = np.exp(fc.log_r)
-        if not np.all(np.isfinite(radii)):
-            raise ScaleOverflowError("shell radii exceed double range for the MC path")
-        shells = [OutputShell(radii[i], radii[i + 1]) for i in range(fc.n)]
-        detections = tuple(_shell_probabilities(model, atoms, shells, cfg))
+    dirs = np.broadcast_to(fc.direction, (fc.n, fc.direction.size))
+    log_rho = np.column_stack((fc.log_r[:-1], fc.log_r[1:]))
+    detections = tuple(_shell_probabilities(model, dirs, fc.log_k, log_rho, cfg))
     bounds = tuple(_analytic_shell_bound(fc, i) for i in range(fc.n))
     min_detection = min(d.value for d in detections)
     mi = None

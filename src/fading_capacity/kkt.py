@@ -23,7 +23,7 @@ from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input, _as_inputs,
                       _conditional_covariances, conditional_covariance,
                       input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
-from .estimate import (_CROSS_STREAM, McConfig, McEstimate, _ConditionalLaws,
+from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stream_indices,
                        derive_seed)
 from .measure import DiscreteMeasure, InputShell
 
@@ -147,8 +147,7 @@ def _kkt_values(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure
         cross = laws.cross_quadratures(cxs, mu.weights)
     else:
         _, factors, log_det = _conditional_covariances(model, xs)
-        match = np.all(xs[:, None] == mu.atoms[None], axis=2)  # _stream_index of every point
-        streams = np.where(match.any(axis=1), match.argmax(axis=1), _CROSS_STREAM).tolist()
+        streams = _stream_indices(mu.atoms, xs)
         cross, ses = np.empty(len(xs)), np.empty(len(xs))
         for i in np.argsort(streams, kind="stable"):
             cross[i], ses[i] = laws.stream_stats(xs[i], mu.weights, cfg, streams[i], factors[i])

@@ -100,9 +100,11 @@ class _SupportEvaluator:
 
     On isotropic channels cross_means(w) is one batched radial quadrature of
     all atoms, _ConditionalLaws.cross_quadratures, as kkt_value takes it.
-    Otherwise it reduces the cached batches of atom i's stream like
-    stream_stats(atoms[i], w, mc, i) does, and equals its mean bit for bit.
-    Either way it is a smooth deterministic function of the weights.
+    Otherwise it reduces the cached batches of atom i's stream (one stratum)
+    like stream_stats(atoms[i], w, mc, i) does, and equals its mean bit for
+    bit. Either way it is a smooth deterministic function of the weights.
+    evaluate(w) returns the same cross means with the posteriors, from one
+    radial_weights call or one _weighted_mix per cached batch.
     """
 
     def __init__(self, model: ChannelModel, atoms, mc: McConfig):
@@ -115,7 +117,6 @@ class _SupportEvaluator:
                                for i in range(self.k)])
         self._laws = laws
         if not laws.iso:
-            self.n_strata = laws.n_strata(mc)
             self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i,
                                                             laws.factors[i]))
                              for i in range(self.k)]
@@ -124,26 +125,31 @@ class _SupportEvaluator:
         weights = np.asarray(weights, dtype=float)
         if self._laws.iso:
             return self._laws.cross_quadratures(self._laws.scalar_var, weights)
-        return np.array([_stratified_moments(batches, weights, self.n_strata, with_se=False)[0]
+        return np.array([_stratified_moments(batches, weights, 1)[0]
                          for batches in self._batches])
 
-    def posteriors(self, weights) -> np.ndarray:
-        """P[i, j] = w_j E_i[p_j / f_mu]: atom j's mean posterior under atom i's law."""
+    def evaluate(self, weights) -> tuple[np.ndarray, np.ndarray]:
+        """(cross_means(w), P) with P[i, j] = w_j E_i[p_j / f_mu], atom j's mean
+        posterior under atom i's law."""
         weights = np.asarray(weights, dtype=float)
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)[:, None]
+        cross, post = np.empty(self.k), np.empty((self.k, self.k))
         if self._laws.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
             table, groups = self._laws.radial_weights(self._laws.scalar_var, weights)
-            post = np.empty((self.k, self.k))
             for rows, q, n in groups:
+                cross[rows] = np.add.reduce(q * table.lnf[:n], axis=1)
                 post[rows] = q @ np.exp(table.logp[:, :n] + log_w - table.lnf[:n]).T
-            return post
-        rows = []
-        for batches in self._batches:  # one stratum: the plain sample mean
-            logps = [logp for _, logp in batches]
-            rows.append(sum(np.exp(logp + log_w - _weighted_mix(logp, weights)).sum(axis=1)
-                            for logp in logps) / sum(logp.shape[1] for logp in logps))
-        return np.array(rows)
+            return cross, post
+        for i, batches in enumerate(self._batches):  # one stratum: plain sample means
+            total, row, count = 0.0, 0.0, 0
+            for _, logp in batches:
+                mix = _weighted_mix(logp, weights)
+                total += mix.sum()
+                row = row + np.exp(logp + log_w - mix).sum(axis=1)
+                count += mix.size
+            cross[i], post[i] = total / count, row / count
+        return cross, post
 
     def mutual_information(self, weights) -> float:
         weights = np.asarray(weights, dtype=float)
@@ -214,7 +220,8 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
     value = 0.0
     damping, before = 0.0, None  # before: the point ahead of an unchecked step
     for _ in range(iterations):
-        gains = ev.neg_h - ev.cross_means(w)
+        cross, post = ev.evaluate(w)
+        gains = ev.neg_h - cross
         scores = gains - gamma * excess
         value = float(np.dot(w, scores))
         if before is not None and value < before[2] - _ASCENT_SLACK:
@@ -226,7 +233,6 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
             if np.all(np.abs(gaps[active]) <= _GAIN_TOLERANCE) and \
                     np.all(gaps[~active] <= _GAIN_TOLERANCE):
                 break
-            post = ev.posteriors(w)
             damping *= 0.25
         while True:
             if free:

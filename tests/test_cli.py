@@ -227,3 +227,16 @@ class TestErrorPaths:
         })
         assert run(["mi", "--config", cfg]) == 2
         assert "channel.M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fields", [
+        ("mi", {"measure": {"atoms": 5, "weights": [1.0]}}),
+        ("density", {"x": {"re": ["abc"]}, "outputs": [{"re": [1.0]}]}),
+        ("density", {"x": {"re": [1.0, 2.0]}, "outputs": [{"re": [1.0]}]}),
+        ("bounds", {"gamma": math.nan, "a": 1.0, "capacity": 0.5, "mass": 0.5,
+                    "shell": {"r1_sq": 9.0, "r2_sq": 100.0}}),
+    ], ids=["atoms-not-a-list", "x-not-numbers", "x-wrong-dimension", "gamma-nan"])
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, command, fields):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"channel": SCALAR_CHANNEL, "seed": 1, **fields})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"

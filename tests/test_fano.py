@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fading_capacity import (ChannelModel, McConfig, ScaleOverflowError,
+from fading_capacity import (ChannelModel, McConfig, OutputShell, ScaleOverflowError,
                              build_construction, detection_report,
-                             estimate, find_sufficient_K, lambda_constant)
+                             estimate, find_sufficient_K, lambda_constant,
+                             shell_probability)
 
 CFG = McConfig(samples=5000, seed=33)
 
@@ -118,6 +119,32 @@ class TestDetectionReport:
         assert all(d.std_error > 0 for d in report.detections)
         for det, bnd in zip(report.detections, report.bounds):
             assert det.value >= bnd - 3 * det.std_error
+
+    @pytest.mark.parametrize("n, K", [(2, 2.0), (3, 4.0)])
+    @pytest.mark.parametrize("model", [
+        ChannelModel.isotropic(1, 1, 1.0, 1.0),
+        ChannelModel.isotropic(3, 2, 1.0, 1.0),
+        # I_2 kron diag(0.8, 1.4): C(x) is scalar along e0 though M = N = 2
+        model_with_eigs([0.8, 1.4, 0.8, 1.4], M=2, N=2),
+    ], ids=["scalar", "iso3x2", "kron2x2"])
+    def test_detections_are_shell_probabilities(self, model, n, K):
+        fc = build_construction(model, n=n, K=K)
+        report = detection_report(model, fc, CFG, include_mi=False)
+        radii = np.exp(fc.log_r)
+        for i, (det, x) in enumerate(zip(report.detections, fc.atoms())):
+            want = shell_probability(model, x, OutputShell(radii[i], radii[i + 1]), CFG)
+            assert det == want and det.std_error == 0.0
+
+    def test_monte_carlo_path_needs_representable_atoms(self):
+        # n 2^n ln K = 691 passes the construction cap, but the atom K^2 has
+        # ||x||^2 = 1e600: too large for the plain-domain Monte Carlo path,
+        # while the exact path never leaves logs
+        model = model_with_eigs([0.8, 1.4], M=2, N=1)
+        with pytest.raises(ScaleOverflowError):
+            detection_report(model, build_construction(model, n=1, K=1e150), CFG)
+        iso = ChannelModel.isotropic(2, 1, 1.0, 1.0)
+        report = detection_report(iso, build_construction(iso, n=1, K=1e150), CFG)
+        assert 0.0 < report.detections[0].value < 1.0
 
     def test_shell_stream_drawn_once_per_batch(self, monkeypatch):
         model = model_with_eigs([0.8, 1.4], M=2, N=1)

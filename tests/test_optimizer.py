@@ -171,6 +171,17 @@ class TestSupportEvaluator:
             else:  # the radial quadrature kkt_value takes on isotropic channels
                 assert got[i] == laws.cross_quadrature(atoms[i], w)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_evaluate_returns_the_cross_means(self, scalar_model, dense):
+        if dense:
+            model = random_model(np.random.default_rng(3), 2, 2)
+            atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+        else:
+            model = scalar_model
+            atoms = np.array([[0j], [math.sqrt(5.867) + 0j], [6.5 + 0j]])
+        ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6, batch=1000))
+        for w in (np.array([0.6, 0.4, 0.0]), np.array([0.6, 0.3, 0.1])):
+            assert ev.evaluate(w)[0].tolist() == ev.cross_means(w).tolist()
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_posteriors_are_the_cross_means_jacobian(self, scalar_model, dense):
@@ -183,7 +194,7 @@ class TestSupportEvaluator:
             atoms = np.array([[0j], [math.sqrt(5.867) + 0j], [6.5 + 0j]])
         w = np.array([0.6, 0.3, 0.1])
         ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6, batch=1000))
-        post = ev.posteriors(w)
+        post = ev.evaluate(w)[1]
         np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=1e-12)
         h = 1e-6
         for j in range(3):
