@@ -115,15 +115,17 @@ def _measure_from_config(cfg: dict, model: ChannelModel) -> DiscreteMeasure:
     spec = _require(cfg, "measure", "config")
     if isinstance(spec, str):
         spec = _load_config(spec)
-    if not isinstance(spec, dict) or "atoms" not in spec or "weights" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("atoms"), list) \
+            or not isinstance(spec.get("weights"), list):
         _fail("config.measure", 'expected {"atoms":[...], "weights":[...]} or a file path')
+    atoms = [_vector_from_config(obj, f"config.measure.atoms[{i}]", model.N)
+             for i, obj in enumerate(spec["atoms"])]
+    weights = [_number(v, f"config.measure.weights[{i}]")
+               for i, v in enumerate(spec["weights"])]
     try:
-        mu = DiscreteMeasure.from_json(spec)
-    except (ValueError, KeyError, TypeError) as exc:
+        return DiscreteMeasure(np.reshape(atoms, (-1, model.N)), weights)
+    except ValueError as exc:
         raise ConfigError(f"config.measure: {exc}") from exc
-    if mu.dim != model.N:
-        _fail("config.measure", f"atom dimension {mu.dim} != channel N {model.N}")
-    return mu
 
 
 def _mc_from_config(cfg: dict, args) -> McConfig:
@@ -237,14 +239,16 @@ def _optimizer_from_config(cfg, mc) -> OptimizerConfig:
     spec = cfg.get("optimizer", {})
     if not isinstance(spec, dict):
         _fail("config.optimizer", "expected an object")
+    counts = ("max_atoms", "outer_iterations", "weight_iterations")
+    positives = ("kkt_tolerance", "search_radius_sq")
     kwargs = {}
-    for key, minimum in (("max_atoms", 1), ("outer_iterations", 1),
-                         ("weight_iterations", 1)):
-        if key in spec:
-            kwargs[key] = _integer(spec[key], f"config.optimizer.{key}", minimum)
-    for key in ("kkt_tolerance", "power_tolerance", "search_radius_sq"):
-        if key in spec:
-            kwargs[key] = _number(spec[key], f"config.optimizer.{key}", positive=True)
+    for key, value in spec.items():
+        if key in counts:
+            kwargs[key] = _integer(value, f"config.optimizer.{key}", 1)
+        elif key in positives:
+            kwargs[key] = _number(value, f"config.optimizer.{key}", positive=True)
+        else:
+            _fail(f"config.optimizer.{key}", "unknown field")
     try:
         return OptimizerConfig(mc=mc, **kwargs)
     except ValueError as exc:

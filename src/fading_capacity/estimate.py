@@ -233,12 +233,22 @@ def chi_square_tail(t: float, m: int) -> float:
 
 
 def log_chi_square_tail(log_t: float, m: int) -> float:
-    """log of chi_square_tail(exp(log_t), m), stable for extreme thresholds."""
+    """log of chi_square_tail(exp(log_t), m), stable for extreme thresholds.
+
+    For m > 1 it is log gammaincc(m, t) wherever that is a normal double:
+    the terms of the log-domain series -t + log sum_{k<m} t^k / k! cancel as
+    m grows. The series is kept where the tail underflows, and for m = 1,
+    where it is -t exactly.
+    """
     if log_t == -math.inf:
         return 0.0
     if log_t > 709.0:  # exp would overflow; the tail is identically 0 there
         return -math.inf
     t = math.exp(log_t)
+    if m > 1:
+        q = float(gammaincc(m, t))
+        if q >= np.finfo(float).tiny:
+            return math.log(q)
     terms = [k * log_t - math.lgamma(k + 1) for k in range(m)]
     return float(-t + np.logaddexp.reduce(terms))
 

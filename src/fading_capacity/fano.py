@@ -43,7 +43,7 @@ def lambda_constant(model: ChannelModel) -> tuple[float, float]:
     ratio = model.lambda_min / model.lambda_max
     expo = math.exp(-(model.noise_var + model.lambda_min) / model.lambda_min)
     # omega_{2M} / (2 pi^M) = 1 / (M-1)!
-    base = 0.5 * expo / math.gamma(m)
+    base = 0.5 * expo * math.exp(-math.lgamma(m))  # 0 once (M-1)! passes double range
     return base * ratio, base * ratio ** m
 
 

@@ -1,19 +1,20 @@
 """Discrete-input capacity optimization under an average power constraint.
 
-Smith-style outer loop: damped Newton steps on the weights of a fixed support,
-which solve for the power multiplier in the same step so that the optimal
-measure's power meets the budget, golden-section moves of atom radii, and
-insertion of new atoms where the scan of the optimality functional dips
-negative. New atoms go to the minimum of the nearest run of scan violations
-(the smallest-radius one along any scanned direction), not to the global
-minimum, which on a truncated scan is often just the scan cap. Tail atoms too
-light for the radius mover to resolve are placed from the certificate scan
-instead: such an atom is moved to the minimum of the nearest violation run,
-and keeps following it, while the power is matched again after each move. On
-isotropic channels every cross term is a deterministic radial quadrature; on
-dense channels the Monte Carlo evaluations reuse common random numbers
-(streams keyed by atom index), so comparisons between nearby supports are
-low-variance. Either way the whole run is deterministic for a fixed seed.
+Smith-style support search (Smith, 1971) in one phase: damped Newton steps on
+the weights of a fixed support, which solve for the power multiplier in the
+same step so that the optimal measure's power meets the budget, golden-section
+moves of atom radii, and insertion of new atoms where a coarse scan of the
+optimality functional dips negative. New atoms go to the minimum of the
+nearest run of scan violations (the smallest-radius one along any scanned
+direction), not to the global minimum, which on a truncated scan is often
+just the scan cap. Tail atoms too light for the radius mover to resolve are
+placed from the full certificate scan instead: such an atom is moved to the
+minimum of the nearest violation run, and keeps following it, while the
+power is matched again after each move. On isotropic channels every cross
+term is a deterministic radial quadrature; on dense channels the Monte Carlo
+evaluations reuse common random numbers (streams keyed by atom index, all on
+the base seed), so comparisons between nearby supports are low-variance.
+Either way the whole run is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ _GAIN_TOLERANCE = 1e-9
 _ASCENT_SLACK = 1e-12
 # default cap on the squared norm scanned for new atoms, in units of a * N
 _SEARCH_RADIUS_FACTOR = 48.0
+# relative power excess over the budget that Optimum.converged allows
+_POWER_TOLERANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class OptimizerConfig:
     kkt_tolerance is in nats. On dense channels the KKT scan is a Monte
     Carlo estimate, and the tolerance should stay above roughly three of its
     standard errors (optimize_measure warns when it likely does not);
-    isotropic channels evaluate it by quadrature (SE 0). power_tolerance
-    only gates Optimum.converged: the weight solve meets the budget itself.
+    isotropic channels evaluate it by quadrature (SE 0). The support search
+    runs at most outer_iterations + max(2, outer_iterations // 3) rounds.
     search_radius_sq caps the squared norm scanned for new atoms (None picks
     48 * a * N at run time).
     """
@@ -64,14 +67,13 @@ class OptimizerConfig:
     outer_iterations: int = 10
     weight_iterations: int = 300
     kkt_tolerance: float = 5e-3
-    power_tolerance: float = 0.02
     search_radius_sq: float | None = None
 
     def __post_init__(self):
         if self.max_atoms < 1 or self.outer_iterations < 1 or self.weight_iterations < 1:
             raise ValueError("iteration budgets must be positive")
-        if not (self.kkt_tolerance > 0.0 and self.power_tolerance > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.kkt_tolerance > 0.0:
+            raise ValueError("kkt_tolerance must be positive")
         if self.search_radius_sq is not None and not self.search_radius_sq > 0.0:
             raise ValueError("search_radius_sq must be positive")
 
@@ -85,7 +87,7 @@ class Optimum:
     power multiplier, solved with its weights (0 when the budget is slack);
     kkt_report is the certification scan; converged means no scan value
     below -kkt_tolerance, all support residuals within kkt_tolerance, and
-    power within tolerance of the budget.
+    power at most 2 % above the budget.
     """
 
     measure: DiscreteMeasure
@@ -290,8 +292,8 @@ def _unit_direction(atom: np.ndarray) -> np.ndarray:
     return atom / norm
 
 
-def _golden_max(f, lo: float, hi: float, evals: int = 14):
-    """Golden-section maximization on [lo, hi]; returns the best evaluated point."""
+def _golden_max(f, lo: float, hi: float):
+    """Golden-section maximization on [lo, hi], ten steps; returns the best point seen."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     cache: dict[float, float] = {}
 
@@ -305,7 +307,7 @@ def _golden_max(f, lo: float, hi: float, evals: int = 14):
     F(b)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    for _ in range(evals):
+    for _ in range(10):
         if F(c) >= F(d):
             b, d = d, c
             c = b - invphi * (b - a)
@@ -345,8 +347,7 @@ def _consolidate(atoms: np.ndarray, weights: np.ndarray):
     return atoms, w / w.sum(), changed
 
 
-def _move_radii(model, atoms, weights, gamma, a, mc, srs, current_value,
-                evals: int = 10):
+def _move_radii(model, atoms, weights, gamma, a, mc, srs, current_value):
     """Coordinate descent on each atom's squared norm along its own direction.
 
     Atoms lighter than _MOVE_RESOLUTION are skipped: the Lagrangian is flat in
@@ -357,8 +358,6 @@ def _move_radii(model, atoms, weights, gamma, a, mc, srs, current_value,
     moved = False
     best_value = current_value
     for i in range(atoms.shape[0]):
-        # a nano-weight atom's position is set by the KKT scan (insertion, or
-        # relocation to the certificate's dip), not by the objective
         if weights[i] < _MOVE_RESOLUTION:
             continue
         t_i = float(np.sum(np.abs(atoms[i]) ** 2))
@@ -382,7 +381,7 @@ def _move_radii(model, atoms, weights, gamma, a, mc, srs, current_value,
             lo, hi = 0.0, max(a * model.N, 1e-3)
         if hi <= lo:
             continue
-        t_best, f_best = _golden_max(objective, lo, hi, evals)
+        t_best, f_best = _golden_max(objective, lo, hi)
         if f_best > best_value + 1e-12 and abs(t_best - t_i) > 1e-9 * (1.0 + t_i):
             atoms[i] = math.sqrt(t_best) * u_i
             best_value = f_best
@@ -452,37 +451,9 @@ def _match_power(ev: _SupportEvaluator, a: float, weight_iters: int, w0=None):
     return gamma, w, scores, value, float(np.dot(w, ev.norms_sq) / ev.model.N)
 
 
-def _adapt_support(model, a, atoms, weights, mc, cfg, srs, ppd, decades,
-                   rounds, weight_iters, insert_tol):
-    """Alternate power-matched weight solves, radius moves, and insertions."""
-    for rnd in range(rounds):
-        # rotate streams across rounds so one unlucky draw cannot freeze a
-        # wrong keep-or-kill verdict; the caller certifies on the base seed
-        mc_rnd = replace(mc, seed=derive_seed(mc.seed, 0xAD, rnd))
-        ev = _SupportEvaluator(model, atoms, mc_rnd)
-        w0 = weights if weights.shape[0] == ev.k else None
-        gamma, weights, _, value, _ = _match_power(ev, a, weight_iters, w0)
-        atoms, weights, pruned = _consolidate(atoms, weights)
-        atoms, moved, value = _move_radii(model, atoms, weights, gamma, a,
-                                          mc_rnd, srs, value)
-        inserted = False
-        if atoms.shape[0] < cfg.max_atoms:
-            ctx = KktContext(gamma, a, max(value, 0.0))
-            scan_mc = replace(mc, seed=derive_seed(mc.seed, 0x5CA7, rnd))
-            cand = _insertion_candidate(model, atoms, weights, ctx, scan_mc,
-                                        insert_tol, srs, ppd, decades)
-            if cand is not None:
-                # refuse near-duplicates: local placement is the mover's job
-                t_cand = float(np.sum(np.abs(cand) ** 2))
-                gaps = np.sum(np.abs(atoms - cand) ** 2, axis=1)
-                if np.min(gaps) > 1e-3 * (1.0 + t_cand):
-                    eps = 0.02
-                    atoms = np.vstack([atoms, cand])
-                    weights = np.append(weights * (1.0 - eps), eps)
-                    inserted = True
-        if not (pruned or moved or inserted):
-            break
-    return atoms, weights
+def _with_atom(atoms, weights, x):
+    """The support with x appended at weight 0.02, the others scaled by 0.98."""
+    return np.vstack([atoms, x]), np.append(weights * 0.98, 0.02)
 
 
 def _polish(model, a, atoms, weights, cfg):
@@ -505,42 +476,52 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
                      cfg: OptimizerConfig) -> Optimum:
     """Search for the capacity-achieving discrete measure at power budget a.
 
-    A fast low-sample phase adapts the support (weights, radii, insertions)
-    with the multiplier re-matched to the power budget at every round; a full
-    fidelity phase polishes it. The returned Optimum carries a fresh-seed
-    capacity estimate and a full-density KKT scan as the certificate. When
-    that scan shows a violation, the atom moved there last, or else the
-    lightest atom the mover cannot resolve, is moved to the minimum of the
-    nearest violation run (the insert_atom rule); with neither, a new atom
-    goes there while the support has room. The power is matched again each
-    time, until the scan is clean or the dip is one an atom was already
-    moved to. converged=False flags a dirty certificate or a power mismatch
-    rather than raising. On dense channels it warns when kkt_tolerance is
-    below 5e-3 with fewer than 2e5 samples per atom.
+    One search phase adapts the support from {0, sqrt(2aN) e0}: each round
+    matches the weights and multiplier to the budget, moves the radii, and
+    inserts an atom where a 16-per-decade scan dips below -2 kkt_tolerance,
+    until a round changes nothing. On dense channels it draws
+    min(max(samples // 4, 20_000), samples) samples per stream, on the base
+    seed. The returned Optimum carries a fresh-seed capacity estimate and a
+    full-fidelity KKT scan as the certificate. When that scan shows a
+    violation, the atom moved there last, or else the lightest atom the
+    mover cannot resolve, is moved to the minimum of the nearest violation
+    run (the insert_atom rule); with neither, a new atom goes there while
+    the support has room. The power is matched again each time, until the
+    scan is clean or the dip is one an atom was already moved to.
+    converged=False flags a dirty certificate or a power mismatch rather
+    than raising. On dense channels it warns when kkt_tolerance is below
+    5e-3 with fewer than 2e5 samples per atom.
     """
     a = constraint.a
     srs = cfg.search_radius_sq or _SEARCH_RADIUS_FACTOR * a * model.N
     if model.iso_var is None and cfg.kkt_tolerance < 5e-3 and cfg.mc.samples < 200_000:
         warnings.warn("kkt_tolerance below 5e-3 normally needs >= 2e5 samples per atom "
                       "on dense channels to keep the standard error under a third "
-                      "of the tolerance",
-                      stacklevel=2)
-    e0 = np.zeros(model.N, dtype=complex)
-    e0[0] = 1.0
-    atoms = np.vstack([np.zeros(model.N, dtype=complex),
-                       math.sqrt(2.0 * a * model.N) * e0])
+                      "of the tolerance", stacklevel=2)
+    atoms = np.zeros((2, model.N), dtype=complex)
+    atoms[1, 0] = math.sqrt(2.0 * a * model.N)
     weights = np.array([0.5, 0.5])
-    fast_mc = replace(cfg.mc,
-                      samples=min(max(cfg.mc.samples // 4, 20_000), cfg.mc.samples))
-    fast_iters = min(cfg.weight_iterations, 80)
-
-    atoms, weights = _adapt_support(
-        model, a, atoms, weights, fast_mc, cfg, srs, 16, 3,
-        cfg.outer_iterations, fast_iters, 2.0 * cfg.kkt_tolerance)
-    atoms, weights = _adapt_support(
-        model, a, atoms, weights, cfg.mc, cfg, srs, 32, 4,
-        max(2, cfg.outer_iterations // 3), cfg.weight_iterations,
-        cfg.kkt_tolerance)
+    search_mc = replace(cfg.mc,
+                        samples=min(max(cfg.mc.samples // 4, 20_000), cfg.mc.samples))
+    # as many rounds as the former fast (outer_iterations) and full-fidelity
+    # (max(2, outer_iterations // 3)) search phases had together
+    for _ in range(cfg.outer_iterations + max(2, cfg.outer_iterations // 3)):
+        ev = _SupportEvaluator(model, atoms, search_mc)
+        gamma, weights, _, value, _ = _match_power(ev, a, cfg.weight_iterations, weights)
+        atoms, weights, pruned = _consolidate(atoms, weights)
+        atoms, moved, value = _move_radii(model, atoms, weights, gamma, a,
+                                          search_mc, srs, value)
+        k = atoms.shape[0]
+        if k < cfg.max_atoms:
+            ctx = KktContext(gamma, a, max(value, 0.0))
+            cand = _insertion_candidate(model, atoms, weights, ctx, search_mc,
+                                        2.0 * cfg.kkt_tolerance, srs, 16, 3)
+            # refuse near-duplicates: local placement is the mover's job
+            if cand is not None and np.min(np.sum(np.abs(atoms - cand) ** 2, axis=1)) > \
+                    1e-3 * (1.0 + float(np.sum(np.abs(cand) ** 2))):
+                atoms, weights = _with_atom(atoms, weights, cand)
+        if not (pruned or moved or atoms.shape[0] > k):
+            break
 
     # Final equilibration and certificate at full fidelity.
     ppd, decades = 64, 4
@@ -569,13 +550,12 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
             atoms = atoms.copy()
             atoms[min(movable, key=lambda i: weights[i])] = dip.x
         else:  # nothing light to move: a new atom, as insert_atom would add
-            atoms = np.vstack([atoms, dip.x])
-            weights = np.append(weights * 0.98, 0.02)
+            atoms, weights = _with_atom(atoms, weights, dip.x)
     fresh = replace(cfg.mc, seed=derive_seed(cfg.mc.seed, 0xF5E5))
     capacity = mutual_information(model, mu, fresh)
     residual_ok = max(report.support_residuals()) <= cfg.kkt_tolerance
     scan_ok = not report.violations(cfg.kkt_tolerance)
-    power_ok = power <= a * (1.0 + cfg.power_tolerance)
+    power_ok = power <= a * (1.0 + _POWER_TOLERANCE)
     converged = bool(residual_ok and scan_ok and power_ok)
     return Optimum(measure=mu, capacity_estimate=capacity, gamma=gamma,
                    kkt_report=report, converged=converged)

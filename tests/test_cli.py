@@ -91,6 +91,19 @@ class TestFanoCommand:
         assert shells[0] == "shell,r,bound,detection,se"
         assert len(shells) == 2
 
+    def test_large_M_exits_cleanly(self, tmp_path, capsys):
+        # (M-1)! is past double range from M = 172 on: lambda underflows to 0
+        channel = {"M": 200, "N": 1, "noise_var": 1.0,
+                   "sigma": {"type": "isotropic", "var": 1.0}}
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"channel": channel, "seed": 3, "mc": {"samples": 1000},
+                            "include_mi": False})
+        assert run(["fano", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--n", "2", "--K", "2"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["lambda_impl"] == summary["lambda_paper"] == 0.0
+        assert summary["meets_lambda"] is True
+
 
 class TestFanoMargins:
     def test_summary_reports_margins_and_headroom(self, tmp_path, capsys):
@@ -234,7 +247,16 @@ class TestErrorPaths:
         ("density", {"x": {"re": [1.0, 2.0]}, "outputs": [{"re": [1.0]}]}),
         ("bounds", {"gamma": math.nan, "a": 1.0, "capacity": 0.5, "mass": 0.5,
                     "shell": {"r1_sq": 9.0, "r2_sq": 100.0}}),
-    ], ids=["atoms-not-a-list", "x-not-numbers", "x-wrong-dimension", "gamma-nan"])
+        ("mi", {"measure": {"atoms": [{"re": [True]}], "weights": [1.0]}}),
+        ("mi", {"measure": {"atoms": [{"re": ["2.5"]}], "weights": [1.0]}}),
+        ("mi", {"measure": {"atoms": [{"re": [0.0]}], "weights": ["1.0"]}}),
+        ("mi", {"measure": {"atoms": [], "weights": []}}),
+        ("optimize", {"a": 1.0, "mc": {"samples": 1000},
+                      "optimizer": {"max_atoms": 2, "outer_iterations": 1,
+                                    "power_tolerance": 0.02}}),
+    ], ids=["atoms-not-a-list", "x-not-numbers", "x-wrong-dimension", "gamma-nan",
+            "atom-bool", "atom-string", "weight-string", "atoms-empty",
+            "optimizer-unknown-key"])
     def test_malformed_input_is_config_error(self, tmp_path, capsys, command, fields):
         cfg = write_config(tmp_path, "cfg.json",
                            {"channel": SCALAR_CHANNEL, "seed": 1, **fields})

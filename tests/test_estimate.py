@@ -480,6 +480,25 @@ class TestShellProbability:
         pooled = math.sqrt(sum(e.std_error ** 2 for e in ests))
         assert abs(total - 1.0) <= 3 * pooled + 1e-12
 
+    @pytest.mark.parametrize("m", [1, 8, 32, 64])
+    def test_scalar_law_masses_match_mpmath(self, m):
+        # shells around the mean of ||y||^2 ~ Gamma(m, 1) at the origin, where
+        # C(x) = I and each threshold is exp(2 ln rho) for the given ln rho
+        mpmath = pytest.importorskip("mpmath")
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        ratios = np.array([0.25, 0.5, 0.8, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 4.0])
+        edges = 0.5 * np.log(m * ratios)
+        log_rho = np.column_stack((edges[:-1], edges[1:]))
+        k = log_rho.shape[0]
+        got = _shell_probabilities(model, np.ones((k, 1), complex), np.full(k, -np.inf),
+                                   log_rho, McConfig(1000, seed=1))
+        with mpmath.workdps(40):
+            for (lr1, lr2), est in zip(log_rho, got):
+                ref = mpmath.gammainc(m, mpmath.exp(2 * mpmath.mpf(lr1)),
+                                      mpmath.exp(2 * mpmath.mpf(lr2)), regularized=True)
+                assert est.std_error == 0.0
+                assert abs(est.value - float(ref)) <= 1e-15
+
 
 class TestBatchedShells:
     def test_equals_one_call_per_input(self):

@@ -32,6 +32,12 @@ class TestLambdaConstant:
         paper, impl = lambda_constant(model)
         assert impl == pytest.approx(paper / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [3, 20, 100])
+    def test_factorial_taken_in_logs(self, m):
+        paper, _ = lambda_constant(ChannelModel.isotropic(m, 1, 1.0, 1.0))
+        assert paper == pytest.approx(0.5 * math.exp(-2.0) / math.factorial(m - 1),
+                                      rel=1e-12)
+
 
 class TestBuildConstruction:
     def test_degenerate_base(self, scalar_model):
@@ -65,6 +71,12 @@ class TestBuildConstruction:
             fc = build_construction(scalar_model, n=2, K=K)
             t = np.exp(fc.log_a + 2 * fc.log_r[:-1])
             assert np.all(t >= 1.0 - 1e-12)
+
+    def test_large_M_underflows_lambda(self):
+        # (M-1)! is past double range from M = 172 on; lambda is then 0
+        fc = build_construction(ChannelModel.isotropic(200, 1, 1.0, 1.0), n=2, K=2.0)
+        assert fc.lambda_paper == fc.lambda_impl == 0.0
+        assert np.all(np.isfinite(fc.f_values))
 
     def test_scale_cap_enforced(self, scalar_model):
         with pytest.raises(ScaleOverflowError):

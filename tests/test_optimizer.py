@@ -10,8 +10,8 @@ from fading_capacity import (DiscreteMeasure, KktContext, McConfig,
                              optimize_measure, optimize_weights,
                              radial_scan_grid)
 from fading_capacity.estimate import _ConditionalLaws
-from fading_capacity.optimizer import (_SupportEvaluator, _insertion_candidate,
-                                       _match_power)
+from fading_capacity.optimizer import (_POWER_TOLERANCE, _SupportEvaluator,
+                                       _insertion_candidate, _match_power)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model
 from oracles import ScalarRadialOracle
 
@@ -216,10 +216,9 @@ class TestMatchPower:
     def test_power_matched_when_binding(self, scalar_model):
         atoms = np.array([[0j], [math.sqrt(8.0) + 0j]])
         ev = _SupportEvaluator(scalar_model, atoms, McConfig(10_000, seed=9))
-        cfg = small_config(9)
         gamma, w, scores, value, power = _match_power(ev, a=1.0, weight_iters=200)
         assert gamma > 0.0
-        assert abs(power - 1.0) <= 1.0 * cfg.power_tolerance
+        assert abs(power - 1.0) <= 1.0 * _POWER_TOLERANCE
 
     @pytest.mark.parametrize("a", sorted(ORACLE_OPTIMA))
     def test_cold_start_recovers_oracle_multiplier(self, scalar_model, a):
@@ -246,7 +245,7 @@ class TestOptimizeMeasure:
     def test_feasibility_and_certificate_flags(self, scalar_model):
         cfg = small_config(11)
         opt = optimize_measure(scalar_model, PowerConstraint(1.0), cfg)
-        assert average_power(opt.measure) <= 1.0 * (1 + cfg.power_tolerance)
+        assert average_power(opt.measure) <= 1.0 * (1 + _POWER_TOLERANCE)
         if opt.converged:
             assert not opt.kkt_report.violations(cfg.kkt_tolerance)
             assert max(opt.kkt_report.support_residuals()) <= cfg.kkt_tolerance
@@ -265,6 +264,21 @@ class TestOptimizeMeasure:
         assert np.array_equal(a.measure.weights, b.measure.weights)
         assert a.capacity_estimate == b.capacity_estimate
 
+    def test_dense_run_is_deterministic_and_feasible(self):
+        # a full dense run: Monte Carlo search, certificate scan and estimate
+        model = random_model(np.random.default_rng(3), 2, 2)
+        cfg = OptimizerConfig(mc=McConfig(4000, seed=7), max_atoms=3, outer_iterations=1,
+                              weight_iterations=200, kkt_tolerance=0.02)
+        a = optimize_measure(model, PowerConstraint(1.0), cfg)
+        b = optimize_measure(model, PowerConstraint(1.0), cfg)
+        assert a.gamma == b.gamma and a.converged == b.converged
+        assert np.array_equal(a.measure.atoms, b.measure.atoms)
+        assert np.array_equal(a.measure.weights, b.measure.weights)
+        assert a.capacity_estimate == b.capacity_estimate
+        assert [p.value for p in a.kkt_report.points] == \
+            [p.value for p in b.kkt_report.points]
+        assert a.capacity_estimate.std_error > 0.0
+        assert average_power(a.measure) <= 1.0 * (1 + _POWER_TOLERANCE)
 
     def test_sample_warning_only_on_dense_channels(self, scalar_model):
         # isotropic scans are quadrature (SE 0), so few samples are fine there
