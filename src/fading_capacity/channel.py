@@ -9,6 +9,11 @@ signal-dependent quadratic form of the fading covariance:
 
 All densities are handled in the log domain (nats); the extreme input scales
 produced by the shell-decoder constructions make plain densities underflow.
+
+scipy.linalg is imported on first use, by solve_triangular: only quad_forms
+(log_density, log_densities, the CLI's density command) solves against a
+Cholesky factor. The estimators work on inverse factors instead, so the
+rest of the package never loads it, and a fresh process starts without it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidCovarianceError
 
@@ -141,6 +145,12 @@ def _as_outputs(model: ChannelModel, y) -> np.ndarray:
     if y.shape[-1] != model.M:
         raise ValueError(f"output must have dimension {model.M}, got {y.shape}")
     return y
+
+
+def solve_triangular(a, b, **kwargs):
+    """scipy.linalg.solve_triangular, imported on the first call (see the module docstring)."""
+    from scipy.linalg import solve_triangular as solve
+    return solve(a, b, **kwargs)
 
 
 def input_norm_sq(x) -> float:

@@ -29,15 +29,20 @@ array pass, and each row reduces on its own, so no value depends on the batch.
 Shell probabilities (_shell_probabilities) take inputs and radii in logs: when
 C(x) is a scalar matrix the mass is exact at any scale, from log-domain gamma
 tails; the other inputs share one draw of the shell stream.
+
+scipy.special.gammaincc is imported on first use, by chi_square_tail and by
+log_chi_square_tail at m > 1 (scalar-law shell masses with M > 1). Every
+other path, the isotropic quadrature with its tail quantile (_tail_quantile)
+included, runs on numpy and closed forms, so it never loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .channel import (_U64, ChannelModel, _as_input, _complex_standard_normals,
                       _conditional_covariances, conditional_covariance,
@@ -167,6 +172,21 @@ def _gamma_quantile(m: int, q, qbar) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _tail_quantile(m: int) -> float:
+    """Gamma(m, 1) quantile with _TAIL_MASS above it: one Halley solve per m."""
+    return float(_gamma_quantile(m, 1.0, _TAIL_MASS))
+
+
+def _finite_norms_sq(xs: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of xs; ScaleOverflowError if one is not finite."""
+    with np.errstate(over="ignore"):
+        norms_sq = np.sum(np.abs(xs) ** 2, axis=1)
+    if not np.all(np.isfinite(norms_sq)):
+        raise ScaleOverflowError("input squared norms exceed double range")
+    return norms_sq
+
+
 def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
                          n_strata: int):
     """Normalized squared radii s = ||y||^2 / c for y ~ CN(0, c I_m).
@@ -225,10 +245,11 @@ def chi_square_tail(t: float, m: int) -> float:
     This is the regularized upper incomplete gamma function of integer
     order m.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     if math.isinf(t):
         return 0.0
+    from scipy.special import gammaincc
     return float(gammaincc(m, t))
 
 
@@ -240,12 +261,15 @@ def log_chi_square_tail(log_t: float, m: int) -> float:
     m grows. The series is kept where the tail underflows, and for m = 1,
     where it is -t exactly.
     """
+    if math.isnan(log_t):
+        raise ValueError("log threshold must not be NaN")
     if log_t == -math.inf:
         return 0.0
     if log_t > 709.0:  # exp would overflow; the tail is identically 0 there
         return -math.inf
     t = math.exp(log_t)
     if m > 1:
+        from scipy.special import gammaincc
         q = float(gammaincc(m, t))
         if q >= np.finfo(float).tiny:
             return math.log(q)
@@ -343,7 +367,8 @@ class _ConditionalLaws:
     points of a KKT scan, share one set of samples instead of redrawing it.
     On isotropic channels the radial quadrature takes a whole batch of input
     variances at once (radial_weights, cross_quadratures) on one _RadialTable
-    per call.
+    per call. An atom whose squared norm is not a finite double raises
+    ScaleOverflowError.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -352,14 +377,14 @@ class _ConditionalLaws:
         if self.atoms.shape[1] != model.N:
             raise ValueError(f"measure dimension {self.atoms.shape[1]} != "
                              f"channel input dimension {model.N}")
-        self.norms_sq = np.sum(np.abs(self.atoms) ** 2, axis=1)
+        self.norms_sq = _finite_norms_sq(self.atoms)
         self.iso = model.iso_var is not None
         if self.iso:
             self.scalar_var = model.noise_var + model.iso_var * self.norms_sq
             self.log_norm = model.M * np.log(np.pi * self.scalar_var)
             self.inv_var = 1.0 / self.scalar_var
             self.pairs = np.triu_indices(self.scalar_var.size, 1)
-            self.tail_s = float(_gamma_quantile(model.M, 1.0, _TAIL_MASS))
+            self.tail_s = _tail_quantile(model.M)
             self.u_max = float(np.max(self.scalar_var)) * self.tail_s
         else:
             _, self.factors, log_det = _conditional_covariances(model, self.atoms)

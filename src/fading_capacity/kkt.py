@@ -23,8 +23,8 @@ from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input, _as_inputs,
                       _conditional_covariances, conditional_covariance,
                       input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
-from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stream_indices,
-                       derive_seed)
+from .estimate import (McConfig, McEstimate, _ConditionalLaws, _finite_norms_sq,
+                       _stream_indices, derive_seed)
 from .measure import DiscreteMeasure, InputShell
 
 
@@ -37,11 +37,11 @@ class KktContext:
     capacity: float
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if not self.a > 0.0:
             raise ValueError(f"power budget must be positive, got {self.a}")
-        if self.capacity < 0.0:
+        if not self.capacity >= 0.0:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
 
 
@@ -139,8 +139,9 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
 
 def _kkt_values(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
                 ctx: KktContext, xs: np.ndarray, cfg: McConfig):
-    """(KKT, SE, ||x||^2) at the rows of xs, through laws built for mu's atoms."""
-    norms_sq = np.sum(np.abs(xs) ** 2, axis=1)
+    """(KKT, SE, ||x||^2) at the rows of xs, through laws built for mu's atoms.
+    A squared norm past double range raises ScaleOverflowError."""
+    norms_sq = _finite_norms_sq(xs)
     if laws.iso:
         cxs = model.noise_var + model.iso_var * norms_sq
         log_det, ses = model.M * np.log(cxs), np.zeros(len(xs))
@@ -256,6 +257,8 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
     and the points are evaluated grouped by sample stream (the non-atom points
     share the cross stream), so each stream is drawn once; log densities under
     the atoms are quadratic forms in the draws. Each value equals kkt_value's.
+    A point or atom whose squared norm is not a finite double raises
+    ScaleOverflowError.
     """
     grid = list(grid)
     if not grid:

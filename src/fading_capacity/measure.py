@@ -1,11 +1,15 @@
-"""Discrete input measures, power functional, input shells, mixture density."""
+"""Discrete input measures, power functional, input shells, mixture density.
+
+mixture_log_density imports scipy.special.logsumexp on first use: it is a
+pointwise check of the mixture law that no estimator calls, so importing the
+package does not load scipy.special.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import ChannelModel, _as_outputs, conditional_covariance
 
@@ -128,6 +132,7 @@ def mixture_log_density(model: ChannelModel, mu: DiscreteMeasure, y) -> float:
     y = _as_outputs(model, y)
     logp = np.array([conditional_covariance(model, a).log_densities(y)[0]
                      for a in mu.atoms])
+    from scipy.special import logsumexp
     return float(logsumexp(logp, b=mu.weights))
 
 

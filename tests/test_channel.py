@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_triangular
+
 from fading_capacity import (ChannelModel, InvalidCovarianceError,
                              conditional_covariance, conditional_entropy,
                              eigen_bounds, log_density, sample_output)
@@ -116,6 +118,17 @@ class TestLogDensity:
         y = random_input(rng, 2)
         assert log_density(model, y, x) == pytest.approx(
             log_density(model, y, x2), abs=1e-12)
+
+
+    def test_dense_equals_direct_triangular_solve(self):
+        # scipy.linalg is imported inside the call; the value is its own solve
+        rng = np.random.default_rng(4)
+        model = random_model(rng, 3, 2)
+        x, y = random_input(rng, 2), random_input(rng, 3)
+        cov = conditional_covariance(model, x)
+        z = solve_triangular(cov.factor, y[:, None], lower=True, check_finite=False)
+        want = -np.sum(np.abs(z) ** 2, axis=0)[0] - (3 * LOG_PI + cov.log_det)
+        assert log_density(model, y, x) == want
 
 
 class TestSampleOutput:

@@ -6,13 +6,14 @@ from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, logsum
 
 from fading_capacity import (ChannelModel, DiscreteMeasure,
                              InvalidCovarianceError, McConfig, McEstimate,
-                             NotConvergedError, OutputShell, chi_square_tail,
+                             NotConvergedError, OutputShell, ScaleOverflowError,
+                             chi_square_tail,
                              conditional_covariance, conditional_entropy,
                              cross_term, derive_seed, log_chi_square_tail,
                              mutual_information, radial_scan_grid,
                              shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
-from fading_capacity.estimate import (_ConditionalLaws, _gamma_quantile,
+from fading_capacity.estimate import (_TAIL_MASS, _ConditionalLaws, _gamma_quantile,
                                       _shell_probabilities, _stratified_radii_sq,
                                       _weighted_mix)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
@@ -55,6 +56,23 @@ class TestGammaTails:
                     math.log(chi_square_tail(t, m)), rel=1e-10)
         assert log_chi_square_tail(-math.inf, 2) == 0.0
         assert log_chi_square_tail(800.0, 2) == -math.inf
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 4.0, 40.0])
+    def test_equal_scipy_bit_for_bit(self, t):
+        # scipy.special is imported inside the call; the values are its own
+        assert chi_square_tail(t, 3) == float(gammaincc(3, t))
+        log_t = math.log(t)
+        assert log_chi_square_tail(log_t, 3) == math.log(gammaincc(3, math.exp(log_t)))
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            chi_square_tail(math.nan, 3)
+        with pytest.raises(ValueError):
+            chi_square_tail(-1.0, 3)
+
+    def test_nan_log_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            log_chi_square_tail(math.nan, 3)
 
 
 class TestMutualInformation:
@@ -100,6 +118,17 @@ class TestMutualInformation:
                             for a in mu.atoms])
         rebuilt = float(np.dot(mu.weights, neg_h) - np.dot(mu.weights, crosses))
         assert est.value == rebuilt  # bit-identical shared streams
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_overflowing_atom_is_typed_error(self, scalar_model, dense):
+        # an atom with ||x||^2 = 1e400, past double range
+        model = random_model(np.random.default_rng(3), 2, 2) if dense else scalar_model
+        atoms = np.zeros((2, model.N), dtype=complex)
+        atoms[1, 0] = 1e200
+        with np.errstate(over="ignore"):
+            mu = DiscreteMeasure(atoms, [0.5, 0.5])
+        with pytest.raises(ScaleOverflowError):
+            mutual_information(model, mu, McConfig(1000, seed=1))
 
     def test_determinism(self, scalar_model):
         mu = radial_measure([0.0, 4.0], [0.6, 0.4])
@@ -219,6 +248,13 @@ class TestRadialQuadrature:
             cx = 0.5 + 2.0 * float(np.real(np.vdot(x, x)))
             want = -m * math.log(math.pi * c0) - m * cx / c0
             assert abs(laws.cross_quadrature(x, [1.0]) - want) <= 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_tail_quantile_is_the_closed_form(self, m):
+        # cached once per M; every law object reads the same value
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        want = float(_gamma_quantile(m, 1.0, _TAIL_MASS))
+        assert [self._laws(model, ts).tail_s for ts in ([0.0], [1.0, 4.0])] == [want, want]
 
     def test_large_order_point_mass(self):
         # r^(M-1) and (M-1)! leave double range from M = 150; the octaves are

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fading_capacity import (ChannelModel, InputShell, InsufficientMassError,
-                             KktContext, McConfig, SlopeNonPositiveError,
+                             KktContext, McConfig, ScaleOverflowError,
+                             SlopeNonPositiveError,
                              certified_pi_bar, conditional_covariance,
                              cross_term, kkt_lower_bound, kkt_scan, kkt_value,
                              lemma1_bound, lemma1_lower_bound,
@@ -77,6 +78,15 @@ class TestLemma1Bound:
             assert est.value >= floor - 3 * est.std_error
 
 
+class TestKktContext:
+    @pytest.mark.parametrize("field", ["gamma", "capacity"])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_negative_or_nan_rejected(self, field, bad):
+        kwargs = {"gamma": 0.1, "a": 1.0, "capacity": 0.2, field: bad}
+        with pytest.raises(ValueError):
+            KktContext(**kwargs)
+
+
 class TestKktValue:
     def test_zero_at_point_mass_origin(self, scalar_model):
         mu = DiscreteMeasure.single([0j])
@@ -94,6 +104,13 @@ class TestKktValue:
         exact_part = 0.2 * (3.0 - 1.0) + 0.1 + LOG_PI_E + cov.log_det
         truth = exact_part + ORACLE.cross_term(3.0, ts, ws)
         assert abs(est.value - truth) <= max(3 * est.std_error, 1e-3)
+
+    def test_overflowing_atom_is_typed_error(self, scalar_model):
+        with np.errstate(over="ignore"):
+            mu = DiscreteMeasure([[0j], [1e200 + 0j]], [0.5, 0.5])
+        with pytest.raises(ScaleOverflowError):
+            kkt_value(scalar_model, mu, KktContext(0.1, 1.0, 0.2), [1.0 + 0j],
+                      McConfig(1000, seed=1))
 
 
 class TestKktLowerBound:
@@ -258,6 +275,16 @@ class TestKktScan:
                 kkt_scan(model, mu, ctx, grid[:2] + [bad] + grid[2:], cfg)
         with pytest.raises(ValueError):  # every point of the wrong dimension
             kkt_scan(model, mu, ctx, [np.zeros(model.N + 1)] * 3, cfg)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_overflowing_point_is_typed_error(self, scalar_model, dense):
+        # ||x||^2 = 1e400 is past double range
+        model = random_model(np.random.default_rng(3), 2, 2) if dense else scalar_model
+        mu = DiscreteMeasure.single(np.zeros(model.N, dtype=complex))
+        far = np.zeros(model.N, dtype=complex)
+        far[0] = 1e200
+        with pytest.raises(ScaleOverflowError):
+            kkt_scan(model, mu, KktContext(0.1, 1.0, 0.2), [far], McConfig(1000, seed=1))
 
     def test_empty_grid_rejected(self, scalar_model):
         mu = DiscreteMeasure.single([0j])

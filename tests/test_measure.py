@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from fading_capacity import (ChannelModel, DiscreteMeasure, InputShell,
-                             PowerConstraint, average_power, log_density,
+                             PowerConstraint, average_power,
+                             conditional_covariance, log_density,
                              mixture_log_density, prune_weights, shell_mass)
 from conftest import radial_measure
 
@@ -121,6 +123,15 @@ class TestMixtureLogDensity:
             scalar_model, radial_measure([ts[i] for i in perm],
                                          [ws[i] for i in perm]), y)
         assert a == pytest.approx(b, abs=1e-13)
+
+    def test_equals_direct_logsumexp(self, scalar_model):
+        # scipy.special is imported inside the call; the value is its own
+        mu = radial_measure([0.0, 2.0, 5.0], [0.3, 0.4, 0.3])
+        y = [0.4 + 0.6j]
+        logp = [conditional_covariance(scalar_model, a).log_densities(y)[0]
+                for a in mu.atoms]
+        assert mixture_log_density(scalar_model, mu, y) == float(
+            logsumexp(logp, b=mu.weights))
 
     def test_dimension_mismatch(self):
         model = ChannelModel.isotropic(1, 2, 1.0, 1.0)
