@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCovarianceError
+from .errors import InvalidCovarianceError, ScaleOverflowError
 
 LOG_PI = math.log(math.pi)
 LOG_PI_E = math.log(math.pi) + 1.0
@@ -189,10 +189,13 @@ class ConditionalCovariance:
 
 def _conditional_covariances(model: ChannelModel, xs):
     """(matrices, factors, log_dets) of C(x) for the K rows of xs, batched;
-    conditional_covariance is the one-point case."""
-    quad = np.einsum("kn,mnpq,kq->kmp", xs.conj(), model._sigma4, xs)
-    matrix = model.noise_var * np.eye(model.M) + quad
-    matrix = 0.5 * (matrix + np.conj(np.swapaxes(matrix, -1, -2)))
+    conditional_covariance is the one-point case. ScaleOverflowError if C(x) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = np.einsum("kn,mnpq,kq->kmp", xs.conj(), model._sigma4, xs)
+        matrix = model.noise_var * np.eye(model.M) + quad
+        matrix = 0.5 * (matrix + np.conj(np.swapaxes(matrix, -1, -2)))
+    if not np.all(np.isfinite(matrix)):
+        raise ScaleOverflowError("conditional covariance entries exceed double range")
     try:
         factor = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:  # only reachable with a defective sigma

@@ -18,7 +18,7 @@ class SlopeNonPositiveError(AnalysisError):
 
 
 class ScaleOverflowError(AnalysisError):
-    """A shell-decoder construction left the range representable in double precision."""
+    """A scale (a construction, a squared norm, a variance) left double range."""
 
 
 class NotConvergedError(AnalysisError):

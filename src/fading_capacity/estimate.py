@@ -20,9 +20,9 @@ reduces them with the mixture kernel _weighted_mix, so all callers agree bit
 for bit. On dense channels y = L_x w with w standard normal, so log
 densities and ||y||^2 are quadratic forms in w: one small matmul of their
 coefficients with each batch's cached monomials of w. On isotropic channels
-kkt_scan and the optimizer instead integrate ln f_mu, a function of ||y||^2
-alone, by radial quadrature (_RadialTable); the public estimators stay Monte
-Carlo, its independent cross-check. The quadrature is batched
+kkt_scan, the optimizer and the Fano report's I(mu) integrate ln f_mu, a
+function of ||y||^2 alone, by radial quadrature (_RadialTable); the public
+estimators stay Monte Carlo, its independent cross-check. It is batched
 (_ConditionalLaws.cross_quadratures): all inputs of a scan or a support are
 grouped by the node count their Gamma(M, c_x) law needs, each group is one
 array pass, and each row reduces on its own, so no value depends on the batch.
@@ -102,7 +102,7 @@ class McConfig:
 class McEstimate:
     """Monte Carlo result: value, standard error, total draws, base seed.
 
-    Exact (quadrature-free closed form) results carry std_error 0 and
+    Exact results (closed forms, radial quadratures) carry std_error 0 and
     samples 0.
     """
 
@@ -178,12 +178,14 @@ def _tail_quantile(m: int) -> float:
     return float(_gamma_quantile(m, 1.0, _TAIL_MASS))
 
 
-def _finite_norms_sq(xs: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows of xs; ScaleOverflowError if one is not finite."""
+def _finite_norms_sq(xs: np.ndarray, model: ChannelModel) -> np.ndarray:
+    """Squared norms of the rows of xs; ScaleOverflowError if one, or on isotropic
+    channels its output variance noise_var + iso_var ||x||^2, is not finite."""
     with np.errstate(over="ignore"):
         norms_sq = np.sum(np.abs(xs) ** 2, axis=1)
-    if not np.all(np.isfinite(norms_sq)):
-        raise ScaleOverflowError("input squared norms exceed double range")
+        var = norms_sq if model.iso_var is None else model.noise_var + model.iso_var * norms_sq
+    if not np.all(np.isfinite(var)):
+        raise ScaleOverflowError("input squared norms or variances exceed double range")
     return norms_sq
 
 
@@ -332,7 +334,8 @@ class _RadialTable:
         lo = 0.0 if first == 0 else math.ldexp(c0, first - 1)
         inner = self.splits[(self.splits > lo) & (self.splits < bounds[-1])]
         cuts = [a + (b - a) * f for a, b in zip([lo] + bounds[:-1], bounds) for f in self.cuts]
-        edges = np.unique(np.concatenate(([lo], inner, cuts, bounds)))
+        edges = np.sort(np.concatenate(([lo], inner, cuts, bounds)))
+        edges = edges[np.append(True, edges[1:] > edges[:-1])]  # np.unique loads numpy.ma
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
         logp = -np.outer(self.laws.inv_var, u) - self.laws.log_norm[:, None]
@@ -367,8 +370,8 @@ class _ConditionalLaws:
     points of a KKT scan, share one set of samples instead of redrawing it.
     On isotropic channels the radial quadrature takes a whole batch of input
     variances at once (radial_weights, cross_quadratures) on one _RadialTable
-    per call. An atom whose squared norm is not a finite double raises
-    ScaleOverflowError.
+    per call. An atom whose squared norm or variance is not a finite double
+    raises ScaleOverflowError.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -377,7 +380,7 @@ class _ConditionalLaws:
         if self.atoms.shape[1] != model.N:
             raise ValueError(f"measure dimension {self.atoms.shape[1]} != "
                              f"channel input dimension {model.N}")
-        self.norms_sq = _finite_norms_sq(self.atoms)
+        self.norms_sq = _finite_norms_sq(self.atoms, model)
         self.iso = model.iso_var is not None
         if self.iso:
             self.scalar_var = model.noise_var + model.iso_var * self.norms_sq
@@ -517,6 +520,7 @@ def cross_term(model: ChannelModel, mu: DiscreteMeasure, x, cfg: McConfig) -> Mc
     consistently.
     """
     x = _as_input(model, x)
+    _finite_norms_sq(x[None], model)
     mean, se = _ConditionalLaws(model, mu.atoms).stream_stats(
         x, mu.weights, cfg, _stream_indices(mu.atoms, x[None])[0])
     return McEstimate(mean, se, cfg.samples, cfg.seed)
@@ -534,9 +538,26 @@ def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) 
     neg_h = np.array([-conditional_entropy(model, x) for x in mu.atoms])
     stats = [laws.stream_stats(x, mu.weights, cfg, i) for i, x in enumerate(mu.atoms)]
     cross, cross_se = (np.array(v) for v in zip(*stats))
-    value = float(np.dot(mu.weights, neg_h) - np.dot(mu.weights, cross))
+    value = _information(mu.weights, neg_h, cross)
     se = float(np.sqrt(np.dot(mu.weights ** 2, cross_se ** 2)))
     return McEstimate(value, se, cfg.samples * mu.n_atoms, cfg.seed)
+
+
+def _information(weights, neg_h, cross) -> float:
+    """I(mu; W) = sum_i w_i (-h(Y|x_i) - E_i[ln f_mu]): the formula every path shares."""
+    return float(np.dot(weights, neg_h) - np.dot(weights, cross))
+
+
+def _mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) -> McEstimate:
+    """I(mu; W) for the Fano report and Optimum: exact on isotropic channels (std_error 0,
+    samples 0, bit for bit _SupportEvaluator.mutual_information), else mutual_information.
+    The public estimators keep the Monte Carlo while the benchmark self-test pins it."""
+    if model.iso_var is None:
+        return mutual_information(model, mu, cfg)
+    laws = _ConditionalLaws(model, mu.atoms)
+    neg_h = np.array([-conditional_entropy(model, x) for x in mu.atoms])
+    cross = laws.cross_quadratures(laws.scalar_var, mu.weights)
+    return McEstimate(_information(mu.weights, neg_h, cross), 0.0, 0, cfg.seed)
 
 
 def _shell_probabilities(model: ChannelModel, dirs: np.ndarray, log_norms: np.ndarray,

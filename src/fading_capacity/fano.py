@@ -25,8 +25,8 @@ import numpy as np
 
 from .channel import ChannelModel, _as_input
 from .errors import ScaleOverflowError
-from .estimate import (_LOG_CAP, McConfig, McEstimate, _shell_probabilities,
-                       mutual_information)
+from .estimate import (_LOG_CAP, McConfig, McEstimate, _mutual_information,
+                       _shell_probabilities)
 from .measure import DiscreteMeasure
 
 
@@ -137,8 +137,8 @@ class FanoReport:
     detections[i] is the probability that atom i's output lands in shell i
     (exact with std_error 0 when C(x_i) is a scalar matrix);
     bounds[i] is the analytic floor F_i (e^{-a_i r_i^2} - e^{-a_i r_(i+1)^2}).
-    mutual_info is the Monte Carlo estimate for the uniform atom measure and
-    may be None when the atoms are not representable in plain doubles.
+    mutual_info is I(mu_n; W) of the uniform atom measure, exact on isotropic
+    channels, and None when the atoms are not representable in plain doubles.
     margins_* are the detections minus lambda_impl and minus lambda_paper.
     """
 
@@ -173,7 +173,7 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
     and its shell's log radii, so no scale leaves the log domain: exact
     whenever C(x_i) is a scalar matrix; otherwise Monte Carlo, which requires
     the atoms to be representable in plain doubles and counts all n shells on
-    one draw of the shell stream.
+    one draw of the shell stream. The MI is estimate._mutual_information's.
     """
     dirs = np.broadcast_to(fc.direction, (fc.n, fc.direction.size))
     log_rho = np.column_stack((fc.log_r[:-1], fc.log_r[1:]))
@@ -183,7 +183,7 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
     mi = None
     distinct_atoms = fc.n == 1 or fc.k_base > 1.0
     if include_mi and fc.atoms_representable and distinct_atoms:
-        mi = mutual_information(model, fc.measure(), cfg)
+        mi = _mutual_information(model, fc.measure(), cfg)
     fano_lower = fc.lambda_impl * math.log(fc.n) - 1.0
     log_power = fc.log_average_power()
     avg_power = math.exp(log_power) if log_power < _LOG_CAP else math.inf

@@ -140,8 +140,8 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
 def _kkt_values(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
                 ctx: KktContext, xs: np.ndarray, cfg: McConfig):
     """(KKT, SE, ||x||^2) at the rows of xs, through laws built for mu's atoms.
-    A squared norm past double range raises ScaleOverflowError."""
-    norms_sq = _finite_norms_sq(xs)
+    A squared norm or variance past double range raises ScaleOverflowError."""
+    norms_sq = _finite_norms_sq(xs, model)
     if laws.iso:
         cxs = model.noise_var + model.iso_var * norms_sq
         log_det, ses = model.M * np.log(cxs), np.zeros(len(xs))
@@ -257,8 +257,8 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
     and the points are evaluated grouped by sample stream (the non-atom points
     share the cross stream), so each stream is drawn once; log densities under
     the atoms are quadratic forms in the draws. Each value equals kkt_value's.
-    A point or atom whose squared norm is not a finite double raises
-    ScaleOverflowError.
+    A point or atom whose squared norm or variance is not a finite double
+    raises ScaleOverflowError.
     """
     grid = list(grid)
     if not grid:

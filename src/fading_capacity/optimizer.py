@@ -11,9 +11,10 @@ just the scan cap. Tail atoms too light for the radius mover to resolve are
 placed from the full certificate scan instead: such an atom is moved to the
 minimum of the nearest violation run, and keeps following it, while the
 power is matched again after each move. On isotropic channels every cross
-term is a deterministic radial quadrature; on dense channels the Monte Carlo
-evaluations reuse common random numbers (streams keyed by atom index, all on
-the base seed), so comparisons between nearby supports are low-variance.
+term, and the capacity returned, is a radial quadrature; on dense channels
+the Monte Carlo evaluations reuse common random numbers (streams keyed by
+atom index, all on the base seed), so nearby supports compare with low
+variance.
 Either way the whole run is deterministic for a fixed seed.
 """
 
@@ -26,8 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelModel, conditional_entropy
-from .estimate import (McConfig, McEstimate, _ConditionalLaws, _stratified_moments,
-                       _weighted_mix, derive_seed, mutual_information)
+from .estimate import (McConfig, McEstimate, _ConditionalLaws, _information,
+                       _mutual_information, _stratified_moments, _weighted_mix,
+                       derive_seed)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
 from .measure import DiscreteMeasure, PowerConstraint, average_power
 
@@ -82,9 +84,9 @@ class OptimizerConfig:
 class Optimum:
     """Certified optimization result.
 
-    capacity_estimate is a fresh-seed Monte Carlo evaluation of the mutual
-    information at the final measure; gamma is the final support's exact
-    power multiplier, solved with its weights (0 when the budget is slack);
+    capacity_estimate is I(mu) at the final measure, exact on isotropic channels
+    (std_error 0, samples 0), else fresh-seed Monte Carlo; gamma is the final
+    support's exact power multiplier, solved with its weights (0 if slack);
     kkt_report is the certification scan; converged means no scan value
     below -kkt_tolerance, all support residuals within kkt_tolerance, and
     power at most 2 % above the budget.
@@ -154,8 +156,7 @@ class _SupportEvaluator:
         return cross, post
 
     def mutual_information(self, weights) -> float:
-        weights = np.asarray(weights, dtype=float)
-        return float(np.dot(weights, self.neg_h) - np.dot(weights, self.cross_means(weights)))
+        return _information(weights, self.neg_h, self.cross_means(weights))
 
     def lagrangian(self, weights, gamma: float, a: float) -> float:
         power = float(np.dot(weights, self.norms_sq) / self.model.N)
@@ -481,7 +482,7 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
     inserts an atom where a 16-per-decade scan dips below -2 kkt_tolerance,
     until a round changes nothing. On dense channels it draws
     min(max(samples // 4, 20_000), samples) samples per stream, on the base
-    seed. The returned Optimum carries a fresh-seed capacity estimate and a
+    seed. The returned Optimum carries the capacity (see Optimum) and a
     full-fidelity KKT scan as the certificate. When that scan shows a
     violation, the atom moved there last, or else the lightest atom the
     mover cannot resolve, is moved to the minimum of the nearest violation
@@ -552,7 +553,7 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
         else:  # nothing light to move: a new atom, as insert_atom would add
             atoms, weights = _with_atom(atoms, weights, dip.x)
     fresh = replace(cfg.mc, seed=derive_seed(cfg.mc.seed, 0xF5E5))
-    capacity = mutual_information(model, mu, fresh)
+    capacity = _mutual_information(model, mu, fresh)
     residual_ok = max(report.support_residuals()) <= cfg.kkt_tolerance
     scan_ok = not report.violations(cfg.kkt_tolerance)
     power_ok = power <= a * (1.0 + _POWER_TOLERANCE)
@@ -563,7 +564,7 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One capacity-curve sample: budget, capacity estimate, multiplier, flag.
+    """One capacity-curve sample: budget, Optimum.capacity_estimate, multiplier, flag.
 
     gamma is Optimum.gamma, the final support's power multiplier; at the
     optimum it is the capacity curve's slope dC/da at this budget.

@@ -8,7 +8,7 @@ number of runs that report converged, the number of runs, and of converged
 runs, whose tail is closed (c_max >= M N iso / gamma, with c_max the
 outermost atom's output variance; otherwise the KKT functional falls without
 bound as ||x|| grows), the wall time, and per run (M, N, a, k), the flags
-and the exact I(mu) of the returned measure by radial quadrature. Not
+and the returned capacity estimate, the exact I(mu) by radial quadrature. Not
 collected by pytest; run it from the repository root as
 
     PYTHONPATH=src python tests/optimizer_sweep.py > sweep.json
@@ -21,7 +21,6 @@ import numpy as np
 
 from fading_capacity import (ChannelModel, McConfig, OptimizerConfig,
                              PowerConstraint, optimize_measure)
-from fading_capacity.optimizer import _SupportEvaluator
 
 SHAPES = ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2))
 BUDGETS = (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 10.0, 30.0)
@@ -37,10 +36,9 @@ def run_one(M, N, a, k):
     mu = opt.measure
     c_max = NOISE_VAR + ISO_VAR * float(np.max(mu.norms_sq))
     closed = opt.gamma > 0.0 and c_max * opt.gamma >= M * N * ISO_VAR
-    mi = _SupportEvaluator(model, mu.atoms, cfg.mc).mutual_information(mu.weights)
     return {"M": M, "N": N, "a": a, "k": k, "converged": opt.converged,
             "closed_tail": bool(closed), "gamma": opt.gamma, "atoms": mu.n_atoms,
-            "mi": mi}
+            "mi": opt.capacity_estimate.value}
 
 
 def main():

@@ -14,8 +14,8 @@ from fading_capacity import (ChannelModel, DiscreteMeasure,
                              shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_TAIL_MASS, _ConditionalLaws, _gamma_quantile,
-                                      _shell_probabilities, _stratified_radii_sq,
-                                      _weighted_mix)
+                                      _mutual_information, _shell_probabilities,
+                                      _stratified_radii_sq, _weighted_mix)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
@@ -130,6 +130,25 @@ class TestMutualInformation:
         with pytest.raises(ScaleOverflowError):
             mutual_information(model, mu, McConfig(1000, seed=1))
 
+    @pytest.mark.parametrize("estimator", [mutual_information, _mutual_information])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_overflowing_output_variance_is_typed_error(self, estimator, dense):
+        # ||x||^2 = 1e308 is a double, but fading variance 10 times it is not
+        model = (ChannelModel(1, 2, 1.0, np.diag([10.0, 1.0])) if dense
+                 else ChannelModel.isotropic(1, 1, 1.0, 10.0))
+        atoms = np.zeros((2, model.N), dtype=complex)
+        atoms[1, 0] = 1e154
+        mu = DiscreteMeasure(atoms, [0.5, 0.5])
+        with pytest.raises(ScaleOverflowError):
+            estimator(model, mu, McConfig(1000, seed=1))
+
+    def test_exact_information_on_isotropic_channels(self, scalar_model):
+        mu = radial_measure([0.0, 10.0], [0.5, 0.5])
+        est = _mutual_information(scalar_model, mu, McConfig(1000, seed=4))
+        truth = ORACLE.mutual_information([0.0, 10.0], [0.5, 0.5])
+        assert abs(est.value - truth) <= 1e-9
+        assert (est.std_error, est.samples, est.seed) == (0.0, 0, 4)
+
     def test_determinism(self, scalar_model):
         mu = radial_measure([0.0, 4.0], [0.6, 0.4])
         cfg = McConfig(2000, seed=42)
@@ -138,6 +157,16 @@ class TestMutualInformation:
 
 
 class TestCrossTerm:
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_overflowing_output_variance_is_typed_error(self, dense):
+        model = (ChannelModel(1, 2, 1.0, np.diag([10.0, 1.0])) if dense
+                 else ChannelModel.isotropic(1, 1, 1.0, 10.0))
+        x = np.zeros(model.N, dtype=complex)
+        x[0] = 1e154
+        mu = DiscreteMeasure.single(np.zeros(model.N, dtype=complex))
+        with pytest.raises(ScaleOverflowError):
+            cross_term(model, mu, x, McConfig(1000, seed=1))
+
     def test_point_mass_gives_negative_entropy(self, scalar_model):
         x = [2.0 + 0j]
         mu = DiscreteMeasure.single(x)

@@ -6,7 +6,7 @@ import pytest
 from fading_capacity import (ChannelModel, McConfig, OutputShell, ScaleOverflowError,
                              build_construction, detection_report,
                              estimate, find_sufficient_K, lambda_constant,
-                             shell_probability)
+                             mutual_information, shell_probability)
 
 CFG = McConfig(samples=5000, seed=33)
 
@@ -181,6 +181,40 @@ class TestDetectionReport:
         assert abs(values[0].value) <= 3 * values[0].std_error + 1e-6
         for a, b in zip(values, values[1:]):
             assert b.value > a.value - 3 * math.hypot(a.std_error, b.std_error)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("model", [ChannelModel.isotropic(1, 1, 1.0, 1.0),
+                                       ChannelModel.isotropic(3, 2, 1.0, 1.0)],
+                             ids=["scalar", "iso3x2"])
+    def test_isotropic_mutual_information_is_exact(self, model, n):
+        # at K = 1e3 the atoms' output laws barely overlap: I is ln n to 1e-8
+        report = detection_report(model, build_construction(model, n, 1e3), CFG)
+        mi = report.mutual_info
+        assert abs(mi.value - math.log(n)) <= 1e-8
+        assert mi.std_error == 0.0 and mi.samples == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("model", [ChannelModel.isotropic(1, 1, 1.0, 1.0),
+                                       ChannelModel.isotropic(3, 2, 1.0, 1.0)],
+                             ids=["scalar", "iso3x2"])
+    def test_isotropic_mutual_information_matches_monte_carlo(self, model, n):
+        fc = build_construction(model, n, 2.0)
+        cfg = McConfig(samples=20_000, seed=1)
+        exact = detection_report(model, fc, cfg).mutual_info.value
+        mc = mutual_information(model, fc.measure(), cfg)
+        assert abs(exact - mc.value) <= 3.0 * mc.std_error
+
+    def test_dense_mutual_information_is_monte_carlo(self):
+        model = model_with_eigs([0.8, 1.4], M=2, N=1)
+        fc = build_construction(model, n=2, K=2.0)
+        report = detection_report(model, fc, CFG)
+        assert report.mutual_info == mutual_information(model, fc.measure(), CFG)
+
+    def test_mutual_information_at_the_largest_scale(self, scalar_model):
+        # n 2^n ln K = 696: the atoms K^2, K^4 = e^174, e^348 still fit in doubles
+        fc = build_construction(scalar_model, n=2, K=math.exp(87.0))
+        report = detection_report(scalar_model, fc, CFG)
+        assert abs(report.mutual_info.value - math.log(2)) <= 1e-10
 
     def test_fano_floor_reported(self, scalar_model):
         fc = build_construction(scalar_model, n=3, K=4.0)

@@ -112,6 +112,17 @@ class TestKktValue:
             kkt_value(scalar_model, mu, KktContext(0.1, 1.0, 0.2), [1.0 + 0j],
                       McConfig(1000, seed=1))
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_overflowing_output_variance_is_typed_error(self, dense):
+        # ||x||^2 = 1e308 is a double, but fading variance 10 times it is not
+        model = (ChannelModel(1, 2, 1.0, np.diag([10.0, 1.0])) if dense
+                 else ChannelModel.isotropic(1, 1, 1.0, 10.0))
+        x = np.zeros(model.N, dtype=complex)
+        x[0] = 1e154
+        mu = DiscreteMeasure.single(np.zeros(model.N, dtype=complex))
+        with pytest.raises(ScaleOverflowError):
+            kkt_value(model, mu, KktContext(0.1, 1.0, 0.2), x, McConfig(1000, seed=1))
+
 
 class TestKktLowerBound:
     def test_below_kkt_value(self, scalar_model):

@@ -6,7 +6,7 @@ import pytest
 
 from fading_capacity import (DiscreteMeasure, KktContext, McConfig,
                              OptimizerConfig, PowerConstraint, average_power,
-                             insert_atom, kkt_scan, mutual_information,
+                             derive_seed, insert_atom, kkt_scan, mutual_information,
                              optimize_measure, optimize_weights,
                              radial_scan_grid)
 from fading_capacity.estimate import _ConditionalLaws
@@ -264,6 +264,15 @@ class TestOptimizeMeasure:
         assert np.array_equal(a.measure.weights, b.measure.weights)
         assert a.capacity_estimate == b.capacity_estimate
 
+    def test_isotropic_capacity_is_the_exact_information(self, scalar_model):
+        cfg = small_config(13, max_atoms=3, outer_iterations=2)
+        opt = optimize_measure(scalar_model, PowerConstraint(1.0), cfg)
+        mu = opt.measure
+        ev = _SupportEvaluator(scalar_model, mu.atoms, cfg.mc)
+        assert opt.capacity_estimate.value == ev.mutual_information(mu.weights)
+        assert opt.capacity_estimate.std_error == 0.0
+        assert opt.capacity_estimate.samples == 0
+
     def test_dense_run_is_deterministic_and_feasible(self):
         # a full dense run: Monte Carlo search, certificate scan and estimate
         model = random_model(np.random.default_rng(3), 2, 2)
@@ -278,6 +287,9 @@ class TestOptimizeMeasure:
         assert [p.value for p in a.kkt_report.points] == \
             [p.value for p in b.kkt_report.points]
         assert a.capacity_estimate.std_error > 0.0
+        # the capacity is the Monte Carlo estimate on a fresh seed
+        fresh = McConfig(4000, seed=derive_seed(7, 0xF5E5))
+        assert a.capacity_estimate == mutual_information(model, a.measure, fresh)
         assert average_power(a.measure) <= 1.0 * (1 + _POWER_TOLERANCE)
 
     def test_sample_warning_only_on_dense_channels(self, scalar_model):
