@@ -30,10 +30,11 @@ Shell probabilities (_shell_probabilities) take inputs and radii in logs: when
 C(x) is a scalar matrix the mass is exact at any scale, from log-domain gamma
 tails; the other inputs share one draw of the shell stream.
 
-scipy.special.gammaincc is imported on first use, by chi_square_tail and by
-log_chi_square_tail at m > 1 (scalar-law shell masses with M > 1). Every
-other path, the isotropic quadrature with its tail quantile (_tail_quantile)
-included, runs on numpy and closed forms, so it never loads scipy.
+The integer-order gamma tails (chi_square_tail, log_chi_square_tail and the
+scalar-law shell masses) are sums of positive Poisson terms around the tail's
+largest one (_log_gamma_tail). They, the isotropic quadrature and its tail
+quantile (_tail_quantile) run on numpy and closed forms: this module never
+imports scipy.
 """
 
 from __future__ import annotations
@@ -241,42 +242,76 @@ def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[fl
     return mean, math.sqrt(float(np.sum(var / count)) / (n_strata * n_strata))
 
 
+# stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi) / 2 for k <= 15 (Loader 2000),
+# and the odd powers of bd0's series: at |v| < 0.1 the 9th term is below 2^-53 of the sum.
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+_BD0_ODD = 2.0 * np.arange(1, 9) + 1.0
+
+
+def _stirlerr(k: int) -> float:
+    """ln k! - (k + 1/2) ln k + k - ln(2 pi) / 2: the table, else the Stirling series."""
+    if k < len(_STIRLERR):
+        return _STIRLERR[k]
+    s = 1.0 / (k * k)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188 - 691 / 360360 * s) * s)
+                                 * s) * s) * s) / k
+
+
+def _bd0(k: int, t: float) -> float:
+    """k ln(k/t) + t - k, by its series in v = (k - t)/(k + t) near k = t (Loader 2000)."""
+    if abs(k - t) >= 0.1 * (k + t):
+        return k * math.log(k / t) + t - k
+    v = (k - t) / (k + t)
+    return (k - t) * v + 2.0 * k * float(np.sum(v ** _BD0_ODD / _BD0_ODD))
+
+
+def _log_gamma_tail(m: int, t: float, upper: bool) -> float:
+    """ln Q(m, t) (upper) or ln P(m, t): the Poisson(t) mass on k < m, or on k >= m.
+
+    The sum is anchored at the tail's largest term p_k0 = e^(-stirlerr(k0) - bd0(k0, t))
+    / sqrt(2 pi k0) (Loader 2000), the others are p_k0 times running products of k / t
+    below k0 and t / k above it, up to 10 sqrt(k0 + 1) + 20 terms a side: every term
+    past them is below e^-49 p_k0. No term is subtracted and p_k0 stays in logs: ln Q
+    is finite wherever Q is nonzero, and -t exactly at m = 1. P is for t below the mode.
+    """
+    if t == 0.0:
+        return 0.0 if upper else -math.inf
+    if t == math.inf:
+        return -math.inf if upper else 0.0
+    lo, hi = (0, m - 1) if upper else (m, math.inf)
+    k0 = int(min(max(math.floor(t), lo), hi))
+    log_p, norm = ((-t, 1.0) if k0 == 0 else
+                   (-_stirlerr(k0) - _bd0(k0, t), math.sqrt(2.0 * math.pi * k0)))
+    w = int(10.0 * math.sqrt(k0 + 1.0)) + 20
+    down = np.cumprod(np.arange(k0, max(lo, k0 - w), -1.0) / t)
+    up = np.cumprod(t / np.arange(k0 + 1.0, min(hi, k0 + w) + 1.0))
+    return log_p + math.log(math.fsum(np.concatenate(([1.0], down, up))) / norm)
+
+
 def chi_square_tail(t: float, m: int) -> float:
     """P(||y||^2 > t*c) for y ~ CN(0, c I_m): exp(-t) sum_{k<m} t^k / k!.
 
-    This is the regularized upper incomplete gamma function of integer
-    order m.
+    This is the regularized upper incomplete gamma function Q(m, t) of
+    integer order m, summed from its Poisson terms (_log_gamma_tail).
     """
     if not t >= 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
-    if math.isinf(t):
-        return 0.0
-    from scipy.special import gammaincc
-    return float(gammaincc(m, t))
+    return math.exp(_log_gamma_tail(m, t, True))
 
 
 def log_chi_square_tail(log_t: float, m: int) -> float:
     """log of chi_square_tail(exp(log_t), m), stable for extreme thresholds.
 
-    For m > 1 it is log gammaincc(m, t) wherever that is a normal double:
-    the terms of the log-domain series -t + log sum_{k<m} t^k / k! cancel as
-    m grows. The series is kept where the tail underflows, and for m = 1,
-    where it is -t exactly.
+    Nothing underflows (_log_gamma_tail): the value is finite wherever the
+    tail is, up to t = e^709 (-inf past it), and -t exactly for m = 1.
     """
     if math.isnan(log_t):
         raise ValueError("log threshold must not be NaN")
-    if log_t == -math.inf:
-        return 0.0
-    if log_t > 709.0:  # exp would overflow; the tail is identically 0 there
-        return -math.inf
-    t = math.exp(log_t)
-    if m > 1:
-        from scipy.special import gammaincc
-        q = float(gammaincc(m, t))
-        if q >= np.finfo(float).tiny:
-            return math.log(q)
-    terms = [k * log_t - math.lgamma(k + 1) for k in range(m)]
-    return float(-t + np.logaddexp.reduce(terms))
+    return _log_gamma_tail(m, math.exp(log_t) if log_t <= 709.0 else math.inf, True)
 
 
 def _monomials(w: np.ndarray, upper) -> np.ndarray:
@@ -570,8 +605,9 @@ def _shell_probabilities(model: ChannelModel, dirs: np.ndarray, log_norms: np.nd
     u^H) Sigma (I kron u); it is the scalar matrix c I, c = noise_var +
     ||x||^2 d with d the mean of D(u)'s diagonal, when ||x||^2 max|D(u) - d I|
     <= 1e-9 c. That test and the mass are taken in logs: ||y||^2 / c is
-    Gamma(M, 1), so the mass is the difference of two log-domain gamma tails,
-    exact with std_error 0 at any scale. All other inputs share the shell
+    Gamma(M, 1), so the mass is the difference of two gamma tails, exact with
+    std_error 0 at any scale: lower tails P if t2 <= M - 1, else upper tails
+    Q, the small ones away from the mode. All other inputs share the shell
     stream, drawn once per batch: the squared radii ||L_x w||^2 of every
     input come from one matmul of their coefficients with the batch's
     monomials. Their squared norms must stay below e^700 (ScaleOverflowError).
@@ -598,10 +634,12 @@ def _shell_probabilities(model: ChannelModel, dirs: np.ndarray, log_norms: np.nd
             r = np.sqrt(coef @ _monomials(w, upper))
             hits[mc] += np.count_nonzero((r >= rho[:, :1]) & (r < rho[:, 1:]), axis=1)
     n, out = cfg.samples, []
-    for is_scalar, lc, (lr1, lr2), h in zip(scalar, log_c, log_rho, hits):
+    for is_scalar, lc, lr, h in zip(scalar, log_c, log_rho, hits):
         if is_scalar:
-            q1, q2 = (log_chi_square_tail(2.0 * lr - lc, m) for lr in (lr1, lr2))
-            out.append(McEstimate(math.exp(q1) - math.exp(q2), 0.0, 0, cfg.seed))
+            t1, t2 = (math.exp(v) if v <= 709.0 else math.inf for v in 2.0 * lr - lc)
+            upper_tails = t2 > m - 1
+            q1, q2 = (math.exp(_log_gamma_tail(m, t, upper_tails)) for t in (t1, t2))
+            out.append(McEstimate(q1 - q2 if upper_tails else q2 - q1, 0.0, 0, cfg.seed))
         else:
             p = float(h) / n
             out.append(McEstimate(p, math.sqrt(p * (1.0 - p) * n / (n - 1) / n), n, cfg.seed))

@@ -71,16 +71,18 @@ class DiscreteMeasure:
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_ATOL:
             raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_ATOL}, got {total!r}")
-        for i in range(atoms.shape[0]):
-            d = np.sum(np.abs(atoms[i + 1:] - atoms[i]) ** 2, axis=1)
-            if np.any(d <= ATOM_DISTINCT_SQ):
-                j = i + 1 + int(np.argmin(d))
-                raise ValueError(f"atoms {i} and {j} coincide (squared distance <= 1e-18)")
+        # squares past ~1.3e154 are inf: distinct, and the estimators raise ScaleOverflowError
+        with np.errstate(over="ignore"):
+            for i in range(atoms.shape[0]):
+                d = np.sum(np.abs(atoms[i + 1:] - atoms[i]) ** 2, axis=1)
+                if np.any(d <= ATOM_DISTINCT_SQ):
+                    j = i + 1 + int(np.argmin(d))
+                    raise ValueError(f"atoms {i} and {j} coincide (squared distance <= 1e-18)")
+            self.norms_sq = np.sum(np.abs(atoms) ** 2, axis=1)
         self.atoms = atoms
         self.weights = weights
         self.atoms.setflags(write=False)
         self.weights.setflags(write=False)
-        self.norms_sq = np.sum(np.abs(atoms) ** 2, axis=1)
         self.norms_sq.setflags(write=False)
 
     @property

@@ -13,9 +13,10 @@ from fading_capacity import (ChannelModel, DiscreteMeasure,
                              mutual_information, radial_scan_grid,
                              shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
-from fading_capacity.estimate import (_TAIL_MASS, _ConditionalLaws, _gamma_quantile,
-                                      _mutual_information, _shell_probabilities,
-                                      _stratified_radii_sq, _weighted_mix)
+from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
+                                      _gamma_quantile, _log_gamma_tail, _mutual_information,
+                                      _shell_probabilities, _stirlerr, _stratified_radii_sq,
+                                      _weighted_mix)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
@@ -57,12 +58,49 @@ class TestGammaTails:
         assert log_chi_square_tail(-math.inf, 2) == 0.0
         assert log_chi_square_tail(800.0, 2) == -math.inf
 
-    @pytest.mark.parametrize("t", [1e-3, 0.5, 4.0, 40.0])
-    def test_equal_scipy_bit_for_bit(self, t):
-        # scipy.special is imported inside the call; the values are its own
-        assert chi_square_tail(t, 3) == float(gammaincc(3, t))
-        log_t = math.log(t)
-        assert log_chi_square_tail(log_t, 3) == math.log(gammaincc(3, math.exp(log_t)))
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 32, 64, 150, 500])
+    def test_tails_match_mpmath(self, m):
+        # Q(m, t) and P(m, t) at t = m e^-4 ... m e^2, m -+ 6 sqrt(m) and fixed points
+        # against 40-digit mpmath and scipy: the smaller tail within 4 (1 + kappa) ulp
+        # (scipy's own error is up to 5.4 (1 + kappa) here), kappa = t f(t) / tail its
+        # condition number in t; the log tail within that plus 2 ulp of its own size,
+        # also where the tail underflows; both tails within 1e-15 absolute
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        ts = [m * math.exp(e) for e in np.arange(-4.0, 2.25, 0.5)] + [1e-3, 0.5, 4.0, 40.0]
+        ts += [t for t in (m - 6.0 * math.sqrt(m), m + 6.0 * math.sqrt(m)) if t > 0.0]
+        with mpmath.workdps(40):
+            for t in ts:
+                x = mpmath.mpf(t)
+                q = mpmath.gammainc(m, x, mpmath.inf, regularized=True)
+                p = mpmath.gammainc(m, 0, x, regularized=True)
+                density = mpmath.exp(-x) * x ** (m - 1) / mpmath.factorial(m - 1)
+                for upper, ref, other in ((True, q, float(gammaincc(m, t))),
+                                          (False, p, float(gammainc(m, t)))):
+                    log_got = _log_gamma_tail(m, t, upper)
+                    got = chi_square_tail(t, m) if upper else math.exp(log_got)
+                    assert abs(got - float(ref)) <= 1e-15 and abs(got - other) <= 1e-15
+                    if ref > min(q, p):
+                        continue
+                    tol = 4.0 * (1.0 + float(x * density / ref)) * eps
+                    log_ref = float(mpmath.log(ref))
+                    assert abs(log_got - log_ref) <= tol + 2.0 * eps * abs(log_ref)
+                    if ref >= np.finfo(float).tiny:
+                        assert abs(got - float(ref)) <= tol * float(ref)
+                        assert abs(got - other) <= 2.5 * tol * other
+        for log_t in (-700.0, -3.0, 0.0, 0.7, 5.0, 700.0):
+            assert log_chi_square_tail(log_t, 1) == -math.exp(log_t)
+
+    def test_stirlerr_matches_mpmath(self):
+        # the table is the rounded value; the series past it is within 2e-18 absolute
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in range(1, 200):
+                ref = (mpmath.loggamma(k + 1) - (k + mpmath.mpf(0.5)) * mpmath.log(k) + k
+                       - mpmath.log(2 * mpmath.pi) / 2)
+                if k < len(_STIRLERR):
+                    assert _STIRLERR[k] == float(ref)
+                assert abs(_stirlerr(k) - float(ref)) <= 2e-18
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError):

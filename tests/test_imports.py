@@ -5,10 +5,17 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The benchmark's scalar-curve and mimo-certify calls and an M = 1 shell mass,
-# in a fresh interpreter: none of them may load scipy.
+# The benchmark's scalar-curve and mimo-certify calls, gamma tails and shell masses
+# at M = 1 and M = 3, and the fano CLI on an isotropic 3x2 channel, in a fresh
+# interpreter: none of them may load scipy.
 SCIPY_FREE = """
+import contextlib
+import io
+import json
 import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import fading_capacity as fc
 import fading_capacity.cli
@@ -30,6 +37,19 @@ fc.kkt_scan(dense, mu, fc.KktContext(0.1, 1.0, 0.2),
             fc.radial_scan_grid(dense, 8.0, points_per_decade=2, n_directions=2), cfg)
 
 fc.shell_probability(scalar, [1.0 + 0j], fc.OutputShell(0.5, 2.0), cfg)
+fc.chi_square_tail(4.0, 3)
+fc.log_chi_square_tail(1.0, 3)
+iso = fc.ChannelModel.isotropic(3, 2, 1.0, 1.0)
+fc.shell_probability(iso, [1.0 + 0j, 0.5j], fc.OutputShell(0.5, 2.0), cfg)
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "fano.json"
+    config.write_text(json.dumps({
+        "channel": {"M": 3, "N": 2, "noise_var": 1.0, "sigma": {"type": "isotropic", "var": 1.0}},
+        "seed": 1, "mc": {"samples": 200}, "include_mi": True}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fading_capacity.cli.run(["fano", "--config", str(config),
+                                        "--out", str(Path(tmp) / "out"), "--n", "2"])
+    assert code == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

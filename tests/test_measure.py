@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from fading_capacity import (ChannelModel, DiscreteMeasure, InputShell,
-                             PowerConstraint, average_power,
+from fading_capacity import (ChannelModel, DiscreteMeasure, InputShell, McConfig,
+                             PowerConstraint, ScaleOverflowError, average_power,
                              conditional_covariance, log_density,
-                             mixture_log_density, prune_weights, shell_mass)
+                             mixture_log_density, mutual_information, prune_weights,
+                             shell_mass)
 from conftest import radial_measure
 
 
@@ -23,6 +24,14 @@ class TestDiscreteMeasure:
     def test_atoms_must_be_distinct(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([[1.0 + 0j], [1.0 + 0j]], [0.5, 0.5])
+
+    def test_atom_past_squaring_range_builds_without_warning(self):
+        # warnings are errors here: the distinctness check and norms_sq overflow
+        # quietly, and the estimator raises the typed error
+        mu = DiscreteMeasure([[0j], [1e160 + 0j]], [0.5, 0.5])
+        assert mu.norms_sq[1] == math.inf
+        with pytest.raises(ScaleOverflowError):
+            mutual_information(ChannelModel.isotropic(1, 1, 1.0, 1.0), mu, McConfig(200, seed=1))
 
     def test_json_roundtrip(self):
         mu = DiscreteMeasure([[0j, 1j], [1.0 + 0j, 0j]], [0.25, 0.75])
