@@ -91,6 +91,30 @@ class TestGammaTails:
         for log_t in (-700.0, -3.0, 0.0, 0.7, 5.0, 700.0):
             assert log_chi_square_tail(log_t, 1) == -math.exp(log_t)
 
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 4.0, 40.0])
+    def test_public_tails_match_mpmath(self, t):
+        # chi_square_tail and log_chi_square_tail (at exp(log t), the threshold it
+        # evaluates) at m = 3 against 40-digit mpmath: Q within 4 (1 + kappa) ulp,
+        # kappa = t f(t) / Q, and within 2.5 times that of scipy's gammaincc; ln Q
+        # within that absolute plus 2 ulp of its own size
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+
+        def reference(s):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(s)
+                q = mpmath.gammainc(3, x, mpmath.inf, regularized=True)
+                kappa = x * mpmath.exp(-x) * x ** 2 / 2 / q
+                return float(q), float(mpmath.log(q)), 4.0 * (1.0 + float(kappa)) * eps
+
+        q, _, tol = reference(t)
+        got = chi_square_tail(t, 3)
+        assert abs(got - q) <= tol * q
+        assert abs(got - float(gammaincc(3, t))) <= 2.5 * tol * got
+        log_t = math.log(t)
+        _, log_q, tol = reference(math.exp(log_t))
+        assert abs(log_chi_square_tail(log_t, 3) - log_q) <= tol + 2.0 * eps * abs(log_q)
+
     def test_stirlerr_matches_mpmath(self):
         # the table is the rounded value; the series past it is within 2e-18 absolute
         mpmath = pytest.importorskip("mpmath")
