@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain errors (e.g. a non-closing support bound),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -371,6 +372,7 @@ def _cmd_bounds(cfg, model, mc, out_dir, args):
     return summary
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fading-capacity",

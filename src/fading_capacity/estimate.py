@@ -26,15 +26,14 @@ estimators stay Monte Carlo, its independent cross-check. It is batched
 (_ConditionalLaws.cross_quadratures): all inputs of a scan or a support are
 grouped by the node count their Gamma(M, c_x) law needs, each group is one
 array pass, and each row reduces on its own, so no value depends on the batch.
-Shell probabilities (_shell_probabilities) take inputs and radii in logs: when
-C(x) is a scalar matrix the mass is exact at any scale, from log-domain gamma
-tails; the other inputs share one draw of the shell stream.
+Shell probabilities (_shell_probabilities) take inputs and radii in logs and
+are exact at any scale on every channel: gamma tails when C(x) is a scalar
+matrix, else hypoexponential tails in the eigenvalues of C(x) (_hypoexp_tail).
 
-The integer-order gamma tails (chi_square_tail, log_chi_square_tail and the
-scalar-law shell masses) are sums of positive Poisson terms around the tail's
-largest one (_log_gamma_tail). They, the isotropic quadrature and its tail
-quantile (_tail_quantile) run on numpy and closed forms: this module never
-imports scipy.
+The integer-order gamma and the hypoexponential tails (chi_square_tail,
+log_chi_square_tail, all shell masses) are sums of positive Poisson terms
+(_poisson_terms). They, the isotropic quadrature and its tail quantile
+(_tail_quantile) run on numpy and closed forms: this module never imports scipy.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ _DEFAULT_BATCH = 50_000
 # Largest exponent allowed for a plain-domain scale (double overflows at ~709.8).
 _LOG_CAP = 700.0
 
-# Stream tags outside the per-atom index range.
+# Stream tag outside the per-atom index range.
 _CROSS_STREAM = 1 << 20
-_SHELL_STREAM = (1 << 20) + 1
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -80,8 +78,8 @@ class McConfig:
     """Sampling budget for one estimator call.
 
     samples counts draws per stream (per atom for mutual information); isotropic
-    streams split them over up to 64 radial strata, dense streams have a single
-    stratum. batch is the evaluation chunk (default min(samples, 50000)).
+    streams split them over up to 64 radial strata, dense streams have one. batch is
+    the evaluation chunk (default min(samples, 50000)); exact shell masses use neither.
     """
 
     samples: int
@@ -264,32 +262,71 @@ def _stirlerr(k: int) -> float:
 def _bd0(k: int, t: float) -> float:
     """k ln(k/t) + t - k, by its series in v = (k - t)/(k + t) near k = t (Loader 2000)."""
     if abs(k - t) >= 0.1 * (k + t):
-        return k * math.log(k / t) + t - k
+        x = t / k  # for x in [1/4, 2], k ((x - 1) - ln x) pays |t - k| ulp for x, not k ulp
+        return k * ((x - 1.0) - math.log(x)) if 0.25 <= x <= 2.0 else k * math.log(k / t) + t - k
     v = (k - t) / (k + t)
     return (k - t) * v + 2.0 * k * float(np.sum(v ** _BD0_ODD / _BD0_ODD))
+
+
+def _poisson_terms(t: float, k0: int, first: int, last) -> tuple[float, float, np.ndarray]:
+    """Poisson(t) masses p_k, k = first..last, as e^log_p / norm = p_k0 (Loader 2000) times
+    the ratios p_k / p_k0: running products of k / t below k0 and t / k above it."""
+    log_p, norm = ((-t, 1.0) if k0 == 0 else
+                   (-_stirlerr(k0) - _bd0(k0, t), math.sqrt(2.0 * math.pi * k0)))
+    down = np.cumprod(np.arange(k0, first, -1.0) / t)
+    up = np.cumprod(t / np.arange(k0 + 1.0, last + 1.0))
+    return log_p, norm, np.concatenate((down[::-1], [1.0], up))
 
 
 def _log_gamma_tail(m: int, t: float, upper: bool) -> float:
     """ln Q(m, t) (upper) or ln P(m, t): the Poisson(t) mass on k < m, or on k >= m.
 
-    The sum is anchored at the tail's largest term p_k0 = e^(-stirlerr(k0) - bd0(k0, t))
-    / sqrt(2 pi k0) (Loader 2000), the others are p_k0 times running products of k / t
-    below k0 and t / k above it, up to 10 sqrt(k0 + 1) + 20 terms a side: every term
-    past them is below e^-49 p_k0. No term is subtracted and p_k0 stays in logs: ln Q
-    is finite wherever Q is nonzero, and -t exactly at m = 1. P is for t below the mode.
+    The sum is anchored at the tail's largest term p_k0 (_poisson_terms), up to
+    10 sqrt(k0 + 1) + 20 terms a side: every term past them is below e^-49 p_k0. No
+    term is subtracted and p_k0 stays in logs: ln Q is finite wherever Q is nonzero,
+    and -t exactly at m = 1. P is for t below the mode; up to the mode, where Q is
+    near 1, ln Q is log1p(-P) from that smaller tail.
     """
     if t == 0.0:
         return 0.0 if upper else -math.inf
     if t == math.inf:
         return -math.inf if upper else 0.0
+    if upper and t <= m - 1:
+        return math.log1p(-math.exp(_log_gamma_tail(m, t, False)))
     lo, hi = (0, m - 1) if upper else (m, math.inf)
     k0 = int(min(max(math.floor(t), lo), hi))
-    log_p, norm = ((-t, 1.0) if k0 == 0 else
-                   (-_stirlerr(k0) - _bd0(k0, t), math.sqrt(2.0 * math.pi * k0)))
     w = int(10.0 * math.sqrt(k0 + 1.0)) + 20
-    down = np.cumprod(np.arange(k0, max(lo, k0 - w), -1.0) / t)
-    up = np.cumprod(t / np.arange(k0 + 1.0, min(hi, k0 + w) + 1.0))
-    return log_p + math.log(math.fsum(np.concatenate(([1.0], down, up))) / norm)
+    log_p, norm, terms = _poisson_terms(t, k0, max(lo, k0 - w), min(hi, k0 + w))
+    return log_p + math.log(math.fsum(terms) / norm)
+
+
+def _hypoexp_tail(mu: np.ndarray, tau: float, upper: bool, floor: float = 0.0) -> float:
+    """P(S > t) (upper) or P(S <= t), S = sum_m lam_m E_m with E_m ~ Exp(1) independent; mu
+    = lam / scale ascending, tau = t / lam_1. 0, unsummed, if a gamma tail bounding it <= floor.
+
+    Uniformization at rate 1 / lam_1 (Ross): P(S > t) = sum_k Pois(tau; k) P(G > k), G - M
+    a sum of Geometric(lam_1 / lam_m) counts on {0, 1, ...}, built by u_j = sum_i q^(j-i)
+    h_i in log2 passes of q^s u_(j-s). Terms are positive; they run to 2^-60 of the sum.
+    """
+    m = mu.size
+    if math.exp(_log_gamma_tail(m, tau * (mu[0] / mu[-1]) if upper else tau, upper)) <= floor:
+        return 0.0
+    last = int(tau + 10.0 * math.sqrt(tau + 1.0)) + 20 + m
+    while True:
+        h, surv = np.eye(1, last + 1 - m)[0], np.zeros(last + 1 - m)  # G - M = 0 before any count
+        for mu_m in mu[mu > mu[0]]:
+            q, p = (mu_m - mu[0]) / mu_m, mu[0] / mu_m
+            u, s, log_q = h.copy(), 1, math.log(q) if q < 0.5 else math.log1p(-p)
+            while s < u.size and (qs := math.exp(s * log_q)) > 0.0:
+                u[s:] += qs * u[:-s]
+                s *= 2
+            surv, h = surv + q * u, p * u
+        log_p, norm, pois = _poisson_terms(tau, int(tau), 0, last)
+        terms = pois * np.concatenate((np.ones(m), surv) if upper else (np.zeros(m), np.cumsum(h)))
+        total = math.fsum(terms)
+        if terms[-1] * terms[-1] <= 2.0 ** -60 * total * (terms[-2] - terms[-1]):
+            return math.exp(log_p) / norm * total
+        last *= 2
 
 
 def chi_square_tail(t: float, m: int) -> float:
@@ -604,55 +641,47 @@ def _shell_probabilities(model: ChannelModel, dirs: np.ndarray, log_norms: np.nd
     fit in a double. C(x) = noise_var I + ||x||^2 D(u) with D(u) = (I kron
     u^H) Sigma (I kron u); it is the scalar matrix c I, c = noise_var +
     ||x||^2 d with d the mean of D(u)'s diagonal, when ||x||^2 max|D(u) - d I|
-    <= 1e-9 c. That test and the mass are taken in logs: ||y||^2 / c is
-    Gamma(M, 1), so the mass is the difference of two gamma tails, exact with
-    std_error 0 at any scale: lower tails P if t2 <= M - 1, else upper tails
-    Q, the small ones away from the mode. All other inputs share the shell
-    stream, drawn once per batch: the squared radii ||L_x w||^2 of every
-    input come from one matmul of their coefficients with the batch's
-    monomials. Their squared norms must stay below e^700 (ScaleOverflowError).
+    <= 2^-50 c. That test and the mass are taken in logs: ||y||^2 / c is
+    Gamma(M, 1), so the mass is the difference of two gamma tails: lower
+    tails P if t2 <= M - 1, else upper tails Q, the small ones away from the
+    mode. Otherwise C(x) has eigenvalues ||x||^2 (d_m + noise_var / ||x||^2),
+    d_m those of D(u) (one batched eigvalsh), and the mass is a difference of
+    _hypoexp_tail values on one side of the mean, the smaller dropped when
+    bounded by 2^-60 of the larger. No ratio comes from logs of size ln ||x||.
     """
     m = model.M
     d = np.einsum("kn,mnpq,kq->kmp", dirs.conj(), model._sigma4, dirs)
     d_mean = np.mean(np.diagonal(d, axis1=1, axis2=2).real, axis=1)
     spread = np.max(np.abs(d - d_mean[:, None, None] * np.eye(m)), axis=(1, 2))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         log_c = np.logaddexp(math.log(model.noise_var), np.log(d_mean) + 2.0 * log_norms)
-        scalar = np.log(spread) + 2.0 * log_norms <= math.log(1e-9) + log_c
-    mc = np.flatnonzero(~scalar)
-    hits = np.zeros(len(dirs), dtype=np.int64)
-    if mc.size:
-        if np.any(2.0 * log_norms[mc] >= _LOG_CAP):
-            raise ScaleOverflowError("input squared norms exceed double range for Monte Carlo")
-        _, factors, _ = _conditional_covariances(model, np.exp(log_norms[mc])[:, None] * dirs[mc])
-        upper = np.triu_indices(m, 1)
-        coef = _norm_coefficients(factors, upper)
-        with np.errstate(over="ignore"):  # a radius past double range acts as infinite
-            rho = np.exp(log_rho[mc])
-        for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
-            w = _complex_standard_normals(derive_seed(cfg.seed, _SHELL_STREAM, b), nb, m)
-            r = np.sqrt(coef @ _monomials(w, upper))
-            hits[mc] += np.count_nonzero((r >= rho[:, :1]) & (r < rho[:, 1:]), axis=1)
-    n, out = cfg.samples, []
-    for is_scalar, lc, lr, h in zip(scalar, log_c, log_rho, hits):
+        scalar = np.log(spread) + 2.0 * log_norms <= math.log(2.0 ** -50) + log_c
+        mus = np.linalg.eigvalsh(d) + np.exp(math.log(model.noise_var) - 2.0 * log_norms)[:, None]
+    out = []
+    for is_scalar, lc, lr, log_x, mu in zip(scalar, log_c, log_rho, log_norms, mus):
         if is_scalar:
             t1, t2 = (math.exp(v) if v <= 709.0 else math.inf for v in 2.0 * lr - lc)
             upper_tails = t2 > m - 1
             q1, q2 = (math.exp(_log_gamma_tail(m, t, upper_tails)) for t in (t1, t2))
-            out.append(McEstimate(q1 - q2 if upper_tails else q2 - q1, 0.0, 0, cfg.seed))
+            mass = q1 - q2 if upper_tails else q2 - q1
         else:
-            p = float(h) / n
-            out.append(McEstimate(p, math.sqrt(p * (1.0 - p) * n / (n - 1) / n), n, cfg.seed))
+            tau1, tau2 = (math.exp(v) if v <= 709.0 else math.inf
+                          for v in 2.0 * (lr - log_x) - math.log(mu[0]))
+            upper_tails = tau2 > float(np.sum(mu / mu[0]))
+            a, b = (tau1, tau2) if upper_tails else (tau2, tau1)
+            qa = _hypoexp_tail(mu, a, upper_tails)
+            mass = qa - _hypoexp_tail(mu, b, upper_tails, 2.0 ** -60 * qa)
+        out.append(McEstimate(mass, 0.0, 0, cfg.seed))
     return out
 
 
 def shell_probability(model: ChannelModel, x, shell: OutputShell, cfg: McConfig) -> McEstimate:
     """Probability that ||y|| lands in [rho1, rho2) under y ~ p(.|x).
 
-    If C(x) is a scalar matrix (isotropic channels, M == 1, or any channel
-    along a direction u with D(u) scalar) the value is exact with std_error
-    0, via log-domain gamma tails; otherwise it is estimated by Monte Carlo
-    on the shell stream. It is the one-input case of _shell_probabilities.
+    Exact, with std_error 0 and samples 0, on every channel: gamma tails when
+    C(x) is a scalar matrix (isotropic channels, M == 1, or any channel along
+    a direction u with D(u) scalar), hypoexponential tails in the eigenvalues
+    of C(x) otherwise. It is the one-input case of _shell_probabilities.
     """
     x = _as_input(model, x)
     norm = float(np.linalg.norm(x))

@@ -134,8 +134,8 @@ def build_construction(model: ChannelModel, n: int, K: float,
 class FanoReport:
     """Per-shell detection audit plus the mutual-information side of the witness.
 
-    detections[i] is the probability that atom i's output lands in shell i
-    (exact with std_error 0 when C(x_i) is a scalar matrix);
+    detections[i] is the probability that atom i's output lands in shell i,
+    exact with std_error 0 and samples 0 on every channel;
     bounds[i] is the analytic floor F_i (e^{-a_i r_i^2} - e^{-a_i r_(i+1)^2}).
     mutual_info is I(mu_n; W) of the uniform atom measure, exact on isotropic
     channels, and None when the atoms are not representable in plain doubles.
@@ -170,10 +170,9 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
     """Audit every shell against its analytic floor and the constant lambda.
 
     Each detection is _shell_probabilities on the atom's direction, ln K_i
-    and its shell's log radii, so no scale leaves the log domain: exact
-    whenever C(x_i) is a scalar matrix; otherwise Monte Carlo, which requires
-    the atoms to be representable in plain doubles and counts all n shells on
-    one draw of the shell stream. The MI is estimate._mutual_information's.
+    and its shell's log radii, so no scale leaves the log domain: exact on
+    every channel, for atoms past double range too, and drawn from no
+    stream. The MI is estimate._mutual_information's.
     """
     dirs = np.broadcast_to(fc.direction, (fc.n, fc.direction.size))
     log_rho = np.column_stack((fc.log_r[:-1], fc.log_r[1:]))

@@ -231,3 +231,34 @@ def importance_normalization(model, x, samples, seed):
     est = float(np.mean(ratio))
     se = float(np.std(ratio, ddof=1) / math.sqrt(samples))
     return est, se
+
+
+def hypoexponential_shell_mass(d, noise_var, log_norm, log_rho1, log_rho2, dps=80):
+    """P(rho1 <= ||y|| < rho2) for y ~ CN(0, C), C with eigenvalues noise_var + ||x||^2 d_m.
+
+    ||y||^2 = sum_m lam_m E_m with E_m ~ Exp(1), and for distinct lam_m its tail is
+    the partial-fraction sum sum_m e^(-t / lam_m) prod_(n != m) lam_m / (lam_m - lam_n).
+    The sum cancels as the lam_m meet (about -log10 of their relative gap digits per
+    factor), so it is evaluated in mpmath at dps digits from the exact double inputs:
+    the eigenvalues d_m of D(u), ln ||x|| and the log radii (+-inf allowed).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        scale = mpmath.exp(2 * mpmath.mpf(log_norm))
+        lam = [mpmath.mpf(noise_var) + scale * mpmath.mpf(v) for v in d]
+
+        def tail(log_rho):
+            if log_rho == math.inf:
+                return mpmath.mpf(0)
+            t = mpmath.exp(2 * mpmath.mpf(log_rho))
+            total = mpmath.mpf(0)
+            for i, a in enumerate(lam):
+                term = mpmath.exp(-t / a)
+                for j, b in enumerate(lam):
+                    if j != i:
+                        term *= a / (a - b)
+                total += term
+            return total
+
+        return float(tail(log_rho1) - tail(log_rho2))

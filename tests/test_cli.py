@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fading_capacity import DiscreteMeasure, log_density
 from fading_capacity.cli import run
+from conftest import random_hermitian_pd
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCALAR_CHANNEL = {"M": 1, "N": 1, "noise_var": 1.0,
                   "sigma": {"type": "isotropic", "var": 1.0}}
@@ -103,6 +110,29 @@ class TestFanoCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["lambda_impl"] == summary["lambda_paper"] == 0.0
         assert summary["meets_lambda"] is True
+
+
+    def test_dense_channel_exact_and_reproducible(self, tmp_path, capsys):
+        # dense 2x2 fading: every detection is an exact hypoexponential mass (se 0)
+        sigma = random_hermitian_pd(np.random.default_rng(2024), 4)
+        channel = {"M": 2, "N": 2, "noise_var": 1.0,
+                   "sigma": {"type": "dense", "re": sigma.real.tolist(),
+                             "im": sigma.imag.tolist()}}
+        cfg = write_config(tmp_path, "cfg.json", {"channel": channel, "seed": 3,
+                                                  "mc": {"samples": 2000}})
+        lines, outs = [], []
+        for d in ("o1", "o2"):
+            assert run(["fano", "--config", cfg, "--out", str(tmp_path / d), "--n", "3"]) == 0
+            lines.append(capsys.readouterr().out)
+            outs.append(read_outputs(tmp_path / d))
+        assert lines[0] == lines[1] and outs[0] == outs[1]
+        summary = json.loads(lines[0])
+        assert summary["meets_lambda"] is True
+        rows = (tmp_path / "o1" / "fano_shells.csv").read_text().splitlines()
+        assert rows[0] == "shell,r,bound,detection,se" and len(rows) == 4
+        for row in rows[1:]:
+            _, _, bound, detection, se = map(float, row.split(","))
+            assert se == 0.0 and detection >= bound
 
 
 class TestFanoMargins:
@@ -207,6 +237,28 @@ class TestOptimizeCommands:
         rows = (tmp_path / "out" / "capacity_curve.csv").read_text().splitlines()
         assert rows[0] == "a,capacity,se,gamma,converged"
         assert len(rows) == 3
+
+
+class TestParserReuse:
+    def test_error_exit_leaves_later_runs_unchanged(self, tmp_path, capsys):
+        # the parser is built once per process; an argparse error exit between two
+        # in-process runs leaves the second one's output equal to a fresh process's
+        cfg = write_config(tmp_path, "cfg.json", {"channel": SCALAR_CHANNEL, "seed": 3,
+                                                  "mc": {"samples": 1000}})
+        argv = ["fano", "--config", cfg, "--n", "2", "--K", "2"]
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from fading_capacity.cli import run; "
+                                   "sys.exit(run(sys.argv[1:]))",
+             *argv, "--out", str(tmp_path / "fresh")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert fresh.returncode == 0, fresh.stderr
+        assert run(argv + ["--out", str(tmp_path / "first")]) == 0
+        assert run(["fano", "--config", cfg, "--n", "two"]) == 2
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "second")]) == 0
+        assert capsys.readouterr().out == fresh.stdout
+        assert read_outputs(tmp_path / "second") == read_outputs(tmp_path / "fresh")
 
 
 class TestErrorPaths:

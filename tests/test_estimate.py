@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
                                       _shell_probabilities, _stirlerr, _stratified_radii_sq,
                                       _weighted_mix)
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
-from oracles import ScalarRadialOracle
+from oracles import ScalarRadialOracle, hypoexponential_shell_mass
 
 ORACLE = ScalarRadialOracle(1.0, 1.0)
 
@@ -114,6 +115,23 @@ class TestGammaTails:
         log_t = math.log(t)
         _, log_q, tol = reference(math.exp(log_t))
         assert abs(log_chi_square_tail(log_t, 3) - log_q) <= tol + 2.0 * eps * abs(log_q)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 64])
+    def test_log_upper_tail_near_one_matches_mpmath(self, m):
+        # up to the mode Q is near 1 and ln Q = log1p(-P): within 1e-14 relative of
+        # 60-digit mpmath, or 2 |ln P| ulp where the double ln P alone is |ln P| / 2
+        # ulp off (from ln P ~ -68 on: m = 8 at t = 7e-4, m = 64 at t <= 6.3)
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        ts = [0.001] + [f * (m - 1) for f in (1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)]
+        for t in ts:
+            with mpmath.workdps(60):
+                p = mpmath.gammainc(m, 0, mpmath.mpf(t), regularized=True)
+                ref, log_p = float(mpmath.log1p(-p)), float(mpmath.log(p))
+            got = _log_gamma_tail(m, t, True)
+            assert abs(got - ref) <= max(1e-14, 2.0 * eps * abs(log_p)) * abs(ref), t
+        for t in (1e-3, 0.5, 4.0, 40.0):
+            assert _log_gamma_tail(1, t, True) == -t
 
     def test_stirlerr_matches_mpmath(self):
         # the table is the rounded value; the series past it is within 2e-18 absolute
@@ -573,9 +591,9 @@ class TestShellProbability:
         assert est.std_error == 0.0
         assert est.value == pytest.approx(expected, abs=1e-12)
 
-    def test_mc_path_close_to_radial_closed_form(self):
-        # a hair of anisotropy forces the MC path; the exact radial value of
-        # the unperturbed channel is correct to ~1e-6
+    def test_near_isotropic_mass_matches_mpmath(self):
+        # a hair of anisotropy takes the hypoexponential path: exact against the
+        # partial-fraction oracle, and within 1e-6 of the unperturbed radial value
         sigma = np.diag([1.0, 1.0 + 1e-6])
         model = ChannelModel(2, 1, 1.0, sigma[:2, :2])
         x = [2.0 + 0j]
@@ -583,8 +601,11 @@ class TestShellProbability:
         est = shell_probability(model, x, shell, McConfig(50_000, seed=3))
         iso = ChannelModel.isotropic(2, 1, 1.0, 1.0)
         exact = shell_probability(iso, x, shell, McConfig(1000, seed=1))
-        assert est.std_error > 0.0
-        assert abs(est.value - exact.value) <= 3 * est.std_error + 1e-5
+        ref = hypoexponential_shell_mass([1.0, 1.0 + 1e-6], 1.0, math.log(2.0), 0.0,
+                                         math.log(3.0))
+        assert est.std_error == 0.0 and est.samples == 0
+        assert abs(est.value - ref) <= 1e-15
+        assert abs(est.value - exact.value) <= 1e-6
 
     def test_partition_sums_to_one_exact_path(self, scalar_model):
         x = [3.0 + 0j]
@@ -595,7 +616,7 @@ class TestShellProbability:
                     for a, b in zip(edges[:-1], edges[1:]))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_partition_sums_to_one_mc_path(self):
+    def test_partition_sums_to_one_dense_path(self):
         sigma = np.diag([1.0, 1.5])
         model = ChannelModel(2, 1, 1.0, sigma)
         x = [1.0 + 0j]
@@ -603,9 +624,13 @@ class TestShellProbability:
         cfg = McConfig(30_000, seed=4)
         ests = [shell_probability(model, x, OutputShell(a, b), cfg)
                 for a, b in zip(edges[:-1], edges[1:])]
-        total = sum(e.value for e in ests)
-        pooled = math.sqrt(sum(e.std_error ** 2 for e in ests))
-        assert abs(total - 1.0) <= 3 * pooled + 1e-12
+        assert all(e.std_error == 0.0 and e.samples == 0 for e in ests)
+        assert abs(sum(e.value for e in ests) - 1.0) <= 1e-14
+        with np.errstate(divide="ignore"):
+            log_edges = np.log(edges)
+        for e, lr1, lr2 in zip(ests, log_edges[:-1], log_edges[1:]):
+            assert abs(e.value - hypoexponential_shell_mass([1.0, 1.5], 1.0, 0.0,
+                                                            lr1, lr2)) <= 1e-15
 
     @pytest.mark.parametrize("m", [1, 8, 32, 64])
     def test_scalar_law_masses_match_mpmath(self, m):
@@ -627,6 +652,57 @@ class TestShellProbability:
                 assert abs(est.value - float(ref)) <= 1e-15
 
 
+class TestHypoexponentialShells:
+    @staticmethod
+    def _masses(M, N, d, log_norm, fractions, sigma_rest=2.0):
+        """Masses of the shells between fractions of E||y||^2 along e0 of a diagonal
+        Sigma whose (m, 0) entries are d: D(e0) = diag(d) exactly."""
+        sigma = np.full(M * N, sigma_rest)
+        sigma[::N] = d
+        model = ChannelModel(M, N, 1.0, np.diag(sigma).astype(complex))
+        log_mean = float(np.logaddexp.reduce(np.logaddexp(0.0, np.log(d) + 2.0 * log_norm)))
+        with np.errstate(divide="ignore"):
+            edges = 0.5 * (np.log(fractions) + log_mean)
+        log_rho = np.column_stack((edges[:-1], edges[1:]))
+        k = len(log_rho)
+        dirs = np.zeros((k, N), complex)
+        dirs[:, 0] = 1.0
+        got = _shell_probabilities(model, dirs, np.full(k, log_norm), log_rho,
+                                   McConfig(1000, seed=1))
+        return got, log_rho
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("M, N", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_masses_match_partial_fractions(self, M, N, gap):
+        # relative eigenvalue gaps of D(u) from 1e-2 to 1e-12, and ln ||x|| from -1 to
+        # 87, where ratios of eigenvalues taken from their logs would be 2e-14 off
+        pytest.importorskip("mpmath")
+        d = 1.0 + gap * np.arange(M) * (1.0 + 0.5 * np.arange(M))
+        fractions = [0.0, 0.05, 0.3, 0.7, 1.0, 1.3, 2.0, 4.0, 8.0, math.inf]
+        for log_norm in (-1.0, 0.0, 3.0, 40.0, 87.0):
+            got, log_rho = self._masses(M, N, d, log_norm, fractions)
+            assert abs(sum(e.value for e in got) - 1.0) <= 1e-14
+            for est, (lr1, lr2) in zip(got, log_rho):
+                ref = hypoexponential_shell_mass(d, 1.0, log_norm, lr1, lr2)
+                assert est.std_error == 0.0 and est.samples == 0
+                assert type(est.value) is float
+                assert abs(est.value - ref) <= 1e-15, (log_norm, lr1, lr2)
+
+    def test_condition_number_1e3(self, record_property):
+        # kappa(Sigma) = 1e3: G has mean up to M kappa, so the sums run to a few
+        # thousand Poisson terms; the time is recorded, not bounded
+        pytest.importorskip("mpmath")
+        d = np.array([1.0, 30.0, 1000.0])
+        fractions = [0.0, 0.01, 0.3, 1.0, 3.0, 10.0, math.inf]
+        start = time.perf_counter()
+        got, log_rho = self._masses(3, 1, d, 1.0, fractions)
+        seconds = time.perf_counter() - start
+        record_property("seconds", seconds)
+        print(f"kappa 1e3: {len(got)} shell masses in {seconds * 1e3:.1f} ms")
+        for est, (lr1, lr2) in zip(got, log_rho):
+            assert abs(est.value - hypoexponential_shell_mass(d, 1.0, 1.0, lr1, lr2)) <= 1e-15
+
+
 class TestBatchedShells:
     def test_equals_one_call_per_input(self):
         model = random_model(np.random.default_rng(11), 2, 2)
@@ -645,8 +721,8 @@ class TestBatchedShells:
                                            np.log([[s.rho1, s.rho2] for s in shells]), cfg)
         single = [shell_probability(model, x, s, cfg) for x, s in zip(xs, shells)]
         assert batched == single
-        assert batched[0].std_error == 0.0 and batched[0].samples == 0
-        assert all(0.0 < e.value < 1.0 and e.samples == 1000 for e in batched[1:])
+        assert all(e.std_error == 0.0 and e.samples == 0 for e in batched)
+        assert all(0.0 < e.value < 1.0 for e in batched)
 
 
 class TestErrorScaling:

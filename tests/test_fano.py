@@ -7,6 +7,7 @@ from fading_capacity import (ChannelModel, McConfig, OutputShell, ScaleOverflowE
                              build_construction, detection_report,
                              estimate, find_sufficient_K, lambda_constant,
                              mutual_information, shell_probability)
+from oracles import hypoexponential_shell_mass
 
 CFG = McConfig(samples=5000, seed=33)
 
@@ -124,13 +125,17 @@ class TestDetectionReport:
             for det, bnd in zip(report.detections, report.bounds):
                 assert det.value >= bnd - 3 * det.std_error - 1e-12
 
-    def test_monte_carlo_path_for_anisotropic_fading(self):
+    def test_anisotropic_detections_are_exact(self):
         model = model_with_eigs([0.8, 1.4], M=2, N=1)
         fc = build_construction(model, n=2, K=2.0)
         report = detection_report(model, fc, McConfig(samples=20_000, seed=9))
-        assert all(d.std_error > 0 for d in report.detections)
+        assert all(d.std_error == 0.0 and d.samples == 0 for d in report.detections)
         for det, bnd in zip(report.detections, report.bounds):
-            assert det.value >= bnd - 3 * det.std_error
+            assert det.value >= bnd
+        for i, det in enumerate(report.detections):
+            ref = hypoexponential_shell_mass([0.8, 1.4], 1.0, fc.log_k[i], fc.log_r[i],
+                                             fc.log_r[i + 1])
+            assert abs(det.value - ref) <= 1e-15
 
     @pytest.mark.parametrize("n, K", [(2, 2.0), (3, 4.0)])
     @pytest.mark.parametrize("model", [
@@ -147,28 +152,32 @@ class TestDetectionReport:
             want = shell_probability(model, x, OutputShell(radii[i], radii[i + 1]), CFG)
             assert det == want and det.std_error == 0.0
 
-    def test_monte_carlo_path_needs_representable_atoms(self):
-        # n 2^n ln K = 691 passes the construction cap, but the atom K^2 has
-        # ||x||^2 = 1e600: too large for the plain-domain Monte Carlo path,
-        # while the exact path never leaves logs
+    def test_dense_detection_needs_no_representable_atoms(self):
+        # n 2^n ln K = 691 passes the construction cap, and the atom K^2 has
+        # ||x||^2 = 1e600: past double range, but no shell mass leaves logs
         model = model_with_eigs([0.8, 1.4], M=2, N=1)
-        with pytest.raises(ScaleOverflowError):
-            detection_report(model, build_construction(model, n=1, K=1e150), CFG)
+        fc = build_construction(model, n=1, K=1e150)
+        report = detection_report(model, fc, CFG)
+        det = report.detections[0]
+        assert report.mutual_info is None and det.std_error == 0.0
+        ref = hypoexponential_shell_mass([0.8, 1.4], 1.0, fc.log_k[0], fc.log_r[0], fc.log_r[1])
+        assert 0.0 < det.value < 1.0 and abs(det.value - ref) <= 1e-15
         iso = ChannelModel.isotropic(2, 1, 1.0, 1.0)
         report = detection_report(iso, build_construction(iso, n=1, K=1e150), CFG)
         assert 0.0 < report.detections[0].value < 1.0
 
-    def test_shell_stream_drawn_once_per_batch(self, monkeypatch):
+    def test_dense_detections_draw_no_normals(self, monkeypatch):
         model = model_with_eigs([0.8, 1.4], M=2, N=1)
         fc = build_construction(model, n=3, K=2.0)
-        seeds = []
-        draw = estimate._complex_standard_normals
-        monkeypatch.setattr(estimate, "_complex_standard_normals",
-                            lambda seed, *a: seeds.append(seed) or draw(seed, *a))
+
+        def no_draws(*args):
+            raise AssertionError("a shell mass drew normals")
+
+        monkeypatch.setattr(estimate, "_complex_standard_normals", no_draws)
         report = detection_report(model, fc, McConfig(1000, seed=9, batch=300),
                                   include_mi=False)
         assert len(report.detections) == 3
-        assert len(seeds) == 4 == len(set(seeds))
+        assert all(d.std_error == 0.0 and d.samples == 0 for d in report.detections)
 
     def test_mutual_information_grows_with_n(self, scalar_model):
         K = find_sufficient_K(scalar_model, 3, CFG)

@@ -5,9 +5,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The benchmark's scalar-curve and mimo-certify calls, gamma tails and shell masses
-# at M = 1 and M = 3, and the fano CLI on an isotropic 3x2 channel, in a fresh
-# interpreter: none of them may load scipy.
+# The benchmark's scalar-curve and mimo-certify calls, gamma tails, shell masses at
+# M = 1, M = 3 and on a dense 2x2 channel, a dense Fano detection audit, and the fano
+# CLI on an isotropic 3x2 channel, in a fresh interpreter: none may load scipy.
 SCIPY_FREE = """
 import contextlib
 import io
@@ -37,6 +37,8 @@ fc.kkt_scan(dense, mu, fc.KktContext(0.1, 1.0, 0.2),
             fc.radial_scan_grid(dense, 8.0, points_per_decade=2, n_directions=2), cfg)
 
 fc.shell_probability(scalar, [1.0 + 0j], fc.OutputShell(0.5, 2.0), cfg)
+fc.shell_probability(dense, [1.0 + 0.5j, -0.5j], fc.OutputShell(0.5, 2.0), cfg)
+fc.detection_report(dense, fc.build_construction(dense, 3, 2.0), cfg, include_mi=False)
 fc.chi_square_tail(4.0, 3)
 fc.log_chi_square_tail(1.0, 3)
 iso = fc.ChannelModel.isotropic(3, 2, 1.0, 1.0)
