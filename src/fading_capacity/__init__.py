@@ -2,7 +2,8 @@
 
 Evaluates the conditional channel law, optimizes discrete input measures
 under an average power constraint, certifies first-order optimality with
-Monte Carlo KKT scans and analytic shell bounds, and builds the
+KKT scans (radial quadrature, SE 0, on isotropic channels; seeded Monte
+Carlo on dense ones) and analytic shell bounds, and builds the
 shell-decoder witness showing the power multiplier stays positive (hence
 the optimal input support is bounded). All information quantities are in
 nats; all stochastic results are seeded and reproducible.

@@ -9,11 +9,6 @@ signal-dependent quadratic form of the fading covariance:
 
 All densities are handled in the log domain (nats); the extreme input scales
 produced by the shell-decoder constructions make plain densities underflow.
-
-scipy.linalg is imported on first use, by solve_triangular: only quad_forms
-(log_density, log_densities, the CLI's density command) solves against a
-Cholesky factor. The estimators work on inverse factors instead, so the
-rest of the package never loads it, and a fresh process starts without it.
 """
 
 from __future__ import annotations
@@ -31,6 +26,11 @@ LOG_PI_E = math.log(math.pi) + 1.0
 HERMITIAN_ATOL = 1e-12
 
 _U64 = (1 << 64) - 1
+
+
+def _check_positive_int(value, name: str) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def eigen_bounds(sigma) -> tuple[float, float]:
@@ -70,10 +70,8 @@ class ChannelModel:
     """
 
     def __init__(self, M: int, N: int, noise_var: float, sigma):
-        if not (isinstance(M, (int, np.integer)) and M >= 1):
-            raise ValueError(f"M must be a positive integer, got {M!r}")
-        if not (isinstance(N, (int, np.integer)) and N >= 1):
-            raise ValueError(f"N must be a positive integer, got {N!r}")
+        _check_positive_int(M, "M")
+        _check_positive_int(N, "N")
         noise_var = float(noise_var)
         if not (noise_var > 0.0 and math.isfinite(noise_var)):
             raise ValueError(f"noise_var must be positive and finite, got {noise_var!r}")
@@ -140,17 +138,19 @@ def _as_input(model: ChannelModel, x) -> np.ndarray:
     return _as_inputs(model, [x])[0]
 
 
-def _as_outputs(model: ChannelModel, y) -> np.ndarray:
-    y = np.atleast_2d(np.asarray(y, dtype=complex))
-    if y.shape[-1] != model.M:
-        raise ValueError(f"output must have dimension {model.M}, got {y.shape}")
+def _as_output(model: ChannelModel, y) -> np.ndarray:
+    """(1, M) array of the one output y, flattened; checked as _as_inputs checks inputs."""
+    y = np.asarray(y, dtype=complex).reshape(1, -1)
+    if y.shape[1] != model.M:
+        raise ValueError(f"output must be one vector of dimension {model.M}, got {y.size} entries")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("output has non-finite entries")
     return y
 
 
-def solve_triangular(a, b, **kwargs):
-    """scipy.linalg.solve_triangular, imported on the first call (see the module docstring)."""
-    from scipy.linalg import solve_triangular as solve
-    return solve(a, b, **kwargs)
+def solve_triangular(a, b):
+    """a^{-1} b for a Cholesky factor a (M, M) and b (M, n): the solve behind quad_forms."""
+    return np.linalg.solve(a, b)
 
 
 def input_norm_sq(x) -> float:
@@ -177,8 +177,7 @@ class ConditionalCovariance:
 
     def quad_forms(self, outputs) -> np.ndarray:
         """Row-wise y^H C^{-1} y for outputs of shape (n, M)."""
-        z = solve_triangular(self.factor, np.atleast_2d(outputs).T, lower=True,
-                             check_finite=False)
+        z = solve_triangular(self.factor, np.atleast_2d(outputs).T)
         return np.sum(np.abs(z) ** 2, axis=0)
 
     def log_densities(self, outputs) -> np.ndarray:
@@ -212,9 +211,8 @@ def conditional_covariance(model: ChannelModel, x) -> ConditionalCovariance:
 
 def log_density(model: ChannelModel, y, x) -> float:
     """ln p(y|x) = -y^H C(x)^{-1} y - M ln(pi) - ln det C(x), in nats."""
-    y = _as_outputs(model, y)
-    cov = conditional_covariance(model, x)
-    return float(cov.log_densities(y)[0])
+    y = _as_output(model, y)
+    return float(conditional_covariance(model, x).log_densities(y)[0])
 
 
 def conditional_entropy(model: ChannelModel, x) -> float:

@@ -16,8 +16,8 @@ quantile (_gamma_quantile), each half solved on its own tail's finite sum.
 One sample path serves the estimators, and kkt_scan and the optimizer on
 dense channels: a _ConditionalLaws object draws each stream (keeping the
 last one's draws), forms component-major (atoms x samples) log densities and
-reduces them with the mixture kernel _weighted_mix, so all callers agree bit
-for bit. On dense channels y = L_x w with w standard normal, so log
+reduces them with the mixture kernel measure._weighted_mix, so all callers
+agree bit for bit. On dense channels y = L_x w with w standard normal, so log
 densities and ||y||^2 are quadratic forms in w: one small matmul of their
 coefficients with each batch's cached monomials of w. On isotropic channels
 kkt_scan, the optimizer and the Fano report's I(mu) integrate ln f_mu, a
@@ -33,7 +33,8 @@ matrix, else hypoexponential tails in the eigenvalues of C(x) (_hypoexp_tail).
 The integer-order gamma and the hypoexponential tails (chi_square_tail,
 log_chi_square_tail, all shell masses) are sums of positive Poisson terms
 (_poisson_terms). They, the isotropic quadrature and its tail quantile
-(_tail_quantile) run on numpy and closed forms: this module never imports scipy.
+(_tail_quantile) run on numpy and closed forms, as does the whole package:
+numpy is its only dependency.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_U64, ChannelModel, _as_input, _complex_standard_normals,
-                      _conditional_covariances, conditional_covariance,
-                      conditional_entropy)
+from .channel import (_U64, ChannelModel, _as_input, _check_positive_int,
+                      _complex_standard_normals, _conditional_covariances,
+                      conditional_covariance, conditional_entropy)
 from .errors import NotConvergedError, ScaleOverflowError
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _weighted_mix
 
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm: n * hi exact, |n| < 2^21
 
@@ -202,22 +203,6 @@ def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
     return ids, _gamma_quantile(m, (ids + u) / n_strata, (n_strata - ids - u) / n_strata)
 
 
-def _weighted_mix(logp: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Column-wise ln sum_j w_j exp(logp[j, :]), shift-stabilized.
-
-    logp is component-major, (k, n): one row per atom, one column per
-    sample, so the shift is a reduction over the short axis. Zero-weight
-    rows are dropped before the shift, so they cannot drag it and underflow
-    the whole column.
-    """
-    if np.any(weights <= 0.0):
-        keep = weights > 0.0
-        logp = logp[keep]
-        weights = weights[keep]
-    amax = np.max(logp, axis=0)
-    return amax + np.log(weights @ np.exp(logp - amax))
-
-
 def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[float, float]:
     """Mean and SE of the mixture log density over (stratum ids, logp)
     batches; the mean averages the equiprobable strata's. One stratum (the
@@ -335,6 +320,7 @@ def chi_square_tail(t: float, m: int) -> float:
     This is the regularized upper incomplete gamma function Q(m, t) of
     integer order m, summed from its Poisson terms (_log_gamma_tail).
     """
+    _check_positive_int(m, "m")
     if not t >= 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     return math.exp(_log_gamma_tail(m, t, True))
@@ -346,6 +332,7 @@ def log_chi_square_tail(log_t: float, m: int) -> float:
     Nothing underflows (_log_gamma_tail): the value is finite wherever the
     tail is, up to t = e^709 (-inf past it), and -t exactly for m = 1.
     """
+    _check_positive_int(m, "m")
     if math.isnan(log_t):
         raise ValueError("log threshold must not be NaN")
     return _log_gamma_tail(m, math.exp(log_t) if log_t <= 709.0 else math.inf, True)

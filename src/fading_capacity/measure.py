@@ -1,8 +1,7 @@
 """Discrete input measures, power functional, input shells, mixture density.
 
-mixture_log_density imports scipy.special.logsumexp on first use: it is a
-pointwise check of the mixture law that no estimator calls, so importing the
-package does not load scipy.special.
+_weighted_mix is the package's one mixture kernel: mixture_log_density and
+every estimator reduce ln f_mu = ln sum_j w_j p(y|x_j) through it.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, _as_outputs, conditional_covariance
+from .channel import ChannelModel, _as_output, conditional_covariance
 
 WEIGHT_SUM_ATOL = 1e-12
 ATOM_DISTINCT_SQ = 1e-18
@@ -127,15 +126,30 @@ def shell_mass(mu: DiscreteMeasure, shell: InputShell) -> float:
     return float(mu.weights[inside].sum())
 
 
+def _weighted_mix(logp: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Column-wise ln sum_j w_j exp(logp[j, :]), shift-stabilized.
+
+    logp is component-major, (k, n): one row per atom, one column per
+    sample, so the shift is a reduction over the short axis. Zero-weight
+    rows are dropped before the shift, so they cannot drag it and underflow
+    the whole column.
+    """
+    if np.any(weights <= 0.0):
+        keep = weights > 0.0
+        logp = logp[keep]
+        weights = weights[keep]
+    amax = np.max(logp, axis=0)
+    return amax + np.log(weights @ np.exp(logp - amax))
+
+
 def mixture_log_density(model: ChannelModel, mu: DiscreteMeasure, y) -> float:
-    """ln f_mu(y) = ln sum_i w_i p(y|x_i), via log-sum-exp over atoms."""
+    """ln f_mu(y) = ln sum_i w_i p(y|x_i), reduced by the mixture kernel _weighted_mix."""
     if mu.dim != model.N:
         raise ValueError(f"measure dimension {mu.dim} != channel input dimension {model.N}")
-    y = _as_outputs(model, y)
+    y = _as_output(model, y)
     logp = np.array([conditional_covariance(model, a).log_densities(y)[0]
                      for a in mu.atoms])
-    from scipy.special import logsumexp
-    return float(logsumexp(logp, b=mu.weights))
+    return float(_weighted_mix(logp[:, None], mu.weights)[0])
 
 
 def prune_weights(mu: DiscreteMeasure, floor: float = PRUNE_FLOOR) -> DiscreteMeasure:

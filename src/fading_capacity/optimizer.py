@@ -28,10 +28,9 @@ import numpy as np
 
 from .channel import ChannelModel, conditional_entropy
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _information,
-                       _mutual_information, _stratified_moments, _weighted_mix,
-                       derive_seed)
+                       _mutual_information, _stratified_moments, derive_seed)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
-from .measure import DiscreteMeasure, PowerConstraint, average_power
+from .measure import DiscreteMeasure, PowerConstraint, _weighted_mix, average_power
 
 # tail atoms equilibrate at astronomically small weights (a 1e-9 mass can lift
 # the optimality functional by 0.1 nats in its own far region), so the

@@ -32,6 +32,23 @@ def kron_conditional_covariance(sigma, x, M, N, noise_var):
     return out
 
 
+def mp_mixture_log_density(covs, weights, y, dps=40):
+    """ln sum_j w_j p(y|x_j) with p(y|x_j) = exp(-y^H C_j^{-1} y) / (pi^M det C_j), in
+    mpmath at dps digits from the double covariances C_j; one C_j (weight 1) gives
+    -y^H C^{-1} y - M ln pi - ln det C."""
+    import mpmath
+    with mpmath.workdps(dps):
+        yv = mpmath.matrix([mpmath.mpc(v) for v in np.asarray(y, dtype=complex).reshape(-1)])
+        total = mpmath.mpf(0)
+        for c, w in zip(covs, weights):
+            cm = mpmath.matrix([[mpmath.mpc(v) for v in row]
+                                for row in np.asarray(c, dtype=complex)])
+            quad = mpmath.re((yv.H * mpmath.lu_solve(cm, yv))[0])
+            norm = mpmath.pi ** len(yv) * mpmath.re(mpmath.det(cm))
+            total += mpmath.mpf(float(w)) * mpmath.exp(-quad) / norm
+        return float(mpmath.log(total))
+
+
 def _det_recursive(a):
     n = a.shape[0]
     if n == 1:

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from scipy.linalg import solve_triangular
-
 from fading_capacity import (ChannelModel, InvalidCovarianceError,
                              conditional_covariance, conditional_entropy,
                              eigen_bounds, log_density, sample_output)
 from conftest import random_hermitian_pd, random_input, random_model
 from oracles import charpoly_eigenvalues, importance_normalization, \
-    kron_conditional_covariance
+    kron_conditional_covariance, mp_mixture_log_density
 
 LOG_PI = math.log(math.pi)
 
@@ -120,15 +118,26 @@ class TestLogDensity:
             log_density(model, y, x2), abs=1e-12)
 
 
-    def test_dense_equals_direct_triangular_solve(self):
-        # scipy.linalg is imported inside the call; the value is its own solve
+    def test_dense_matches_mpmath(self):
+        # -y^H C^{-1} y - M ln pi - ln det C in 40 digits, C from the Kronecker loops
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 2)
         x, y = random_input(rng, 2), random_input(rng, 3)
-        cov = conditional_covariance(model, x)
-        z = solve_triangular(cov.factor, y[:, None], lower=True, check_finite=False)
-        want = -np.sum(np.abs(z) ** 2, axis=0)[0] - (3 * LOG_PI + cov.log_det)
-        assert log_density(model, y, x) == want
+        cov = kron_conditional_covariance(model.sigma, x, 3, 2, model.noise_var)
+        want = mp_mixture_log_density([cov], [1.0], y)
+        assert log_density(model, y, x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_rejects_several_outputs(self):
+        # only the first row was evaluated, and the second silently dropped
+        model = ChannelModel.isotropic(2, 1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="one vector"):
+            log_density(model, [[0.1, 0.2], [5.0, 5.0]], [1.0])
+
+    def test_rejects_non_finite_output(self):
+        model = ChannelModel.isotropic(2, 1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            log_density(model, [0.1, math.nan], [1.0])
 
 
 class TestSampleOutput:

@@ -16,8 +16,8 @@ from fading_capacity import (ChannelModel, DiscreteMeasure,
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
                                       _gamma_quantile, _log_gamma_tail, _mutual_information,
-                                      _shell_probabilities, _stirlerr, _stratified_radii_sq,
-                                      _weighted_mix)
+                                      _shell_probabilities, _stirlerr, _stratified_radii_sq)
+from fading_capacity.measure import _weighted_mix
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle, hypoexponential_shell_mass
 
@@ -153,6 +153,14 @@ class TestGammaTails:
     def test_nan_log_threshold_rejected(self):
         with pytest.raises(ValueError):
             log_chi_square_tail(math.nan, 3)
+
+    @pytest.mark.parametrize("m", [2.5, 0, -2, 3.0])
+    def test_order_must_be_a_positive_integer(self, m):
+        # 2.5 gave Q(2, 1) and 0, -2 a bare "math domain error"
+        with pytest.raises(ValueError, match="positive integer"):
+            chi_square_tail(1.0, m)
+        with pytest.raises(ValueError, match="positive integer"):
+            log_chi_square_tail(0.0, m)
 
 
 class TestMutualInformation:

@@ -6,8 +6,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The benchmark's scalar-curve and mimo-certify calls, gamma tails, shell masses at
-# M = 1, M = 3 and on a dense 2x2 channel, a dense Fano detection audit, and the fano
-# CLI on an isotropic 3x2 channel, in a fresh interpreter: none may load scipy.
+# M = 1, M = 3 and on a dense 2x2 channel, a dense Fano detection audit, the dense
+# density paths, and the fano CLI on an isotropic 3x2 channel and the density CLI on a
+# dense 2x2 one, in a fresh interpreter: none may load scipy.
 SCIPY_FREE = """
 import contextlib
 import io
@@ -39,6 +40,8 @@ fc.kkt_scan(dense, mu, fc.KktContext(0.1, 1.0, 0.2),
 fc.shell_probability(scalar, [1.0 + 0j], fc.OutputShell(0.5, 2.0), cfg)
 fc.shell_probability(dense, [1.0 + 0.5j, -0.5j], fc.OutputShell(0.5, 2.0), cfg)
 fc.detection_report(dense, fc.build_construction(dense, 3, 2.0), cfg, include_mi=False)
+fc.log_density(dense, [0.3 - 0.2j, 1.1j], [1.0 + 0.5j, -0.5j])
+fc.mixture_log_density(dense, mu, [0.3 - 0.2j, 1.1j])
 fc.chi_square_tail(4.0, 3)
 fc.log_chi_square_tail(1.0, 3)
 iso = fc.ChannelModel.isotropic(3, 2, 1.0, 1.0)
@@ -51,6 +54,17 @@ with tempfile.TemporaryDirectory() as tmp:
     with contextlib.redirect_stdout(io.StringIO()):
         code = fading_capacity.cli.run(["fano", "--config", str(config),
                                         "--out", str(Path(tmp) / "out"), "--n", "2"])
+    assert code == 0
+    config = Path(tmp) / "density.json"
+    config.write_text(json.dumps({
+        "channel": {"M": 2, "N": 2, "noise_var": 1.0,
+                    "sigma": {"type": "dense", "re": dense.sigma.real.tolist(),
+                              "im": dense.sigma.imag.tolist()}},
+        "seed": 1, "x": {"re": [1.0, 0.0], "im": [0.5, -0.5]},
+        "outputs": [{"re": [0.3, 0.0], "im": [-0.2, 1.1]}]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fading_capacity.cli.run(["density", "--config", str(config),
+                                        "--out", str(Path(tmp) / "density")])
     assert code == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

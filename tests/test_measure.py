@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from fading_capacity import (ChannelModel, DiscreteMeasure, InputShell, McConfig,
                              PowerConstraint, ScaleOverflowError, average_power,
-                             conditional_covariance, log_density,
-                             mixture_log_density, mutual_information, prune_weights,
-                             shell_mass)
-from conftest import radial_measure
+                             log_density, mixture_log_density, mutual_information,
+                             prune_weights, shell_mass)
+from conftest import radial_measure, random_input, random_model
+from oracles import kron_conditional_covariance, mp_mixture_log_density
 
 
 class TestDiscreteMeasure:
@@ -133,14 +132,34 @@ class TestMixtureLogDensity:
                                          [ws[i] for i in perm]), y)
         assert a == pytest.approx(b, abs=1e-13)
 
-    def test_equals_direct_logsumexp(self, scalar_model):
-        # scipy.special is imported inside the call; the value is its own
+    @staticmethod
+    def _mpmath(model, mu, y):
+        covs = [kron_conditional_covariance(model.sigma, a, model.M, model.N, model.noise_var)
+                for a in mu.atoms]
+        return mp_mixture_log_density(covs, mu.weights, y)
+
+    def test_matches_mpmath(self, scalar_model):
+        pytest.importorskip("mpmath")
         mu = radial_measure([0.0, 2.0, 5.0], [0.3, 0.4, 0.3])
         y = [0.4 + 0.6j]
-        logp = [conditional_covariance(scalar_model, a).log_densities(y)[0]
-                for a in mu.atoms]
-        assert mixture_log_density(scalar_model, mu, y) == float(
-            logsumexp(logp, b=mu.weights))
+        assert mixture_log_density(scalar_model, mu, y) == pytest.approx(
+            self._mpmath(scalar_model, mu, y), rel=1e-15, abs=0.0)
+
+    def test_dense_matches_mpmath(self):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 2, 2)
+        mu = DiscreteMeasure([np.zeros(2), random_input(rng, 2),
+                              random_input(rng, 2, scale=4.0)], [0.5, 0.3, 0.2])
+        y = random_input(rng, 2)
+        assert mixture_log_density(model, mu, y) == pytest.approx(
+            self._mpmath(model, mu, y), rel=1e-15, abs=0.0)
+
+    def test_rejects_non_finite_output(self):
+        model = ChannelModel.isotropic(2, 1, 1.0, 1.0)
+        mu = DiscreteMeasure.single([1.0 + 0j])
+        with pytest.raises(ValueError, match="non-finite"):
+            mixture_log_density(model, mu, [math.inf, 0.0])
 
     def test_dimension_mismatch(self):
         model = ChannelModel.isotropic(1, 2, 1.0, 1.0)
