@@ -14,11 +14,12 @@ produced by the shell-decoder constructions make plain densities underflow.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCovarianceError, ScaleOverflowError
+from .errors import ConfigError, InvalidCovarianceError, ScaleOverflowError
 
 LOG_PI = math.log(math.pi)
 LOG_PI_E = math.log(math.pi) + 1.0
@@ -29,8 +30,75 @@ _U64 = (1 << 64) - 1
 
 
 def _check_positive_int(value, name: str) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+# JSON parsing, shared by the from_json constructors and the CLI. A path names a
+# field, relative to the object being parsed ("" is that object itself).
+
+def _at(path: str, key: str) -> str:
+    return ".".join(p for p in (path, key) if p)
+
+
+def _fail(path: str, message: str):
+    """Raise ConfigError("path: message"); exc.path and exc.reason keep the two parts."""
+    exc = ConfigError(f"{path}: {message}" if path else message)
+    exc.path, exc.reason = path, message
+    raise exc
+
+
+def _require(obj, key: str, path: str):
+    if not isinstance(obj, dict):
+        _fail(path, f"expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        _fail(_at(path, key), "missing required field")
+    return obj[key]
+
+
+def _number(value, path: str, positive: bool = False) -> float:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        _fail(path, f"expected a number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past double range
+        value = math.inf
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        _fail(path, f"expected a finite number, got {value}")
+    if positive and not value > 0.0:
+        _fail(path, f"expected a positive number, got {value}")
+    return value
+
+
+def _integer(value, path: str, minimum: int | None = None) -> int:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        _fail(path, f"expected an integer, got {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        _fail(path, f"expected >= {minimum}, got {value}")
+    return int(value)
+
+
+def _numbers(value, path: str, count: int | None = None, positive: bool = False) -> list[float]:
+    """The list of count finite numbers at path (count None: any nonzero count)."""
+    if not isinstance(value, list) or not value or count not in (None, len(value)):
+        _fail(path, f"expected a list of {count or 'one or more'} numbers")
+    return [_number(v, f"{path}[{i}]", positive) for i, v in enumerate(value)]
+
+
+def _vector(obj, path: str, dim: int | None = None) -> np.ndarray:
+    """The vector {"re": [...], "im": [...]} at path: dim entries (dim None: as many as
+    re has), im the same count, a missing or null im zeros."""
+    re = _numbers(_require(obj, "re", path), _at(path, "re"), dim)
+    im = obj.get("im")
+    im = [0.0] * len(re) if im is None else _numbers(im, _at(path, "im"), len(re))
+    return np.array(re) + 1j * np.array(im)
+
+
+def _matrix(rows, path: str, dim: int) -> np.ndarray:
+    """The dim x dim real matrix at path, as a list of dim rows of dim finite numbers."""
+    if not isinstance(rows, list) or len(rows) != dim:
+        _fail(path, f"expected {dim} rows of {dim} numbers")
+    return np.array([_numbers(row, f"{path}[{i}]", dim) for i, row in enumerate(rows)])
 
 
 def eigen_bounds(sigma) -> tuple[float, float]:
@@ -101,22 +169,29 @@ class ChannelModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChannelModel":
-        """Build from {"M":..,"N":..,"noise_var":..,"sigma":{...}}.
+        """Build from {"M": .., "N": .., "noise_var": .., "sigma": {...}}.
 
-        The sigma object is either {"type":"isotropic","var":v} or
-        {"type":"dense","re":[[..]],"im":[[..]]} with row-major MN x MN entries.
+        M and N are integers >= 1 (not booleans) and noise_var a finite number > 0.
+        sigma is either {"type": "isotropic", "var": v}, v a finite number > 0, or
+        {"type": "dense", "re": [[..]], "im": [[..]]}: MN rows of MN finite numbers
+        each, row-major, with im optional (zeros). Malformed input raises ConfigError
+        naming the field, e.g. "M: expected an integer, got float"; a sigma that is
+        not Hermitian positive definite raises InvalidCovarianceError.
         """
-        M, N = int(obj["M"]), int(obj["N"])
-        noise_var = float(obj["noise_var"])
-        spec = obj["sigma"]
-        kind = spec.get("type")
+        M = _integer(_require(obj, "M", ""), "M", 1)
+        N = _integer(_require(obj, "N", ""), "N", 1)
+        noise_var = _number(_require(obj, "noise_var", ""), "noise_var", positive=True)
+        spec = _require(obj, "sigma", "")
+        kind = spec.get("type") if isinstance(spec, dict) else None
         if kind == "isotropic":
-            return cls.isotropic(M, N, noise_var, float(spec["var"]))
-        if kind == "dense":
-            re = np.asarray(spec["re"], dtype=float)
-            im = np.asarray(spec.get("im", np.zeros_like(re)), dtype=float)
-            return cls(M, N, noise_var, re + 1j * im)
-        raise InvalidCovarianceError(f"unknown sigma type {kind!r}")
+            var = _number(_require(spec, "var", "sigma"), "sigma.var", positive=True)
+            return cls.isotropic(M, N, noise_var, var)
+        if kind != "dense":
+            _fail("sigma", 'expected {"type": "isotropic" | "dense", ...}')
+        re = _matrix(_require(spec, "re", "sigma"), "sigma.re", M * N)
+        im = spec.get("im")
+        im = np.zeros_like(re) if im is None else _matrix(im, "sigma.im", M * N)
+        return cls(M, N, noise_var, re + 1j * im)
 
     def __repr__(self):
         kind = f"isotropic var={self.iso_var}" if self.iso_var is not None else "dense"

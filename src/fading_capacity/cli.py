@@ -1,10 +1,13 @@
 """Batch front end: JSON configs in, CSV tables and JSON summaries out.
 
 Subcommands: density | mi | kkt-scan | optimize | capacity-curve | fano | bounds.
+The commands that draw samples (mi, kkt-scan, optimize, capacity-curve, fano)
+need a seed, from the config or --seed; density and bounds do not. Every flag
+overrides the config field of its name (--samples: mc.samples).
 Identical config bytes and seed produce byte-identical outputs; every
 Monte Carlo row carries its standard-error column, exact values carry se = 0.
 Exit codes: 0 success, 1 domain errors (e.g. a non-closing support bound),
-2 config or IO errors.
+2 config or IO errors. Run as `fading-capacity` or `python -m fading_capacity.cli`.
 """
 
 from __future__ import annotations
@@ -18,48 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelModel, conditional_entropy, input_norm_sq,
-                      log_density)
+from .channel import (ChannelModel, _at, _fail, _integer, _number, _numbers, _require,
+                      _vector, conditional_entropy, input_norm_sq, log_density)
 from .errors import AnalysisError, ConfigError
-from .estimate import McConfig, mutual_information
+from .estimate import McConfig, _mutual_information, mutual_information
 from .fano import build_construction, detection_report, find_sufficient_K
 from .kkt import KktContext, kkt_scan, lemma1_bound, radial_scan_grid, \
     support_radius_bound, kkt_lower_bound
-from .measure import DiscreteMeasure, PowerConstraint
+from .measure import DiscreteMeasure, InputShell, PowerConstraint, average_power
 from .optimizer import (_SEARCH_RADIUS_FACTOR, OptimizerConfig, capacity_curve,
                         optimize_measure)
-
-_COMMANDS = ("density", "mi", "kkt-scan", "optimize", "capacity-curve",
-             "fano", "bounds")
-
-
-def _fail(path: str, message: str):
-    raise ConfigError(f"{path}: {message}")
-
-
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        _fail(f"{path}.{key}", "missing required field")
-    return cfg[key]
-
-
-def _number(value, path: str, positive: bool = False) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(path, f"expected a number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):  # json reads NaN and Infinity
-        _fail(path, f"expected a finite number, got {value}")
-    if positive and not value > 0.0:
-        _fail(path, f"expected a positive number, got {value}")
-    return value
-
-
-def _integer(value, path: str, minimum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"expected >= {minimum}, got {value}")
-    return value
 
 
 def _load_config(path: str) -> dict:
@@ -76,79 +47,43 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _channel_from_config(cfg: dict) -> ChannelModel:
-    spec = _require(cfg, "channel", "config")
+def _section(cfg: dict, key: str) -> dict:
+    """The optional object cfg[key]; {} when it is absent."""
+    spec = cfg.get(key, {})
     if not isinstance(spec, dict):
-        _fail("config.channel", "expected an object")
-    M = _integer(_require(spec, "M", "config.channel"), "config.channel.M", 1)
-    N = _integer(_require(spec, "N", "config.channel"), "config.channel.N", 1)
-    _number(_require(spec, "noise_var", "config.channel"),
-            "config.channel.noise_var", positive=True)
-    sigma = _require(spec, "sigma", "config.channel")
-    if not isinstance(sigma, dict) or sigma.get("type") not in ("isotropic", "dense"):
-        _fail("config.channel.sigma", 'expected {"type":"isotropic"|"dense", ...}')
-    if sigma["type"] == "isotropic":
-        _number(_require(sigma, "var", "config.channel.sigma"),
-                "config.channel.sigma.var", positive=True)
-    else:
-        re = _require(sigma, "re", "config.channel.sigma")
-        if not isinstance(re, list) or len(re) != M * N:
-            _fail("config.channel.sigma.re", f"expected {M * N} rows")
+        _fail(f"config.{key}", "expected an object")
+    return spec
+
+
+def _parsed(from_json, spec, path: str):
+    """from_json(spec); its ConfigErrors and its constructor's ValueErrors go under path."""
     try:
-        return ChannelModel.from_json(spec)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config.channel: {exc}") from exc
-
-
-def _vector_from_config(obj, path: str, dim: int) -> np.ndarray:
-    if not isinstance(obj, dict) or "re" not in obj:
-        _fail(path, 'expected {"re":[...], "im":[...]}')
-    parts = []
-    for key in ("re", "im"):
-        value = [0.0] * dim if obj.get(key) is None else obj[key]
-        if not isinstance(value, list) or len(value) != dim:
-            _fail(f"{path}.{key}", f"expected a list of {dim} numbers")
-        parts.append([_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(value)])
-    return np.array(parts[0]) + 1j * np.array(parts[1])
+        return from_json(spec)
+    except ConfigError as exc:
+        _fail(_at(path, exc.path), exc.reason)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _measure_from_config(cfg: dict, model: ChannelModel) -> DiscreteMeasure:
     spec = _require(cfg, "measure", "config")
     if isinstance(spec, str):
         spec = _load_config(spec)
-    if not isinstance(spec, dict) or not isinstance(spec.get("atoms"), list) \
-            or not isinstance(spec.get("weights"), list):
-        _fail("config.measure", 'expected {"atoms":[...], "weights":[...]} or a file path')
-    atoms = [_vector_from_config(obj, f"config.measure.atoms[{i}]", model.N)
-             for i, obj in enumerate(spec["atoms"])]
-    weights = [_number(v, f"config.measure.weights[{i}]")
-               for i, v in enumerate(spec["weights"])]
-    try:
-        return DiscreteMeasure(np.reshape(atoms, (-1, model.N)), weights)
-    except ValueError as exc:
-        raise ConfigError(f"config.measure: {exc}") from exc
+    mu = _parsed(DiscreteMeasure.from_json, spec, "config.measure")
+    if mu.dim != model.N:
+        _fail("config.measure.atoms", f"expected vectors of {model.N} numbers, got {mu.dim}")
+    return mu
 
 
-def _mc_from_config(cfg: dict, args) -> McConfig:
-    spec = cfg.get("mc", {})
-    if not isinstance(spec, dict):
-        _fail("config.mc", "expected an object")
-    samples = spec.get("samples", 200_000)
-    samples = _integer(samples, "config.mc.samples", 100)
-    if args.samples is not None:
-        samples = args.samples
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        _fail("config.seed", "a seed is required (config field or --seed flag)")
-    seed = _integer(seed, "config.seed", 0)
+def _mc_from_config(cfg: dict) -> McConfig:
+    spec = _section(cfg, "mc")
+    samples = _integer(spec.get("samples", 200_000), "config.mc.samples", 100)
+    seed = _integer(_require(cfg, "seed", "config"), "config.seed", 0)
     batch = spec.get("batch")
     if batch is not None:
         batch = _integer(batch, "config.mc.batch", 1)
         batch = min(batch, samples)
-    try:
-        return McConfig(samples=samples, seed=seed, batch=batch)
-    except ValueError as exc:
-        raise ConfigError(f"config.mc: {exc}") from exc
+    return McConfig(samples=samples, seed=seed, batch=batch)
 
 
 def _json_bytes(obj) -> str:
@@ -172,53 +107,43 @@ def _estimate_dict(est) -> dict:
             "samples": est.samples, "seed": est.seed}
 
 
-def _cmd_density(cfg, model, mc, out_dir):
-    x = _vector_from_config(_require(cfg, "x", "config"), "config.x", model.N)
+def _cmd_density(cfg, model, out_dir):
+    x = _vector(_require(cfg, "x", "config"), "config.x", model.N)
     outputs = _require(cfg, "outputs", "config")
     if not isinstance(outputs, list) or not outputs:
         _fail("config.outputs", "expected a nonempty list of output vectors")
-    rows = []
-    for i, obj in enumerate(outputs):
-        y = _vector_from_config(obj, f"config.outputs[{i}]", model.M)
-        rows.append((i, log_density(model, y, x), 0.0))
+    rows = [(i, log_density(model, _vector(y, f"config.outputs[{i}]", model.M), x), 0.0)
+            for i, y in enumerate(outputs)]
     _write_csv(out_dir, "density.csv", ["index", "log_density", "se"], rows)
-    summary = {"command": "density", "count": len(rows),
-               "conditional_entropy": conditional_entropy(model, x),
-               "input_norm_sq": input_norm_sq(x)}
-    _write_json(out_dir, "density_summary.json", summary)
-    return summary
+    return {"count": len(rows), "conditional_entropy": conditional_entropy(model, x),
+            "input_norm_sq": input_norm_sq(x)}
 
 
-def _cmd_mi(cfg, model, mc, out_dir):
+def _cmd_mi(cfg, model, out_dir):
     mu = _measure_from_config(cfg, model)
-    est = mutual_information(model, mu, mc)
+    est = mutual_information(model, mu, _mc_from_config(cfg))
     _write_csv(out_dir, "mi.csv", ["value", "se", "samples"],
                [(est.value, est.std_error, est.samples)])
-    summary = {"command": "mi", "mutual_information": _estimate_dict(est),
-               "atoms": mu.n_atoms}
-    _write_json(out_dir, "mi_summary.json", summary)
-    return summary
+    return {"mutual_information": _estimate_dict(est), "atoms": mu.n_atoms}
 
 
-def _context_from_config(cfg, model, mc, mu):
+def _context_from_config(cfg, capacity=None):
     gamma = _number(_require(cfg, "gamma", "config"), "config.gamma")
     a = _number(_require(cfg, "a", "config"), "config.a", positive=True)
-    if "capacity" in cfg:
-        capacity = _number(cfg["capacity"], "config.capacity")
-    else:
-        if mu is None:
-            _fail("config.capacity", "required when no measure is given")
-        capacity = max(mutual_information(model, mu, mc).value, 0.0)
+    if capacity is None:
+        capacity = _number(_require(cfg, "capacity", "config"), "config.capacity")
     try:
         return KktContext(gamma=gamma, a=a, capacity=capacity)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
 
-def _cmd_kkt_scan(cfg, model, mc, out_dir):
+def _cmd_kkt_scan(cfg, model, out_dir):
     mu = _measure_from_config(cfg, model)
-    ctx = _context_from_config(cfg, model, mc, mu)
-    grid_spec = cfg.get("grid", {})
+    mc = _mc_from_config(cfg)
+    capacity = None if "capacity" in cfg else max(_mutual_information(model, mu, mc).value, 0.0)
+    ctx = _context_from_config(cfg, capacity)
+    grid_spec = _section(cfg, "grid")
     # by default scan as far as optimize certifies, so a rerun checks it all
     max_norm_sq = _number(grid_spec.get("max_norm_sq",
                                         _SEARCH_RADIUS_FACTOR * ctx.a * model.N),
@@ -231,15 +156,11 @@ def _cmd_kkt_scan(cfg, model, mc, out_dir):
     report = kkt_scan(model, mu, ctx, grid, mc)
     rows = [(p.norm_sq, p.value, p.std_error) for p in report.points + report.support]
     _write_csv(out_dir, "kkt_scan.csv", ["norm_sq", "kkt", "se"], rows)
-    summary = {"command": "kkt-scan", **report.summary()}
-    _write_json(out_dir, "kkt_scan_summary.json", summary)
-    return summary
+    return report.summary()
 
 
-def _optimizer_from_config(cfg, mc) -> OptimizerConfig:
-    spec = cfg.get("optimizer", {})
-    if not isinstance(spec, dict):
-        _fail("config.optimizer", "expected an object")
+def _optimizer_from_config(cfg) -> OptimizerConfig:
+    spec = _section(cfg, "optimizer")
     counts = ("max_atoms", "outer_iterations", "weight_iterations")
     positives = ("kkt_tolerance", "search_radius_sq")
     kwargs = {}
@@ -250,23 +171,19 @@ def _optimizer_from_config(cfg, mc) -> OptimizerConfig:
             kwargs[key] = _number(value, f"config.optimizer.{key}", positive=True)
         else:
             _fail(f"config.optimizer.{key}", "unknown field")
-    try:
-        return OptimizerConfig(mc=mc, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config.optimizer: {exc}") from exc
+    return OptimizerConfig(mc=_mc_from_config(cfg), **kwargs)
 
 
-def _cmd_optimize(cfg, model, mc, out_dir):
+def _cmd_optimize(cfg, model, out_dir):
     a = _number(_require(cfg, "a", "config"), "config.a", positive=True)
-    ocfg = _optimizer_from_config(cfg, mc)
+    ocfg = _optimizer_from_config(cfg)
     opt = optimize_measure(model, PowerConstraint(a), ocfg)
     _write_json(out_dir, "optimum_measure.json", opt.measure.to_json())
     rows = [(p.norm_sq, p.value, p.std_error)
             for p in opt.kkt_report.points + opt.kkt_report.support]
     _write_csv(out_dir, "optimize_scan.csv", ["norm_sq", "kkt", "se"], rows)
-    from .measure import average_power
-    summary = {
-        "command": "optimize", "a": a,
+    return {
+        "a": a,
         "capacity": _estimate_dict(opt.capacity_estimate),
         "gamma": opt.gamma, "converged": opt.converged,
         "power": average_power(opt.measure), "atoms": opt.measure.n_atoms,
@@ -275,17 +192,11 @@ def _cmd_optimize(cfg, model, mc, out_dir):
         "max_support_residual": max(opt.kkt_report.support_residuals()),
         "scan_minimum": opt.kkt_report.minimum,
     }
-    _write_json(out_dir, "optimize_summary.json", summary)
-    return summary
 
 
-def _cmd_capacity_curve(cfg, model, mc, out_dir):
-    a_grid = _require(cfg, "a_grid", "config")
-    if not isinstance(a_grid, list) or not a_grid:
-        _fail("config.a_grid", "expected a nonempty list of budgets")
-    a_grid = [_number(v, f"config.a_grid[{i}]", positive=True)
-              for i, v in enumerate(a_grid)]
-    ocfg = _optimizer_from_config(cfg, mc)
+def _cmd_capacity_curve(cfg, model, out_dir):
+    a_grid = _numbers(_require(cfg, "a_grid", "config"), "config.a_grid", positive=True)
+    ocfg = _optimizer_from_config(cfg)
     try:
         points = capacity_curve(model, a_grid, ocfg)
     except ValueError as exc:
@@ -294,20 +205,14 @@ def _cmd_capacity_curve(cfg, model, mc, out_dir):
              int(p.converged)) for p in points]
     _write_csv(out_dir, "capacity_curve.csv",
                ["a", "capacity", "se", "gamma", "converged"], rows)
-    summary = {"command": "capacity-curve",
-               "points": [{"a": p.a, "capacity": p.capacity.value,
-                           "se": p.capacity.std_error, "gamma": p.gamma,
-                           "converged": p.converged} for p in points]}
-    _write_json(out_dir, "capacity_curve_summary.json", summary)
-    return summary
+    return {"points": [{"a": p.a, "capacity": p.capacity.value, "se": p.capacity.std_error,
+                        "gamma": p.gamma, "converged": p.converged} for p in points]}
 
 
-def _cmd_fano(cfg, model, mc, out_dir, args):
-    n = args.n if args.n is not None else cfg.get("n")
-    if n is None:
-        _fail("config.n", "required (config field or --n flag)")
-    n = _integer(n, "config.n", 1)
-    K = args.K if args.K is not None else cfg.get("K")
+def _cmd_fano(cfg, model, out_dir):
+    n = _integer(_require(cfg, "n", "config"), "config.n", 1)
+    mc = _mc_from_config(cfg)
+    K = cfg.get("K")
     if K is None:
         K = find_sufficient_K(model, n, mc)
     else:
@@ -323,8 +228,8 @@ def _cmd_fano(cfg, model, mc, out_dir, args):
             for i in range(n)]
     _write_csv(out_dir, "fano_shells.csv",
                ["shell", "r", "bound", "detection", "se"], rows)
-    summary = {
-        "command": "fano", "n": n, "K": K,
+    return {
+        "n": n, "K": K,
         "lambda_paper": report.lambda_paper, "lambda_impl": report.lambda_impl,
         "min_detection": report.min_detection, "meets_lambda": report.meets_lambda,
         "fano_lower_bound": report.fano_lower_bound,
@@ -335,30 +240,21 @@ def _cmd_fano(cfg, model, mc, out_dir, args):
         "mutual_information": (_estimate_dict(report.mutual_info)
                                if report.mutual_info is not None else None),
     }
-    _write_json(out_dir, "fano_summary.json", summary)
-    return summary
 
 
-def _cmd_bounds(cfg, model, mc, out_dir, args):
-    if args.gamma is not None:
-        cfg = dict(cfg)
-        cfg["gamma"] = args.gamma
-    ctx = _context_from_config(cfg, model, mc, None)
+def _cmd_bounds(cfg, model, out_dir):
+    ctx = _context_from_config(cfg)
     shell_spec = _require(cfg, "shell", "config")
-    if not isinstance(shell_spec, dict):
-        _fail("config.shell", 'expected {"r1_sq":..., "r2_sq":...}')
-    from .measure import InputShell
-    try:
-        shell = InputShell(_number(_require(shell_spec, "r1_sq", "config.shell"),
-                                   "config.shell.r1_sq"),
-                           _number(_require(shell_spec, "r2_sq", "config.shell"),
-                                   "config.shell.r2_sq"))
-    except ValueError as exc:
-        raise ConfigError(f"config.shell: {exc}") from exc
+    r1_sq = _number(_require(shell_spec, "r1_sq", "config.shell"), "config.shell.r1_sq")
+    r2_sq = _number(_require(shell_spec, "r2_sq", "config.shell"), "config.shell.r2_sq")
     mass = _number(_require(cfg, "mass", "config"), "config.mass")
     pi_bar = _number(cfg["pi_bar"], "config.pi_bar", positive=True) \
         if "pi_bar" in cfg else None
-    bound = lemma1_bound(model, shell, mass, pi_bar)
+    try:  # r1_sq >= r2_sq, or a mass outside [0, 1]
+        shell = InputShell(r1_sq, r2_sq)
+        bound = lemma1_bound(model, shell, mass, pi_bar)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
     r_sq_max = support_radius_bound(model, bound, ctx)  # domain errors exit 1
     norms = np.linspace(0.0, 4.0 * max(r_sq_max, shell.r2_sq), 65)
     e0 = np.zeros(model.N, dtype=complex)
@@ -366,10 +262,44 @@ def _cmd_bounds(cfg, model, mc, out_dir, args):
     rows = [(float(t), kkt_lower_bound(model, bound, ctx, math.sqrt(t) * e0), 0.0)
             for t in norms]
     _write_csv(out_dir, "bounds.csv", ["norm_sq", "kkt_lower", "se"], rows)
-    summary = {"command": "bounds", "support_radius_sq": r_sq_max,
-               "log_a": bound.log_a, "pi_bar": bound.pi_bar, "mass": bound.mass}
-    _write_json(out_dir, "bounds_summary.json", summary)
-    return summary
+    return {"support_radius_sq": r_sq_max, "log_a": bound.log_a, "pi_bar": bound.pi_bar,
+            "mass": bound.mass}
+
+
+# flag -> (type, the config field it overrides, help)
+_FLAGS = {
+    "seed": (int, "seed", "base seed (overrides config)"),
+    "samples": (int, "mc.samples", "Monte Carlo samples per stream, per atom for mutual "
+                                   "information (overrides config)"),
+    "n": (int, "n", "number of atoms"),
+    "K": (float, "K", "base scale (>= 1)"),
+    "gamma": (float, "gamma", "multiplier (overrides config)"),
+}
+
+# command -> (handler(cfg, model, out_dir) -> summary, its flags besides --seed and --samples)
+_COMMANDS = {
+    "density": (_cmd_density, ()),
+    "mi": (_cmd_mi, ()),
+    "kkt-scan": (_cmd_kkt_scan, ()),
+    "optimize": (_cmd_optimize, ()),
+    "capacity-curve": (_cmd_capacity_curve, ()),
+    "fano": (_cmd_fano, ("n", "K")),
+    "bounds": (_cmd_bounds, ("gamma",)),
+}
+
+
+def _with_flags(cfg: dict, args) -> dict:
+    """cfg with each flag given on the command line in the config field it overrides."""
+    cfg = dict(cfg)
+    for flag, (_, path, _) in _FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            section, _, field = path.rpartition(".")
+            if section:
+                cfg[section] = {**_section(cfg, section), field: value}
+            else:
+                cfg[field] = value
+    return cfg
 
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
@@ -384,16 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="Monte Carlo samples per stream, per atom for mutual "
-                            "information (overrides config)")
-        if name == "fano":
-            p.add_argument("--n", type=int, default=None, help="number of atoms")
-            p.add_argument("--K", type=float, default=None, help="base scale (>= 1)")
-        if name == "bounds":
-            p.add_argument("--gamma", type=float, default=None,
-                           help="multiplier (overrides config)")
+        for flag in ("seed", "samples", *_COMMANDS[name][1]):
+            kind, _, text = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, default=None, help=text)
     return parser
 
 
@@ -405,25 +328,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _load_config(args.config)
-        model = _channel_from_config(cfg)
-        mc = _mc_from_config(cfg, args)
+        cfg = _with_flags(_load_config(args.config), args)
+        model = _parsed(ChannelModel.from_json, _require(cfg, "channel", "config"),
+                        "config.channel")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "density":
-            summary = _cmd_density(cfg, model, mc, out_dir)
-        elif args.command == "mi":
-            summary = _cmd_mi(cfg, model, mc, out_dir)
-        elif args.command == "kkt-scan":
-            summary = _cmd_kkt_scan(cfg, model, mc, out_dir)
-        elif args.command == "optimize":
-            summary = _cmd_optimize(cfg, model, mc, out_dir)
-        elif args.command == "capacity-curve":
-            summary = _cmd_capacity_curve(cfg, model, mc, out_dir)
-        elif args.command == "fano":
-            summary = _cmd_fano(cfg, model, mc, out_dir, args)
-        else:
-            summary = _cmd_bounds(cfg, model, mc, out_dir, args)
+        summary = {"command": args.command, **_COMMANDS[args.command][0](cfg, model, out_dir)}
+        _write_json(out_dir, f"{args.command.replace('-', '_')}_summary.json", summary)
     except ConfigError as exc:
         print(_json_bytes({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
@@ -440,3 +351,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

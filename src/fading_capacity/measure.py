@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, _as_output, conditional_covariance
+from .channel import (ChannelModel, _as_output, _fail, _numbers, _require, _vector,
+                      conditional_covariance)
 
 WEIGHT_SUM_ATOL = 1e-12
 ATOM_DISTINCT_SQ = 1e-18
@@ -104,12 +105,20 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteMeasure":
-        rows = []
-        for a in obj["atoms"]:
-            re = np.asarray(a["re"], dtype=float)
-            im = np.asarray(a["im"], dtype=float) if a.get("im") is not None else np.zeros_like(re)
-            rows.append((re + 1j * im).reshape(1, -1))
-        return cls(np.vstack(rows), obj["weights"])
+        """Build from {"atoms": [{"re": [..], "im": [..]}, ..], "weights": [..]}, as
+        to_json writes it.
+
+        The atoms are a nonempty list of vectors of one common length, each im
+        optional (zeros); the weights are finite numbers. Malformed input raises
+        ConfigError naming the field, e.g. "weights[0]: expected a number, got str";
+        the constructor's checks (weights summing to 1, distinct atoms) raise ValueError.
+        """
+        atoms, weights = _require(obj, "atoms", ""), _require(obj, "weights", "")
+        if not isinstance(atoms, list) or not atoms:
+            _fail("atoms", "expected a nonempty list of atoms")
+        rows = [_vector(atoms[0], "atoms[0]")]
+        rows += [_vector(a, f"atoms[{i}]", len(rows[0])) for i, a in enumerate(atoms[1:], 1)]
+        return cls(rows, _numbers(weights, "weights"))
 
     def __repr__(self):
         return f"DiscreteMeasure(k={self.n_atoms}, N={self.dim})"

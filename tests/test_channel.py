@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fading_capacity import (ChannelModel, InvalidCovarianceError,
+from fading_capacity import (ChannelModel, ConfigError, InvalidCovarianceError,
                              conditional_covariance, conditional_entropy,
                              eigen_bounds, log_density, sample_output)
 from conftest import random_hermitian_pd, random_input, random_model
@@ -216,6 +216,44 @@ class TestJsonInterface:
         assert model.lambda_min > 0
 
     def test_unknown_type(self):
-        with pytest.raises(InvalidCovarianceError):
+        with pytest.raises(ConfigError, match="sigma"):
             ChannelModel.from_json({"M": 1, "N": 1, "noise_var": 1.0,
                                     "sigma": {"type": "sparse"}})
+
+    @pytest.mark.parametrize("fields, path", [
+        ({"M": 2.7}, r"^M: expected an integer, got float"),
+        ({"N": True}, r"^N: expected an integer, got bool"),
+        ({"noise_var": "1.5"}, r"^noise_var: expected a number, got str"),
+        ({"noise_var": 10 ** 400}, r"^noise_var: expected a finite number, got inf"),
+        ({"sigma": {"type": "isotropic", "var": "2"}}, r"^sigma\.var: "),
+        ({"sigma": {"type": "dense", "re": [[2.0, "1.0"], [1.0, 2.0]]}}, r"^sigma\.re\[0\]\[1\]: "),
+        ({"sigma": {"type": "dense", "re": [[2.0, 0.0], [1.0]]}}, r"^sigma\.re\[1\]: "),
+        ({"sigma": {"type": "dense", "re": [[2.0, 0.0], [0.0, 2.0]], "im": [[0.0]]}},
+         r"^sigma\.im: "),
+        ({"sigma": {"type": "dense", "re": [[2.0, 0.0]]}}, r"^sigma\.re: expected 2 rows"),
+        ({"sigma": "isotropic"}, r"^sigma: "),
+    ], ids=["M-float", "N-bool", "noise-var-string", "noise-var-huge", "var-string",
+            "dense-entry-string", "ragged-rows", "im-shape", "too-few-rows",
+            "sigma-not-an-object"])
+    def test_malformed_field_is_config_error(self, fields, path):
+        # each was accepted (M = 2, N = 1, strings as numbers, im broadcast) or raised
+        # something else (numpy's ValueError, OverflowError) before from_json checked it
+        obj = {"M": 1, "N": 2, "noise_var": 1.0,
+               "sigma": {"type": "isotropic", "var": 1.0}, **fields}
+        with pytest.raises(ConfigError, match=path):
+            ChannelModel.from_json(obj)
+
+    def test_every_malformed_scalar_field_is_rejected(self):
+        with pytest.raises(ConfigError, match="^M: "):
+            ChannelModel.from_json({"M": 2.7, "N": True, "noise_var": "1.5",
+                                    "sigma": {"type": "isotropic", "var": "2"}})
+
+    def test_object_required(self):
+        with pytest.raises(ConfigError, match="expected an object, got list"):
+            ChannelModel.from_json([1, 1, 1.0])
+
+    @pytest.mark.parametrize("M, N", [(True, 1), (1, True)])
+    def test_constructor_rejects_bool_dimensions(self, M, N):
+        # a bool M reached reshape and raised a bare TypeError
+        with pytest.raises(ValueError, match="positive integer"):
+            ChannelModel(M, N, 1.0, [[1.0]])

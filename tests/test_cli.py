@@ -45,6 +45,28 @@ class TestDensityCommand:
         assert got == pytest.approx(log_density(scalar_model, [1.0 + 0j],
                                                 [2.0 + 0j]), abs=1e-12)
 
+    def test_needs_no_seed(self, tmp_path, capsys):
+        # density draws nothing, so a config without a seed runs
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "x": {"re": [2.0]}, "outputs": [{"re": [1.0]}]})
+        assert run(["density", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 1
+
+    def test_module_entry_point_matches_run(self, tmp_path, capsys):
+        # python -m fading_capacity.cli must behave as run(): exit code, stdout, files
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "seed": 1, "x": {"re": [2.0], "im": [0.5]},
+            "outputs": [{"re": [1.0], "im": [0.0]}, {"re": [0.0], "im": [0.5]}]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "fading_capacity.cli", "density", "--config", cfg,
+             "--out", str(tmp_path / "module")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert run(["density", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+        assert read_outputs(tmp_path / "module") == read_outputs(tmp_path / "run")
+
 
 class TestMiCommand:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -172,6 +194,24 @@ class TestBoundsCommand:
         assert summary["support_radius_sq"] > 0
         assert (tmp_path / "out" / "bounds.csv").exists()
 
+    def test_mass_above_one_is_config_error(self, tmp_path, capsys):
+        # it escaped as lemma1_bound's ValueError, a traceback
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "seed": 1, "gamma": 1.0, "a": 1.0, "capacity": 0.5,
+            "shell": {"r1_sq": 9.0, "r2_sq": 100.0}, "mass": 1.5,
+        })
+        assert run(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_needs_no_seed(self, tmp_path, capsys):
+        # bounds is analytic: a config without a seed runs
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "gamma": 1.0, "a": 1.0, "capacity": 0.5,
+            "shell": {"r1_sq": 9.0, "r2_sq": 100.0}, "mass": 0.5, "pi_bar": 10.0,
+        })
+        assert run(["bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["support_radius_sq"] > 0
+
 
 class TestKktScanCommand:
     def test_summary_matches_csv(self, tmp_path, capsys):
@@ -205,6 +245,33 @@ class TestKktScanCommand:
         rows = (tmp_path / "out" / "kkt_scan.csv").read_text().splitlines()
         norms = [float(r.split(",")[0]) for r in rows[1:]]
         assert max(norms) == pytest.approx(48.0 * 2.0 * 1, rel=1e-12)
+
+    def test_grid_not_an_object_is_config_error(self, tmp_path, capsys):
+        # it escaped as an AttributeError traceback
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "seed": 5, "gamma": 0.1, "a": 1.0, "capacity": 0.1,
+            "measure": {"atoms": [{"re": [0.0]}], "weights": [1.0]}, "grid": 5,
+        })
+        assert run(["kkt-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith("config.grid: ")
+
+    def test_default_capacity_is_exact_on_isotropic_channels(self, tmp_path, capsys):
+        # without a capacity field, C is I(mu) by quadrature, so the support rows
+        # (the last ones) satisfy sum_i w_i KKT(x_i) = gamma (P - a) + C - I = gamma (P - a)
+        gamma, a, weights = 0.2, 1.0, [0.7, 0.3]
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "seed": 5, "mc": {"samples": 2000},
+            "measure": {"atoms": [{"re": [0.0]}, {"re": [2.0]}], "weights": weights},
+            "gamma": gamma, "a": a,
+        })
+        assert run(["kkt-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "kkt_scan.csv").read_text().splitlines()
+        support = [tuple(map(float, r.split(","))) for r in rows[-2:]]
+        assert [norm_sq for norm_sq, _, _ in support] == [0.0, 4.0]
+        assert all(se == 0.0 for _, _, se in support)
+        power = sum(w * norm_sq for w, (norm_sq, _, _) in zip(weights, support))
+        total = sum(w * kkt for w, (_, kkt, _) in zip(weights, support))
+        assert abs(total - gamma * (power - a)) <= 1e-12
 
 
 class TestOptimizeCommands:
@@ -314,3 +381,17 @@ class TestErrorPaths:
                            {"channel": SCALAR_CHANNEL, "seed": 1, **fields})
         assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("sigma, path", [
+        ({"re": [[2.0, "1.0"], [1.0, 2.0]]}, "config.channel.sigma.re[0][1]: "),
+        ({"re": [[2.0, 0.0], [1.0]]}, "config.channel.sigma.re[1]: "),
+        ({"re": [[2.0, 0.0], [0.0, 2.0]], "im": [[0.0]]}, "config.channel.sigma.im: "),
+    ], ids=["entry-string", "ragged-rows", "im-shape"])
+    def test_malformed_dense_sigma_names_its_field(self, tmp_path, capsys, sigma, path):
+        # the first and last ran (exit 0); ragged rows exited 2 with numpy's message
+        channel = {"M": 1, "N": 2, "noise_var": 1.0, "sigma": {"type": "dense", **sigma}}
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": channel, "x": {"re": [1.0, 0.0]}, "outputs": [{"re": [1.0]}]})
+        assert run(["density", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"].startswith(path)

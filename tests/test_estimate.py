@@ -154,9 +154,9 @@ class TestGammaTails:
         with pytest.raises(ValueError):
             log_chi_square_tail(math.nan, 3)
 
-    @pytest.mark.parametrize("m", [2.5, 0, -2, 3.0])
+    @pytest.mark.parametrize("m", [2.5, 0, -2, 3.0, True])
     def test_order_must_be_a_positive_integer(self, m):
-        # 2.5 gave Q(2, 1) and 0, -2 a bare "math domain error"
+        # 2.5 gave Q(2, 1), 0 and -2 a bare "math domain error", True Q(1, 1)
         with pytest.raises(ValueError, match="positive integer"):
             chi_square_tail(1.0, m)
         with pytest.raises(ValueError, match="positive integer"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fading_capacity import (ChannelModel, DiscreteMeasure, InputShell, McConfig,
+from fading_capacity import (ChannelModel, ConfigError, DiscreteMeasure, InputShell, McConfig,
                              PowerConstraint, ScaleOverflowError, average_power,
                              log_density, mixture_log_density, mutual_information,
                              prune_weights, shell_mass)
@@ -37,6 +37,22 @@ class TestDiscreteMeasure:
         back = DiscreteMeasure.from_json(mu.to_json())
         assert np.array_equal(back.atoms, mu.atoms)
         assert np.array_equal(back.weights, mu.weights)
+
+    @pytest.mark.parametrize("atoms, weights, path", [
+        ([{"re": ["2.5"]}, {"re": [0.0]}], [0.5, 0.5], r"^atoms\[0\]\.re\[0\]: "),
+        ([{"re": [True]}, {"re": [0.0]}], [0.5, 0.5], r"^atoms\[0\]\.re\[0\]: "),
+        ([{"re": [1.0]}, {"re": [0.0]}], ["0.5", 0.5], r"^weights\[0\]: "),
+        ([{"re": [1.0, 2.0], "im": [1.0]}], [1.0], r"^atoms\[0\]\.im: "),
+        ([{"re": [1.0, 2.0]}, {"re": [0.0]}], [0.5, 0.5], r"^atoms\[1\]\.re: "),
+        ([{"im": [1.0]}], [1.0], r"^atoms\[0\]\.re: missing"),
+        ([], [], r"^atoms: "),
+    ], ids=["coordinate-string", "coordinate-bool", "weight-string", "im-shorter",
+            "lengths-differ", "re-missing", "no-atoms"])
+    def test_json_malformed_field_is_config_error(self, atoms, weights, path):
+        # strings and bools were coerced and a short im broadcast over re: the atom
+        # (1+1j, 2+1j); differing lengths raised numpy's ValueError
+        with pytest.raises(ConfigError, match=path):
+            DiscreteMeasure.from_json({"atoms": atoms, "weights": weights})
 
     def test_prune_weights(self):
         mu = DiscreteMeasure([[0j], [1.0 + 0j], [2.0 + 0j]],
