@@ -297,10 +297,15 @@ def conditional_entropy(model: ChannelModel, x) -> float:
 
 
 def _complex_standard_normals(seed_key: int, count: int, dim: int) -> np.ndarray:
-    """(count, dim) i.i.d. CN(0,1) samples from a fully specified seed."""
+    """(count, dim) i.i.d. CN(0,1) samples from a fully specified seed: real parts
+    from the first standard_normal call, imaginary parts from the second, both
+    scaled by sqrt(1/2) in place (no complex temporaries)."""
     rng = np.random.default_rng(seed_key)
-    w = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return w * math.sqrt(0.5)
+    w = np.empty((count, dim), dtype=complex)
+    w.real = rng.standard_normal((count, dim))
+    w.imag = rng.standard_normal((count, dim))
+    w *= math.sqrt(0.5)
+    return w
 
 
 def sample_output(model: ChannelModel, x, count: int, seed: int) -> np.ndarray:

@@ -14,12 +14,16 @@ support. The squared radius is the closed-form integer-order Gamma(M)
 quantile (_gamma_quantile), each half solved on its own tail's finite sum.
 
 One sample path serves the estimators, and kkt_scan and the optimizer on
-dense channels: a _ConditionalLaws object draws each stream (keeping the
-last one's draws), forms component-major (atoms x samples) log densities and
-reduces them with the mixture kernel measure._weighted_mix, so all callers
-agree bit for bit. On dense channels y = L_x w with w standard normal, so log
-densities and ||y||^2 are quadratic forms in w: one small matmul of their
-coefficients with each batch's cached monomials of w. On isotropic channels
+dense channels: a _ConditionalLaws object draws each stream, forms
+component-major (atoms x samples) log densities and reduces them with the
+mixture kernel measure._weighted_mix, so all callers agree bit for bit. On
+dense channels y = L_x w with w standard normal, so log densities and ||y||^2
+are quadratic forms in w: one small matmul of their coefficients with each
+batch's monomials of w. Evaluation is per stream: every input on one stream
+(the non-atom points of a scan share the cross stream) is taken in one pass
+over its draws, and each batch's log-density and mixture buffers are reused
+from input to input, filled and reduced in place; each input keeps its own
+sums, so a value is the same alone or in a scan. On isotropic channels
 kkt_scan, the optimizer and the Fano report's I(mu) integrate ln f_mu, a
 function of ||y||^2 alone, by radial quadrature (_RadialTable); the public
 estimators stay Monte Carlo, its independent cross-check. It is batched
@@ -203,10 +207,18 @@ def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
     return ids, _gamma_quantile(m, (ids + u) / n_strata, (n_strata - ids - u) / n_strata)
 
 
+def _sample_moments(s1, s2, count):
+    """Sample means and the variances of those means, per entry, from the sums
+    s1 and s2 of count values and of their squares."""
+    means = s1 / count
+    return means, np.maximum(s2 - s1 * means, 0.0) / np.maximum(count - 1, 1) / count
+
+
 def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[float, float]:
     """Mean and SE of the mixture log density over (stratum ids, logp)
-    batches; the mean averages the equiprobable strata's. One stratum (the
-    dense path, ids None) reduces by plain sums.
+    batches; the mean averages the equiprobable strata's. One stratum (ids
+    None, the optimizer's cached dense batches) reduces by plain sums. logp is
+    read, never written.
     """
     s1, s2, count = np.zeros(n_strata), np.zeros(n_strata), np.zeros(n_strata)
     for ids, logp in batches:
@@ -219,10 +231,8 @@ def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[fl
         s1 += np.bincount(ids, weights=mix, minlength=n_strata)
         s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
         count += np.bincount(ids, minlength=n_strata)
-    means = s1 / count
-    mean = float(np.sum(means)) / n_strata
-    var = np.maximum(s2 - s1 * means, 0.0) / np.maximum(count - 1, 1)
-    return mean, math.sqrt(float(np.sum(var / count)) / (n_strata * n_strata))
+    means, var = _sample_moments(s1, s2, count)
+    return float(np.sum(means)) / n_strata, math.sqrt(float(np.sum(var)) / (n_strata * n_strata))
 
 
 # stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi) / 2 for k <= 15 (Loader 2000),
@@ -347,12 +357,13 @@ def _monomials(w: np.ndarray, upper) -> np.ndarray:
 
 
 def _norm_coefficients(a: np.ndarray, upper) -> np.ndarray:
-    """(k, M^2) rows c_j with c_j @ _monomials(w) = ||A_j w||^2 for a (k, M, M):
-    with G = A^H A, the diagonal of G, then 2 Re G_pq and -2 Im G_pq for p < q."""
-    g = np.conj(np.swapaxes(a, 1, 2)) @ a
-    off = g[:, upper[0], upper[1]]
-    return np.concatenate((np.diagonal(g, axis1=1, axis2=2).real,
-                           2.0 * off.real, -2.0 * off.imag), axis=1)
+    """(..., M^2) rows c with c @ _monomials(w) = ||A w||^2 for a (..., M, M), any
+    leading axes: with G = A^H A, the diagonal of G, then 2 Re G_pq and -2 Im G_pq
+    for p < q."""
+    g = np.conj(np.swapaxes(a, -1, -2)) @ a
+    off = g[..., upper[0], upper[1]]
+    return np.concatenate((np.diagonal(g, axis1=-2, axis2=-1).real,
+                           2.0 * off.real, -2.0 * off.imag), axis=-1)
 
 
 class _RadialTable:
@@ -422,11 +433,15 @@ class _ConditionalLaws:
     For isotropic fading the law depends on the input norm only, so the
     per-sample work reduces to outer products of squared radii against the
     per-atom scalar variances. Otherwise the atoms' Cholesky factors L_j and
-    their inverses are kept, and draws are kept as their monomials, against
+    their inverses are kept, and draws are taken as their monomials, against
     which log densities are quadratic forms. log_norm holds ln det(pi C_j)
-    on both paths. The draws of the last stream used are kept (read-only),
-    so consecutive inputs evaluated on one stream, such as the non-atom
-    points of a KKT scan, share one set of samples instead of redrawing it.
+    on both paths. On dense channels stream_stats evaluates every input that
+    shares a stream, such as the non-atom points of a KKT scan, in one pass
+    over that stream's draws, and each batch allocates one (k, n)
+    log-density buffer and one mixture buffer that every input reuses in
+    turn. The draws of the last stream used stay on the object (read-only):
+    freeing each stream's draws as soon as its call returned let malloc hand
+    the pages back and fault them in again for the next stream.
     On isotropic channels the radial quadrature takes a whole batch of input
     variances at once (radial_weights, cross_quadratures) on one _RadialTable
     per call. An atom whose squared norm or variance is not a finite double
@@ -490,6 +505,18 @@ class _ConditionalLaws:
             self._draws_key, self._draws = key, draws
         return self._draws
 
+    def _form_coefficients(self, factor) -> np.ndarray:
+        """(..., k, M^2) coefficients of -w^H G_j w, G_j = A_j^H A_j with A_j =
+        L_j^-1 L_x, for the (..., M, M) factors L_x: one batched product."""
+        return -_norm_coefficients(self.inv_factors @ factor[..., None, :, :], self.upper)
+
+    def _log_densities(self, coef: np.ndarray, monomials: np.ndarray, out=None) -> np.ndarray:
+        """(k, n) ln p(y|x_j) = coef @ monomials - log_norm[j] at one batch's outputs,
+        written to out if given."""
+        logp = np.matmul(coef, monomials, out=out)
+        logp -= self.log_norm[:, None]
+        return logp
+
     def stream_log_densities(self, x, cfg: McConfig, stream: int, factor=None):
         """Yield (stratum ids, logp) per batch of the stream's samples of p(.|x).
 
@@ -506,11 +533,9 @@ class _ConditionalLaws:
             return
         if factor is None:
             factor = conditional_covariance(self.model, x).factor
-        coef = -_norm_coefficients(self.inv_factors @ factor, self.upper)
+        coef = self._form_coefficients(factor)
         for monomials in self._stream_draws(cfg, stream):
-            logp = coef @ monomials
-            logp -= self.log_norm[:, None]
-            yield None, logp
+            yield None, self._log_densities(coef, monomials)
 
     def radial_weights(self, cxs, weights):
         """(table, groups), isotropic only: for the inputs of variances cxs that
@@ -550,18 +575,41 @@ class _ConditionalLaws:
         """cross_quadratures for the one input x."""
         return float(self.cross_quadratures([self.scalar_variance(x)], weights)[0])
 
-    def stream_stats(self, x, weights, cfg: McConfig, stream: int,
-                     factor=None) -> tuple[float, float]:
+    def stream_stats(self, x, weights, cfg: McConfig, stream: int, factor=None):
         """Mean and SE of ln f_mu(Y) over Y ~ p(.|x), accumulated batch-wise.
 
         Isotropic channels sample the normalized squared radius directly,
-        stratified over equiprobable shells; the general path evaluates the
-        log densities as quadratic forms in the draws (stream_log_densities).
-        factor is L_x, if known.
+        stratified over equiprobable shells. On dense channels x may also be a
+        stack (P, N) of inputs that share the stream, with factor their (P, M,
+        M) factors L_x; the means and SEs are then arrays. One batched
+        coefficient product covers every input, and each batch is one pass:
+        per input, np.matmul into the batch's (k, n) buffer, log_norm
+        subtracted and the mixture taken in place (_weighted_mix with out).
+        Each input keeps its own sums, so a value does not depend on which
+        inputs share the call; one input is the P = 1 case. factor is L_x, if
+        known (required for a stack).
         """
-        return _stratified_moments(self.stream_log_densities(x, cfg, stream, factor),
-                                   np.asarray(weights, dtype=float),
-                                   self.n_strata(cfg))
+        weights = np.asarray(weights, dtype=float)
+        if self.iso:
+            return _stratified_moments(self.stream_log_densities(x, cfg, stream),
+                                       weights, self.n_strata(cfg))
+        if factor is None:
+            factor = conditional_covariance(self.model, x).factor
+        coefs = self._form_coefficients(factor)
+        s1, s2, count = np.zeros(np.shape(x)[:-1]), np.zeros(np.shape(x)[:-1]), 0
+        for monomials in self._stream_draws(cfg, stream):
+            n = monomials.shape[1]
+            logp, mix = np.empty((self.log_norm.size, n)), np.empty(n)
+            for i in np.ndindex(s1.shape):
+                _weighted_mix(self._log_densities(coefs[i], monomials, out=logp), weights,
+                              out=mix)
+                s1[i] += mix.sum()
+                s2[i] += mix @ mix
+            count += n
+        means, var = _sample_moments(s1, s2, count)
+        if means.ndim == 0:
+            return float(means), math.sqrt(var)
+        return means, np.sqrt(var)
 
 
 def _stream_indices(atoms: np.ndarray, xs: np.ndarray) -> list[int]:

@@ -148,10 +148,12 @@ def _kkt_values(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure
         cross = laws.cross_quadratures(cxs, mu.weights)
     else:
         _, factors, log_det = _conditional_covariances(model, xs)
-        streams = _stream_indices(mu.atoms, xs)
+        streams = np.array(_stream_indices(mu.atoms, xs))
         cross, ses = np.empty(len(xs)), np.empty(len(xs))
-        for i in np.argsort(streams, kind="stable"):
-            cross[i], ses[i] = laws.stream_stats(xs[i], mu.weights, cfg, streams[i], factors[i])
+        for stream in sorted(set(streams.tolist())):  # np.unique loads numpy.ma
+            rows = np.flatnonzero(streams == stream)
+            cross[rows], ses[rows] = laws.stream_stats(xs[rows], mu.weights, cfg, stream,
+                                                       factors[rows])
     values = (ctx.gamma * (norms_sq / model.N - ctx.a) + ctx.capacity
               + model.M * LOG_PI_E + log_det + cross)
     return values, ses, norms_sq
@@ -254,9 +256,11 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
     for mu. On isotropic channels ln det C(x) = M ln c_x, and one batched
     radial quadrature (_ConditionalLaws.cross_quadratures) gives every cross
     term. On dense channels all points' Cholesky factors come from one batch,
-    and the points are evaluated grouped by sample stream (the non-atom points
-    share the cross stream), so each stream is drawn once; log densities under
-    the atoms are quadratic forms in the draws. Each value equals kkt_value's.
+    and the points are evaluated per sample stream (the non-atom points share
+    the cross stream): one stream_stats call per stream draws it once and takes
+    all its points in one pass, reusing each batch's log-density and mixture
+    buffers from point to point; log densities under the atoms are quadratic
+    forms in the draws. Each value equals kkt_value's bit for bit.
     A point or atom whose squared norm or variance is not a finite double
     raises ScaleOverflowError.
     """

@@ -135,20 +135,32 @@ def shell_mass(mu: DiscreteMeasure, shell: InputShell) -> float:
     return float(mu.weights[inside].sum())
 
 
-def _weighted_mix(logp: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _weighted_mix(logp: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     """Column-wise ln sum_j w_j exp(logp[j, :]), shift-stabilized.
 
     logp is component-major, (k, n): one row per atom, one column per
     sample, so the shift is a reduction over the short axis. Zero-weight
     rows are dropped before the shift, so they cannot drag it and underflow
-    the whole column.
+    the whole column. Given out (n,), logp is scratch: the same arithmetic
+    runs in place, kept rows moved up, and the result, in out, equals the
+    allocating call's bit for bit.
     """
     if np.any(weights <= 0.0):
         keep = weights > 0.0
-        logp = logp[keep]
         weights = weights[keep]
+        if out is None:
+            logp = logp[keep]
+        else:
+            logp[:weights.size] = logp[keep]
+            logp = logp[:weights.size]
     amax = np.max(logp, axis=0)
-    return amax + np.log(weights @ np.exp(logp - amax))
+    if out is None:
+        return amax + np.log(weights @ np.exp(logp - amax))
+    logp -= amax
+    np.exp(logp, out=logp)
+    np.log(np.matmul(weights, logp, out=out), out=out)
+    out += amax
+    return out
 
 
 def mixture_log_density(model: ChannelModel, mu: DiscreteMeasure, y) -> float:

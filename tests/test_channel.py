@@ -6,6 +6,8 @@ import pytest
 from fading_capacity import (ChannelModel, ConfigError, InvalidCovarianceError,
                              conditional_covariance, conditional_entropy,
                              eigen_bounds, log_density, sample_output)
+from fading_capacity.channel import _complex_standard_normals
+from fading_capacity.estimate import derive_seed
 from conftest import random_hermitian_pd, random_input, random_model
 from oracles import charpoly_eigenvalues, importance_normalization, \
     kron_conditional_covariance, mp_mixture_log_density
@@ -165,6 +167,16 @@ class TestSampleOutput:
     def test_count_validation(self, scalar_model):
         with pytest.raises(ValueError):
             sample_output(scalar_model, [0j], 0, seed=1)
+
+    @pytest.mark.parametrize("shape", [(20_000, 2), (7, 1), (5, 3)])
+    def test_complex_normals_equal_the_complex_expression(self, shape):
+        # filled in place, the draws must equal (a + 1j b) sqrt(1/2) bit for bit
+        rng = np.random.default_rng(derive_seed(9, *shape))
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        want = (a + 1j * b) * math.sqrt(0.5)
+        got = _complex_standard_normals(derive_seed(9, *shape), *shape)
+        assert got.dtype == np.complex128 and got.shape == shape
+        assert np.array_equal(got.view(float), want.view(float))
 
 
 class TestConditionalEntropy:

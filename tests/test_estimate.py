@@ -308,6 +308,22 @@ class TestMixtureKernel:
         np.testing.assert_allclose(got, self._reference(logp[[0, 2]], w[[0, 2]]),
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("w", [[0.1, 0.4, 0.2, 0.3], [0.0, 0.5, 0.0, 0.5],
+                                   [0.6, 0.0, 0.4, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    def test_in_place_equals_allocating(self, w):
+        # zero-weight rows included: the kept rows move up inside the scratch
+        rng = np.random.default_rng(14)
+        logp = rng.normal(-3.0, 4.0, size=(4, 5000))
+        logp[0] += 800.0
+        w = np.array(w)
+        before = logp.copy()
+        want = _weighted_mix(logp, w)
+        assert np.array_equal(logp, before)  # the allocating call leaves logp alone
+        buf = np.empty(logp.shape[1])
+        got = _weighted_mix(logp.copy(), w, out=buf)
+        assert got is buf
+        assert np.array_equal(got, want)
+
     def test_fano_scale_separation(self):
         # components hundreds of nats apart, with the lead changing per column
         rng = np.random.default_rng(13)

@@ -258,6 +258,31 @@ class TestKktScan:
             est = kkt_value(model, mu, ctx, p.x, cfg)
             assert (p.value, p.std_error) == (est.value, est.std_error)
 
+    @pytest.mark.parametrize("case", ["zero-weight atom", "ragged batch", "shuffled grid"])
+    def test_dense_scan_equals_one_point_calls(self, case):
+        # inputs that share a stream share one pass and its buffers; each value
+        # must still equal the one-input evaluations bit for bit
+        model = random_model(np.random.default_rng(3), 2, 2)
+        atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+        weights = [0.5, 0.0, 0.5] if case == "zero-weight atom" else [0.5, 0.3, 0.2]
+        mu = DiscreteMeasure(atoms, weights)
+        ctx = KktContext(0.113480, 1.0, 0.195547)
+        cfg = McConfig(2500, seed=5, batch=1000 if case == "ragged batch" else None)
+        grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
+                                n_directions=2, seed=5)
+        grid.insert(3, atoms[1])
+        if case == "shuffled grid":
+            grid = [grid[i] for i in np.random.default_rng(8).permutation(len(grid))]
+        report = kkt_scan(model, mu, ctx, grid, cfg)
+        for p in report.points + report.support:
+            est = kkt_value(model, mu, ctx, p.x, cfg)
+            assert (p.value, p.std_error) == (est.value, est.std_error)
+            cross = cross_term(model, mu, p.x, cfg)
+            log_det = conditional_covariance(model, p.x).log_det
+            value = (ctx.gamma * (p.norm_sq / model.N - ctx.a) + ctx.capacity
+                     + model.M * LOG_PI_E + log_det + cross.value)
+            assert (p.value, p.std_error) == (value, cross.std_error)
+
     def test_dense_scan_draws_each_stream_once(self, monkeypatch):
         # the grid's origin is atom 0: evaluated in grid order, stream 0 would
         # be drawn, then the cross stream, then stream 0 again
