@@ -141,24 +141,17 @@ def _weighted_mix(logp: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray
     logp is component-major, (k, n): one row per atom, one column per
     sample, so the shift is a reduction over the short axis. Zero-weight
     rows are dropped before the shift, so they cannot drag it and underflow
-    the whole column. Given out (n,), logp is scratch: the same arithmetic
-    runs in place, kept rows moved up, and the result, in out, equals the
-    allocating call's bit for bit.
+    the whole column. Given out (n,), logp is scratch: the shifted densities
+    overwrite it, and the result, in out, equals the allocating call's bit
+    for bit.
     """
     if np.any(weights <= 0.0):
         keep = weights > 0.0
-        weights = weights[keep]
-        if out is None:
-            logp = logp[keep]
-        else:
-            logp[:weights.size] = logp[keep]
-            logp = logp[:weights.size]
+        logp, weights = logp[keep], weights[keep]
     amax = np.max(logp, axis=0)
-    if out is None:
-        return amax + np.log(weights @ np.exp(logp - amax))
-    logp -= amax
-    np.exp(logp, out=logp)
-    np.log(np.matmul(weights, logp, out=out), out=out)
+    shifted = logp - amax if out is None else np.subtract(logp, amax, out=logp)
+    out = np.matmul(weights, np.exp(shifted, out=shifted), out=out)
+    np.log(out, out=out)
     out += amax
     return out
 
