@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -26,8 +25,8 @@ from .channel import (ChannelModel, _at, _fail, _integer, _number, _numbers, _re
 from .errors import AnalysisError, ConfigError
 from .estimate import McConfig, _mutual_information, mutual_information
 from .fano import build_construction, detection_report, find_sufficient_K
-from .kkt import KktContext, kkt_scan, lemma1_bound, radial_scan_grid, \
-    support_radius_bound, kkt_lower_bound
+from .kkt import KktContext, _kkt_lower_bounds, kkt_scan, lemma1_bound, radial_scan_grid, \
+    support_radius_bound
 from .measure import DiscreteMeasure, InputShell, PowerConstraint, average_power
 from .optimizer import (_SEARCH_RADIUS_FACTOR, OptimizerConfig, capacity_curve,
                         optimize_measure)
@@ -257,10 +256,9 @@ def _cmd_bounds(cfg, model, out_dir):
         raise ConfigError(f"config: {exc}") from exc
     r_sq_max = support_radius_bound(model, bound, ctx)  # domain errors exit 1
     norms = np.linspace(0.0, 4.0 * max(r_sq_max, shell.r2_sq), 65)
-    e0 = np.zeros(model.N, dtype=complex)
-    e0[0] = 1.0
-    rows = [(float(t), kkt_lower_bound(model, bound, ctx, math.sqrt(t) * e0), 0.0)
-            for t in norms]
+    xs = np.sqrt(norms)[:, None] * np.eye(1, model.N, dtype=complex)
+    rows = [(t, v, 0.0) for t, v in
+            zip(norms.tolist(), _kkt_lower_bounds(model, bound, ctx, xs).tolist())]
     _write_csv(out_dir, "bounds.csv", ["norm_sq", "kkt_lower", "se"], rows)
     return {"support_radius_sq": r_sq_max, "log_a": bound.log_a, "pi_bar": bound.pi_bar,
             "mass": bound.mass}

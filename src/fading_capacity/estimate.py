@@ -14,16 +14,17 @@ support. The squared radius is the closed-form integer-order Gamma(M)
 quantile (_gamma_quantile), each half solved on its own tail's finite sum.
 
 One sample path serves the estimators, and kkt_scan and the optimizer on
-dense channels: a _ConditionalLaws object draws each stream, forms
-component-major (atoms x samples) log densities and reduces them with the
-mixture kernel measure._weighted_mix, so all callers agree bit for bit. On
-dense channels y = L_x w with w standard normal, so log densities and ||y||^2
-are quadratic forms in w: one small matmul of their coefficients with each
-batch's monomials of w. Evaluation is per stream: every input on one stream
-(the non-atom points of a scan share the cross stream) is taken in one pass
-over its draws, and each batch's log-density and mixture buffers are reused
-from input to input, filled and reduced in place; each input keeps its own
-sums, so a value is the same alone or in a scan. On isotropic channels
+dense channels. A stream's draws depend on (M, cfg, stream index) alone, so
+_stream_draws keeps them for every call in the process, within a byte budget;
+a _ConditionalLaws object forms component-major (atoms x samples) log
+densities from them and reduces them with the mixture kernel
+measure._weighted_mix, so all callers agree bit for bit. On dense channels
+y = L_x w with w standard normal, so log densities and ||y||^2 are quadratic
+forms in w: one small matmul of their coefficients with each batch's
+monomials of w. Every input on one stream (the non-atom points of a scan
+share the cross stream) is taken in one pass over its draws, with each
+batch's buffers reused from input to input; each input keeps its own sums,
+so a value is the same alone or in a scan. On isotropic channels
 kkt_scan, the optimizer and the Fano report's I(mu) integrate ln f_mu, a
 function of ||y||^2 alone, by radial quadrature (_RadialTable); the public
 estimators stay Monte Carlo, its independent cross-check. It is batched
@@ -45,6 +46,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +72,11 @@ _LOG_CAP = 700.0
 
 # Stream tag outside the per-atom index range.
 _CROSS_STREAM = 1 << 20
+# Bytes of stream draws kept per process (_stream_draws): three dense M = 2 streams of
+# 20k samples, the atom streams of a 3-atom mutual_information.
+_DRAW_BUDGET = 2 << 20
+_DRAWS: OrderedDict = OrderedDict()  # (M, iso, cfg, stream) -> (draws, bytes), oldest use first
+_DRAWS_LOCK = threading.Lock()
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -207,6 +215,47 @@ def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
     return ids, _gamma_quantile(m, (ids + u) / n_strata, (n_strata - ids - u) / n_strata)
 
 
+def _n_strata(cfg: McConfig) -> int:
+    """Radial strata of isotropic streams: at least 8 draws each, at most 64."""
+    return max(1, min(64, cfg.samples // 8))
+
+
+def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
+    """Per-batch draws of one stream, seeded by (seed, stream, batch), read-only.
+
+    Isotropic channels get (ids, s): stratum ids and normalized squared radii
+    of M-dimensional outputs; dense channels get the (M^2, n) monomials
+    (_monomials) of the complex standard normals w (n, M). The draws depend on
+    (M, iso, cfg, stream) alone, so every caller in the process shares them,
+    least recently used evicted first, within _DRAW_BUDGET bytes; a larger
+    stream is returned without being kept. The lock guards the bookkeeping:
+    two callers that miss on one key at once both draw it, and get equal arrays.
+    """
+    key = (m, iso, cfg, stream)
+    with _DRAWS_LOCK:
+        if key in _DRAWS:
+            _DRAWS.move_to_end(key)
+            return _DRAWS[key][0]
+    draws, size = [], 0
+    for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
+        seed_key = derive_seed(cfg.seed, stream, b)
+        if iso:  # stratum ids continue from the batches before
+            draw = _stratified_radii_sq(seed_key, b * cfg.effective_batch, nb, m, _n_strata(cfg))
+        else:
+            draw = _monomials(_complex_standard_normals(seed_key, nb, m))
+        for arr in draw if iso else (draw,):
+            arr.flags.writeable = False
+            size += arr.nbytes
+        draws.append(draw)
+    with _DRAWS_LOCK:
+        if size <= _DRAW_BUDGET:
+            _DRAWS[key] = draws, size
+            retained = sum(nbytes for _, nbytes in _DRAWS.values())
+            while retained > _DRAW_BUDGET:
+                retained -= _DRAWS.popitem(last=False)[1][1]
+    return draws
+
+
 def _sample_moments(s1, s2, count):
     """Sample means and the variances of those means, per entry, from the sums
     s1 and s2 of count values and of their squares."""
@@ -216,18 +265,10 @@ def _sample_moments(s1, s2, count):
 
 def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[float, float]:
     """Mean and SE of the mixture log density over (stratum ids, logp)
-    batches; the mean averages the equiprobable strata's. One stratum (ids
-    None, the optimizer's cached dense batches) reduces by plain sums. logp is
-    read, never written.
-    """
+    batches; the mean averages the equiprobable strata's."""
     s1, s2, count = np.zeros(n_strata), np.zeros(n_strata), np.zeros(n_strata)
     for ids, logp in batches:
         mix = _weighted_mix(logp, weights)
-        if n_strata == 1:
-            s1 += mix.sum()
-            s2 += mix @ mix
-            count += mix.size
-            continue
         s1 += np.bincount(ids, weights=mix, minlength=n_strata)
         s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
         count += np.bincount(ids, minlength=n_strata)
@@ -348,12 +389,19 @@ def log_chi_square_tail(log_t: float, m: int) -> float:
     return _log_gamma_tail(m, math.exp(log_t) if log_t <= 709.0 else math.inf, True)
 
 
-def _monomials(w: np.ndarray, upper) -> np.ndarray:
+def _monomials(w: np.ndarray) -> np.ndarray:
     """(M^2, n) second-order monomials of the n draws w (n, M): |w_p|^2 for
-    each p, then Re and Im of conj(w_p) w_q for each p < q (upper)."""
-    w = w.T
-    cross = w[upper[0]].conj() * w[upper[1]]
-    return np.concatenate((w.real ** 2 + w.imag ** 2, cross.real, cross.imag))
+    each p, then Re and Im of conj(w_p) w_q for each p < q, written into one
+    array. The cross rows keep numpy's complex product as written: real
+    arithmetic, or an explicit in-place product, changes the last bit of some."""
+    n, m = w.shape
+    p, q = np.triu_indices(m, 1)
+    out, w = np.empty((m * m, n)), w.T
+    np.square(w.real, out=out[:m])
+    out[:m] += np.square(w.imag)
+    cross = w[p].conj() * w[q]
+    out[m:m + p.size], out[m + p.size:] = cross.real, cross.imag
+    return out
 
 
 def _norm_coefficients(a: np.ndarray, upper) -> np.ndarray:
@@ -435,17 +483,15 @@ class _ConditionalLaws:
     per-atom scalar variances. Otherwise the atoms' Cholesky factors L_j and
     their inverses are kept, and draws are taken as their monomials, against
     which log densities are quadratic forms. log_norm holds ln det(pi C_j)
-    on both paths. On dense channels stream_stats evaluates every input that
-    shares a stream, such as the non-atom points of a KKT scan, in one pass
-    over that stream's draws, and each batch allocates one (k, n)
-    log-density buffer and one mixture buffer that every input reuses in
-    turn. The draws of the last stream used stay on the object (read-only):
-    freeing each stream's draws as soon as its call returned let malloc hand
-    the pages back and fault them in again for the next stream.
-    On isotropic channels the radial quadrature takes a whole batch of input
-    variances at once (radial_weights, cross_quadratures) on one _RadialTable
-    per call. An atom whose squared norm or variance is not a finite double
-    raises ScaleOverflowError.
+    on both paths; the draws come from _stream_draws, shared with every other
+    call. On dense channels stream_stats evaluates every input that shares a
+    stream, such as the non-atom points of a KKT scan, in one pass over that
+    stream's draws, and each batch allocates one (k, n) log-density buffer and
+    one mixture buffer that every input reuses in turn. On isotropic channels
+    the radial quadrature takes a whole batch of input variances at once
+    (radial_weights, cross_quadratures) on one _RadialTable per call. An atom
+    whose squared norm or variance is not a finite double raises
+    ScaleOverflowError.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -468,42 +514,10 @@ class _ConditionalLaws:
             self.inv_factors = np.linalg.inv(self.factors)
             self.log_norm = model.M * math.log(math.pi) + log_det
             self.upper = np.triu_indices(model.M, 1)
-        self._draws_key = self._draws = None
 
     def scalar_variance(self, x) -> float:
         """c_x = noise_var + iso_var ||x||^2, the variance of p(.|x), isotropic only."""
         return self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
-
-    def n_strata(self, cfg: McConfig) -> int:
-        """Radial strata of isotropic streams: at least 8 draws each, at most 64."""
-        return max(1, min(64, cfg.samples // 8)) if self.iso else 1
-
-    def _stream_draws(self, cfg: McConfig, stream: int) -> list:
-        """Per-batch draws of one stream, seeded by (seed, stream, batch).
-
-        Isotropic channels get (ids, s): stratum ids and normalized squared
-        radii; the general path gets the (M^2, n) monomials (_monomials) of
-        the complex standard normals w (n, M). Only the last stream's draws
-        are cached.
-        """
-        key = (cfg, stream)
-        if key != self._draws_key:
-            m = self.model.M
-            n_strata = self.n_strata(cfg)
-            draws = []
-            offset = 0
-            for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
-                seed_key = derive_seed(cfg.seed, stream, b)
-                if self.iso:
-                    draw = _stratified_radii_sq(seed_key, offset, nb, m, n_strata)
-                    draw[0].flags.writeable = draw[1].flags.writeable = False
-                else:
-                    draw = _monomials(_complex_standard_normals(seed_key, nb, m), self.upper)
-                    draw.flags.writeable = False
-                draws.append(draw)
-                offset += nb
-            self._draws_key, self._draws = key, draws
-        return self._draws
 
     def _form_coefficients(self, factor) -> np.ndarray:
         """(..., k, M^2) coefficients of -w^H G_j w, G_j = A_j^H A_j with A_j =
@@ -528,13 +542,13 @@ class _ConditionalLaws:
         """
         if self.iso:
             ratios = self.scalar_variance(x) / self.scalar_var
-            for ids, s in self._stream_draws(cfg, stream):
+            for ids, s in _stream_draws(self.model.M, True, cfg, stream):
                 yield ids, -np.outer(ratios, s) - self.log_norm[:, None]
             return
         if factor is None:
             factor = conditional_covariance(self.model, x).factor
         coef = self._form_coefficients(factor)
-        for monomials in self._stream_draws(cfg, stream):
+        for monomials in _stream_draws(self.model.M, False, cfg, stream):
             yield None, self._log_densities(coef, monomials)
 
     def radial_weights(self, cxs, weights):
@@ -592,12 +606,12 @@ class _ConditionalLaws:
         weights = np.asarray(weights, dtype=float)
         if self.iso:
             return _stratified_moments(self.stream_log_densities(x, cfg, stream),
-                                       weights, self.n_strata(cfg))
+                                       weights, _n_strata(cfg))
         if factor is None:
             factor = conditional_covariance(self.model, x).factor
         coefs = self._form_coefficients(factor)
         s1, s2, count = np.zeros(np.shape(x)[:-1]), np.zeros(np.shape(x)[:-1]), 0
-        for monomials in self._stream_draws(cfg, stream):
+        for monomials in _stream_draws(self.model.M, False, cfg, stream):
             n = monomials.shape[1]
             logp, mix = np.empty((self.log_norm.size, n)), np.empty(n)
             for i in np.ndindex(s1.shape):

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input, _as_inputs,
-                      _conditional_covariances, conditional_covariance,
-                      input_norm_sq)
+                      _conditional_covariances, input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _finite_norms_sq,
                        _stream_indices, derive_seed)
@@ -103,16 +102,22 @@ def _slope(model: ChannelModel, bound: Lemma1Bound, gamma: float) -> float:
     return gamma / model.N - model.M * model.lambda_max / denom
 
 
-def kkt_lower_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContext, x) -> float:
-    """Analytic floor on KKT(x) obtained from the shell cross-term bound."""
+def _kkt_lower_bounds(model: ChannelModel, bound: Lemma1Bound, ctx: KktContext,
+                      xs) -> np.ndarray:
+    """kkt_lower_bound at each of the inputs xs, from one batched covariance call."""
     if bound.mass <= 0.0:
         raise InsufficientMassError("shell mass must be positive for the bound")
-    x = _as_input(model, x)
+    xs = _as_inputs(model, xs)
     denom = model.noise_var + model.lambda_min * bound.shell.r1_sq
-    cov = conditional_covariance(model, x)
-    return (input_norm_sq(x) * _slope(model, bound, ctx.gamma)
-            - ctx.gamma * ctx.a + ctx.capacity + model.M * LOG_PI_E + cov.log_det
+    return (np.array([input_norm_sq(x) for x in xs]) * _slope(model, bound, ctx.gamma)
+            - ctx.gamma * ctx.a + ctx.capacity + model.M * LOG_PI_E
+            + _conditional_covariances(model, xs)[2]
             + bound.log_a - model.M * model.noise_var / denom)
+
+
+def kkt_lower_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContext, x) -> float:
+    """Analytic floor on KKT(x) obtained from the shell cross-term bound."""
+    return float(_kkt_lower_bounds(model, bound, ctx, [x])[0])
 
 
 def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContext) -> float:

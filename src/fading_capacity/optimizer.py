@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelModel, conditional_entropy
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _information,
-                       _mutual_information, _stratified_moments, derive_seed)
+                       _mutual_information, derive_seed)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
 from .measure import DiscreteMeasure, PowerConstraint, _weighted_mix, average_power
 
@@ -120,16 +120,16 @@ class _SupportEvaluator:
                                for i in range(self.k)])
         self._laws = laws
         if not laws.iso:
-            self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i,
-                                                            laws.factors[i]))
-                             for i in range(self.k)]
+            self._batches = [[logp for _, logp in laws.stream_log_densities(
+                self.atoms[i], mc, i, laws.factors[i])] for i in range(self.k)]
+            self._samples = mc.samples
 
     def cross_means(self, weights) -> np.ndarray:
         weights = np.asarray(weights, dtype=float)
         if self._laws.iso:
             return self._laws.cross_quadratures(self._laws.scalar_var, weights)
-        return np.array([_stratified_moments(batches, weights, 1)[0]
-                         for batches in self._batches])
+        return np.array([sum(_weighted_mix(logp, weights).sum() for logp in batches)
+                         for batches in self._batches]) / self._samples
 
     def evaluate(self, weights) -> tuple[np.ndarray, np.ndarray]:
         """(cross_means(w), P) with P[i, j] = w_j E_i[p_j / f_mu], atom j's mean
@@ -145,13 +145,12 @@ class _SupportEvaluator:
                 post[rows] = q @ np.exp(table.logp[:, :n] + log_w - table.lnf[:n]).T
             return cross, post
         for i, batches in enumerate(self._batches):  # one stratum: plain sample means
-            total, row, count = 0.0, 0.0, 0
-            for _, logp in batches:
+            total, row = 0.0, 0.0
+            for logp in batches:
                 mix = _weighted_mix(logp, weights)
                 total += mix.sum()
                 row = row + np.exp(logp + log_w - mix).sum(axis=1)
-                count += mix.size
-            cross[i], post[i] = total / count, row / count
+            cross[i], post[i] = total / self._samples, row / self._samples
         return cross, post
 
     def mutual_information(self, weights) -> float:

@@ -1,9 +1,10 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from fading_capacity import ChannelModel, DiscreteMeasure
+from fading_capacity import ChannelModel, DiscreteMeasure, estimate
 
 
 # ScalarRadialOracle(1, 1).capacity(a) optima: squared norms, weights,
@@ -20,6 +21,14 @@ ORACLE_OPTIMA = {
           [0.6834239734322824, 0.2512493109821867, 0.0653267155855309],
           0.03433554416335246, 0.37461444375568875),
 }
+
+
+@pytest.fixture
+def cold_draws(monkeypatch):
+    """An empty process-wide draw cache for one test, so a test that counts
+    draws does not depend on which tests ran before it."""
+    monkeypatch.setattr(estimate, "_DRAWS", OrderedDict())
+    return estimate._DRAWS
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -6,17 +8,18 @@ import pytest
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, logsumexp
 
 from fading_capacity import (ChannelModel, DiscreteMeasure,
-                             InvalidCovarianceError, McConfig, McEstimate,
+                             InvalidCovarianceError, KktContext, McConfig, McEstimate,
                              NotConvergedError, OutputShell, ScaleOverflowError,
                              chi_square_tail,
                              conditional_covariance, conditional_entropy,
-                             cross_term, derive_seed, log_chi_square_tail,
-                             mutual_information, radial_scan_grid,
-                             shell_probability)
+                             cross_term, derive_seed, estimate, kkt_scan,
+                             log_chi_square_tail, mutual_information,
+                             radial_scan_grid, shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
-                                      _gamma_quantile, _log_gamma_tail, _mutual_information,
-                                      _shell_probabilities, _stirlerr, _stratified_radii_sq)
+                                      _gamma_quantile, _log_gamma_tail, _monomials,
+                                      _mutual_information, _shell_probabilities, _stirlerr,
+                                      _stratified_radii_sq, _stream_draws)
 from fading_capacity.measure import _weighted_mix
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle, hypoexponential_shell_mass
@@ -430,16 +433,107 @@ class TestRadialQuadrature:
             assert abs(laws.cross_quadrature(x, ws) - est.value) <= 3 * est.std_error
 
 
+def _retained_bytes(cache) -> int:
+    return sum(arr.nbytes for draws, _ in cache.values() for draw in draws
+               for arr in (draw if isinstance(draw, tuple) else (draw,)))
+
+
 class TestStreamDraws:
+    DENSE = random_model(np.random.default_rng(3), 2, 2)
+
     def test_cached_draws_are_read_only(self, scalar_model):
         cfg = McConfig(1000, seed=3, batch=400)
-        dense = random_model(np.random.default_rng(3), 2, 2)
-        for model in (scalar_model, dense):
-            laws = _ConditionalLaws(model, np.zeros((1, model.N), dtype=complex))
-            for draw in laws._stream_draws(cfg, 0):
+        for model in (scalar_model, self.DENSE):
+            for draw in _stream_draws(model.M, model.iso_var is not None, cfg, 0):
                 for arr in (draw if isinstance(draw, tuple) else (draw,)):
                     with pytest.raises(ValueError):
                         arr[0] = 0
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_cold_warm_and_unkept_draws_agree(self, scalar_model, dense, cold_draws,
+                                              monkeypatch):
+        # the cache changes which calls draw, never a value
+        model = self.DENSE if dense else scalar_model
+        atoms = np.zeros((3, model.N), dtype=complex)
+        atoms[1:, 0] = [1.0 + 0.5j, 2.0]
+        mu = DiscreteMeasure(atoms, [0.5, 0.3, 0.2])
+        cfg = McConfig(2000, seed=11, batch=700)
+        grid = radial_scan_grid(model, 12.0, points_per_decade=2, decades=2,
+                                n_directions=1, seed=5)
+
+        def results():
+            report = kkt_scan(model, mu, KktContext(0.1, 1.0, 0.2), grid, cfg)
+            return (mutual_information(model, mu, cfg),
+                    [cross_term(model, mu, x, cfg) for x in (atoms[1], grid[3])],
+                    [(p.value, p.std_error) for p in report.points + report.support])
+
+        cold = results()
+        assert cold_draws and results() == cold
+        monkeypatch.setattr(estimate, "_DRAW_BUDGET", 0)
+        cold_draws.clear()
+        assert results() == cold and not cold_draws
+
+    def test_mutual_information_then_scan_draws_k_plus_one_streams(self, monkeypatch,
+                                                                  cold_draws):
+        # the scan's atom streams are the ones mutual_information drew
+        model = self.DENSE
+        atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+        mu = DiscreteMeasure(atoms, [0.5, 0.3, 0.2])
+        cfg = McConfig(1000, seed=5)
+        seeds = []
+        draw = estimate._complex_standard_normals
+        monkeypatch.setattr(estimate, "_complex_standard_normals",
+                            lambda seed, *a: seeds.append(seed) or draw(seed, *a))
+        mi = mutual_information(model, mu, cfg)
+        grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
+                                n_directions=2, seed=5)
+        kkt_scan(model, mu, KktContext(0.1, 1.0, max(mi.value, 0.0)), grid, cfg)
+        assert len(seeds) == mu.n_atoms + 1 == len(set(seeds))
+
+    def test_retained_bytes_stay_within_the_budget(self, monkeypatch, cold_draws):
+        cfg = McConfig(1000, seed=3, batch=400)
+        stream_bytes = 4 * 1000 * 8  # (M^2, n) float64 monomials at M = 2
+        monkeypatch.setattr(estimate, "_DRAW_BUDGET", 2 * stream_bytes)
+        for stream in range(5):
+            _stream_draws(2, False, cfg, stream)
+            assert _retained_bytes(cold_draws) <= 2 * stream_bytes
+        assert [key[-1] for key in cold_draws] == [3, 4]
+        _stream_draws(2, False, cfg, 3)  # a hit makes stream 3 the most recent
+        _stream_draws(2, False, cfg, 0)
+        assert [key[-1] for key in cold_draws] == [3, 0]
+        # a stream larger than the budget is returned, not kept, and evicts nothing
+        big = _stream_draws(2, False, McConfig(3000, seed=3), 0)
+        assert big[0].shape == (4, 3000)
+        assert [key[-1] for key in cold_draws] == [3, 0]
+
+    def test_concurrent_callers_keep_the_budget(self, monkeypatch, cold_draws):
+        cfg = McConfig(200, seed=4, batch=90)
+        want = {s: [d.copy() for d in _stream_draws(2, False, cfg, s)] for s in range(6)}
+        cold_draws.clear()
+        budget = 3 * 4 * 200 * 8
+        monkeypatch.setattr(estimate, "_DRAW_BUDGET", budget)
+        errors = []
+
+        def caller(offset):
+            for i in range(150):
+                stream = (offset + i * 5) % 6
+                got = _stream_draws(2, False, cfg, stream)
+                if not all(np.array_equal(g, w) for g, w in zip(got, want[stream])):
+                    errors.append(stream)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert _retained_bytes(cold_draws) <= budget
+        assert sum(size for _, size in cold_draws.values()) == _retained_bytes(cold_draws)
 
 
 class TestStratifiedRadii:
@@ -556,21 +650,32 @@ class TestDenseKernel:
                 assert ids is None and logp.shape == (10, w.shape[0])
                 np.testing.assert_allclose(logp, ref, rtol=1e-12, atol=0.0)
 
+    @staticmethod
+    def _monomials_reference(w):
+        # |w_p|^2 rows, then Re and Im of conj(w_p) w_q, p < q, as separate arrays
+        w = w.T
+        p, q = np.triu_indices(w.shape[0], 1)
+        cross = w[p].conj() * w[q]
+        return np.concatenate((w.real ** 2 + w.imag ** 2, cross.real, cross.imag))
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_draws_are_the_monomials_of_the_complex_normals(self, m):
-        model = random_model(np.random.default_rng(5), m, 2)
         cfg = McConfig(1000, seed=4, batch=300)
-        draws = _ConditionalLaws(model, np.zeros((1, 2), complex))._stream_draws(cfg, 3)
+        draws = _stream_draws(m, False, cfg, 3)
         assert len(draws) == 4
-        p, q = np.triu_indices(m, 1)
         for b, draw in enumerate(draws):
             w = _complex_standard_normals(derive_seed(cfg.seed, 3, b), draw.shape[1], m)
-            cross = w[:, p].conj() * w[:, q]
-            expected = np.vstack([np.abs(w.T) ** 2, cross.real.T, cross.imag.T])
             assert draw.shape == (m * m, w.shape[0])
-            np.testing.assert_allclose(draw, expected, rtol=1e-15, atol=0.0)
+            assert np.array_equal(draw, self._monomials_reference(w))
             with pytest.raises(ValueError):
                 draw[0, 0] = 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 300, 20_000])
+    def test_monomials_equal_the_reference_bit_for_bit(self, m, n):
+        # 20_000 draws put the cross products past numpy's temporary elision
+        w = _complex_standard_normals(derive_seed(9, m, n), n, m)
+        assert np.array_equal(_monomials(w), self._monomials_reference(w))
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3)])
     def test_batched_covariances_equal_one_point(self, m, n):

@@ -166,7 +166,7 @@ class TestDetectionReport:
         report = detection_report(iso, build_construction(iso, n=1, K=1e150), CFG)
         assert 0.0 < report.detections[0].value < 1.0
 
-    def test_dense_detections_draw_no_normals(self, monkeypatch):
+    def test_dense_detections_draw_no_normals(self, monkeypatch, cold_draws):
         model = model_with_eigs([0.8, 1.4], M=2, N=1)
         fc = build_construction(model, n=3, K=2.0)
 

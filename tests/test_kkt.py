@@ -11,6 +11,7 @@ from fading_capacity import (ChannelModel, InputShell, InsufficientMassError,
                              lemma1_bound, lemma1_lower_bound,
                              radial_scan_grid, support_radius_bound)
 from fading_capacity import DiscreteMeasure, estimate
+from fading_capacity.kkt import _kkt_lower_bounds
 from conftest import radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle
 
@@ -156,6 +157,24 @@ class TestKktLowerBound:
                                 [math.sqrt(1e6) + 0j])
         assert v_big > v_small
 
+    @pytest.mark.parametrize("kind", ["scalar", "iso3x2", "dense2x2"])
+    def test_batch_equals_the_one_point_formula(self, scalar_model, kind):
+        # the bounds command's batch against the formula taken point by point
+        rng = np.random.default_rng(31)
+        model = {"scalar": scalar_model,
+                 "iso3x2": ChannelModel.isotropic(3, 2, 1.0, 1.0),
+                 "dense2x2": random_model(rng, 2, 2)}[kind]
+        bound = lemma1_bound(model, InputShell(9.0, 100.0), mass=0.5, pi_bar=1e4)
+        ctx = KktContext(gamma=20.0, a=1.0, capacity=0.5)
+        xs = [random_input(rng, model.N, scale=s) for s in np.geomspace(1e-3, 1e3, 20)]
+        denom = model.noise_var + model.lambda_min * bound.shell.r1_sq
+        slope = ctx.gamma / model.N - model.M * model.lambda_max / denom
+        want = [float(np.real(np.vdot(x, x))) * slope - ctx.gamma * ctx.a + ctx.capacity
+                + model.M * LOG_PI_E + conditional_covariance(model, x).log_det
+                + bound.log_a - model.M * model.noise_var / denom for x in xs]
+        assert _kkt_lower_bounds(model, bound, ctx, xs).tolist() == want
+        assert [kkt_lower_bound(model, bound, ctx, x) for x in xs] == want
+
 
 class TestSupportRadiusBound:
     def test_slope_non_positive_raises(self, scalar_model):
@@ -283,7 +302,7 @@ class TestKktScan:
                      + model.M * LOG_PI_E + log_det + cross.value)
             assert (p.value, p.std_error) == (value, cross.std_error)
 
-    def test_dense_scan_draws_each_stream_once(self, monkeypatch):
+    def test_dense_scan_draws_each_stream_once(self, monkeypatch, cold_draws):
         # the grid's origin is atom 0: evaluated in grid order, stream 0 would
         # be drawn, then the cross stream, then stream 0 again
         model = random_model(np.random.default_rng(3), 2, 2)
