@@ -15,19 +15,17 @@ quantile (_gamma_quantile), each half solved on its own tail's finite sum.
 
 One sample path serves the estimators, and kkt_scan and the optimizer on
 dense channels. A stream's draws depend on (M, cfg, stream index) alone, so
-_stream_draws keeps them for every call in the process, within a byte budget;
-a _ConditionalLaws object forms component-major (atoms x samples) log
-densities from them and reduces them with the mixture kernel
-measure._weighted_mix, so all callers agree bit for bit. On dense channels
-y = L_x w with w standard normal, so log densities and ||y||^2 are quadratic
-forms in w: one small matmul of their coefficients with each batch's
-monomials of w. Every input on one stream (the non-atom points of a scan
-share the cross stream) is taken in one pass over its draws, with each
-batch's buffers reused from input to input; each input keeps its own sums,
-so a value is the same alone or in a scan. On isotropic channels
-kkt_scan, the optimizer and the Fano report's I(mu) integrate ln f_mu, a
-function of ||y||^2 alone, by radial quadrature (_RadialTable); the public
-estimators stay Monte Carlo, its independent cross-check. It is batched
+_stream_draws shares them across the process within a byte budget; a
+_ConditionalLaws object forms component-major (atoms x samples) log densities
+from them and reduces them with measure._weighted_mix, so all callers agree
+bit for bit. On dense channels y = L_x w with w standard normal, so log
+densities are quadratic forms in w: one small matmul of their coefficients
+with each batch's monomials of w, every input on one stream in one pass,
+each with its own sums, so a value is the same alone or in a scan. On
+isotropic channels kkt_scan, the optimizer and the Fano report's I(mu)
+integrate ln f_mu, a function of ||y||^2 alone, by radial quadrature
+(_RadialTable); the public estimators stay Monte Carlo, its independent
+cross-check. It is batched
 (_ConditionalLaws.cross_quadratures): all inputs of a scan or a support are
 grouped by the node count their Gamma(M, c_x) law needs, each group is one
 array pass, and each row reduces on its own, so no value depends on the batch.
@@ -72,8 +70,7 @@ _LOG_CAP = 700.0
 
 # Stream tag outside the per-atom index range.
 _CROSS_STREAM = 1 << 20
-# Bytes of stream draws kept per process (_stream_draws): three dense M = 2 streams of
-# 20k samples, the atom streams of a 3-atom mutual_information.
+# Bytes of stream draws kept per process (_stream_draws): three M = 2 streams of 20k samples.
 _DRAW_BUDGET = 2 << 20
 _DRAWS: OrderedDict = OrderedDict()  # (M, iso, cfg, stream) -> (draws, bytes), oldest use first
 _DRAWS_LOCK = threading.Lock()
@@ -135,12 +132,6 @@ class OutputShell:
         if not (0.0 <= self.rho1 <= self.rho2):
             raise ValueError(f"shell radii must satisfy 0 <= rho1 <= rho2, "
                              f"got [{self.rho1}, {self.rho2})")
-
-
-def _batch_plan(total: int, batch: int) -> list[tuple[int, int]]:
-    """(batch index, batch size) pairs that cover total draws in order."""
-    return [(b, min(batch, total - start))
-            for b, start in enumerate(range(0, total, batch))]
 
 
 def _gamma_quantile(m: int, q, qbar) -> np.ndarray:
@@ -221,26 +212,23 @@ def _n_strata(cfg: McConfig) -> int:
 
 
 def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
-    """Per-batch draws of one stream, seeded by (seed, stream, batch), read-only.
-
-    Isotropic channels get (ids, s): stratum ids and normalized squared radii
-    of M-dimensional outputs; dense channels get the (M^2, n) monomials
-    (_monomials) of the complex standard normals w (n, M). The draws depend on
-    (M, iso, cfg, stream) alone, so every caller in the process shares them,
-    least recently used evicted first, within _DRAW_BUDGET bytes; a larger
-    stream is returned without being kept. The lock guards the bookkeeping:
-    two callers that miss on one key at once both draw it, and get equal arrays.
+    """Per-batch draws of one stream, seeded by (seed, stream, batch), read-only:
+    (ids, s), stratum ids and normalized squared radii, on isotropic channels,
+    else the (M^2, n) _monomials of complex standard normals w (n, M). Every
+    caller in the process shares them, least recently used evicted first,
+    within _DRAW_BUDGET bytes; a larger stream is returned without being kept.
+    Two callers that miss on one key at once both draw it, and get equal arrays.
     """
-    key = (m, iso, cfg, stream)
+    key, batch = (m, iso, cfg, stream), cfg.effective_batch
     with _DRAWS_LOCK:
         if key in _DRAWS:
             _DRAWS.move_to_end(key)
             return _DRAWS[key][0]
     draws, size = [], 0
-    for b, nb in _batch_plan(cfg.samples, cfg.effective_batch):
-        seed_key = derive_seed(cfg.seed, stream, b)
+    for b, start in enumerate(range(0, cfg.samples, batch)):
+        seed_key, nb = derive_seed(cfg.seed, stream, b), min(batch, cfg.samples - start)
         if iso:  # stratum ids continue from the batches before
-            draw = _stratified_radii_sq(seed_key, b * cfg.effective_batch, nb, m, _n_strata(cfg))
+            draw = _stratified_radii_sq(seed_key, start, nb, m, _n_strata(cfg))
         else:
             draw = _monomials(_complex_standard_normals(seed_key, nb, m))
         for arr in draw if iso else (draw,):
@@ -261,19 +249,6 @@ def _sample_moments(s1, s2, count):
     s1 and s2 of count values and of their squares."""
     means = s1 / count
     return means, np.maximum(s2 - s1 * means, 0.0) / np.maximum(count - 1, 1) / count
-
-
-def _stratified_moments(batches, weights: np.ndarray, n_strata: int) -> tuple[float, float]:
-    """Mean and SE of the mixture log density over (stratum ids, logp)
-    batches; the mean averages the equiprobable strata's."""
-    s1, s2, count = np.zeros(n_strata), np.zeros(n_strata), np.zeros(n_strata)
-    for ids, logp in batches:
-        mix = _weighted_mix(logp, weights)
-        s1 += np.bincount(ids, weights=mix, minlength=n_strata)
-        s2 += np.bincount(ids, weights=mix * mix, minlength=n_strata)
-        count += np.bincount(ids, minlength=n_strata)
-    means, var = _sample_moments(s1, s2, count)
-    return float(np.sum(means)) / n_strata, math.sqrt(float(np.sum(var)) / (n_strata * n_strata))
 
 
 # stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi) / 2 for k <= 15 (Loader 2000),
@@ -390,16 +365,18 @@ def log_chi_square_tail(log_t: float, m: int) -> float:
 
 
 def _monomials(w: np.ndarray) -> np.ndarray:
-    """(M^2, n) second-order monomials of the n draws w (n, M): |w_p|^2 for
-    each p, then Re and Im of conj(w_p) w_q for each p < q, written into one
-    array. The cross rows keep numpy's complex product as written: real
-    arithmetic, or an explicit in-place product, changes the last bit of some."""
+    """(M^2, n) second-order monomials of w (n, M): |w_p|^2, then Re and Im of
+    conj(w_p) w_q for p < q. The cross rows keep numpy's complex product (other
+    forms change the last bit of some) and precede the output: after it, their
+    freed temporaries topped the heap, malloc trimmed them, and the next draw
+    faulted them in again."""
     n, m = w.shape
     p, q = np.triu_indices(m, 1)
-    out, w = np.empty((m * m, n)), w.T
+    w = w.T
+    cross = w[p].conj() * w[q]
+    out = np.empty((m * m, n))
     np.square(w.real, out=out[:m])
     out[:m] += np.square(w.imag)
-    cross = w[p].conj() * w[q]
     out[m:m + p.size], out[m + p.size:] = cross.real, cross.imag
     return out
 
@@ -481,14 +458,12 @@ class _ConditionalLaws:
     For isotropic fading the law depends on the input norm only, so the
     per-sample work reduces to outer products of squared radii against the
     per-atom scalar variances. Otherwise the atoms' Cholesky factors L_j and
-    their inverses are kept, and draws are taken as their monomials, against
-    which log densities are quadratic forms. log_norm holds ln det(pi C_j)
-    on both paths; the draws come from _stream_draws, shared with every other
-    call. On dense channels stream_stats evaluates every input that shares a
-    stream, such as the non-atom points of a KKT scan, in one pass over that
-    stream's draws, and each batch allocates one (k, n) log-density buffer and
-    one mixture buffer that every input reuses in turn. On isotropic channels
-    the radial quadrature takes a whole batch of input variances at once
+    their inverses are kept, and log densities are quadratic forms in the
+    draws' monomials. log_norm holds ln det(pi C_j) on both paths; the draws
+    come from _stream_draws (_draws). On dense channels stream_stats takes
+    every input that shares a stream in one pass over its draws, with one
+    (k, n) log-density buffer and one mixture buffer per batch. On isotropic
+    channels the radial quadrature takes a batch of input variances at once
     (radial_weights, cross_quadratures) on one _RadialTable per call. An atom
     whose squared norm or variance is not a finite double raises
     ScaleOverflowError.
@@ -519,6 +494,14 @@ class _ConditionalLaws:
         """c_x = noise_var + iso_var ||x||^2, the variance of p(.|x), isotropic only."""
         return self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
 
+    def _draws(self, cfg: McConfig, stream: int) -> list:
+        """_stream_draws of this channel. A stream the cache does not keep (M = 4 at 20k samples)
+        stays until the next is drawn: freed first, its pages were trimmed and faulted in again."""
+        key = (self.model.M, self.iso, cfg, stream)
+        draws = _stream_draws(*key)
+        self._unkept = None if key in _DRAWS else draws
+        return draws
+
     def _form_coefficients(self, factor) -> np.ndarray:
         """(..., k, M^2) coefficients of -w^H G_j w, G_j = A_j^H A_j with A_j =
         L_j^-1 L_x, for the (..., M, M) factors L_x: one batched product."""
@@ -542,13 +525,13 @@ class _ConditionalLaws:
         """
         if self.iso:
             ratios = self.scalar_variance(x) / self.scalar_var
-            for ids, s in _stream_draws(self.model.M, True, cfg, stream):
+            for ids, s in self._draws(cfg, stream):
                 yield ids, -np.outer(ratios, s) - self.log_norm[:, None]
             return
         if factor is None:
             factor = conditional_covariance(self.model, x).factor
         coef = self._form_coefficients(factor)
-        for monomials in _stream_draws(self.model.M, False, cfg, stream):
+        for monomials in self._draws(cfg, stream):
             yield None, self._log_densities(coef, monomials)
 
     def radial_weights(self, cxs, weights):
@@ -604,14 +587,21 @@ class _ConditionalLaws:
         known (required for a stack).
         """
         weights = np.asarray(weights, dtype=float)
-        if self.iso:
-            return _stratified_moments(self.stream_log_densities(x, cfg, stream),
-                                       weights, _n_strata(cfg))
+        if self.iso:  # the mean averages the equiprobable strata's
+            n = _n_strata(cfg)
+            s1, s2, count = np.zeros(n), np.zeros(n), np.zeros(n)
+            for ids, logp in self.stream_log_densities(x, cfg, stream):
+                mix = _weighted_mix(logp, weights)
+                s1 += np.bincount(ids, weights=mix, minlength=n)
+                s2 += np.bincount(ids, weights=mix * mix, minlength=n)
+                count += np.bincount(ids, minlength=n)
+            means, var = _sample_moments(s1, s2, count)
+            return float(np.sum(means)) / n, math.sqrt(float(np.sum(var)) / (n * n))
         if factor is None:
             factor = conditional_covariance(self.model, x).factor
         coefs = self._form_coefficients(factor)
         s1, s2, count = np.zeros(np.shape(x)[:-1]), np.zeros(np.shape(x)[:-1]), 0
-        for monomials in _stream_draws(self.model.M, False, cfg, stream):
+        for monomials in self._draws(cfg, stream):
             n = monomials.shape[1]
             logp, mix = np.empty((self.log_norm.size, n)), np.empty(n)
             for i in np.ndindex(s1.shape):

@@ -22,8 +22,8 @@ import numpy as np
 from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input, _as_inputs,
                       _conditional_covariances, input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
-from .estimate import (McConfig, McEstimate, _ConditionalLaws, _finite_norms_sq,
-                       _stream_indices, derive_seed)
+from .estimate import (_CROSS_STREAM, McConfig, McEstimate, _ConditionalLaws,
+                       _finite_norms_sq, _stream_indices, derive_seed)
 from .measure import DiscreteMeasure, InputShell
 
 
@@ -102,8 +102,7 @@ def _slope(model: ChannelModel, bound: Lemma1Bound, gamma: float) -> float:
     return gamma / model.N - model.M * model.lambda_max / denom
 
 
-def _kkt_lower_bounds(model: ChannelModel, bound: Lemma1Bound, ctx: KktContext,
-                      xs) -> np.ndarray:
+def _kkt_lower_bounds(model: ChannelModel, bound: Lemma1Bound, ctx: KktContext, xs) -> np.ndarray:
     """kkt_lower_bound at each of the inputs xs, from one batched covariance call."""
     if bound.mass <= 0.0:
         raise InsufficientMassError("shell mass must be positive for the bound")
@@ -155,7 +154,8 @@ def _kkt_values(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure
         _, factors, log_det = _conditional_covariances(model, xs)
         streams = np.array(_stream_indices(mu.atoms, xs))
         cross, ses = np.empty(len(xs)), np.empty(len(xs))
-        for stream in sorted(set(streams.tolist())):  # np.unique loads numpy.ma
+        # atoms descending, cross stream last: see kkt_scan (np.unique loads numpy.ma)
+        for stream in sorted(set(streams.tolist()), key=lambda s: (s == _CROSS_STREAM, -s)):
             rows = np.flatnonzero(streams == stream)
             cross[rows], ses[rows] = laws.stream_stats(xs[rows], mu.weights, cfg, stream,
                                                        factors[rows])
@@ -261,13 +261,12 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
     for mu. On isotropic channels ln det C(x) = M ln c_x, and one batched
     radial quadrature (_ConditionalLaws.cross_quadratures) gives every cross
     term. On dense channels all points' Cholesky factors come from one batch,
-    and the points are evaluated per sample stream (the non-atom points share
-    the cross stream): one stream_stats call per stream draws it once and takes
-    all its points in one pass, reusing each batch's log-density and mixture
-    buffers from point to point; log densities under the atoms are quadratic
-    forms in the draws. Each value equals kkt_value's bit for bit.
-    A point or atom whose squared norm or variance is not a finite double
-    raises ScaleOverflowError.
+    and one stream_stats call per sample stream takes all of its points (the
+    non-atom points share the cross stream): atoms in descending order, then
+    the cross stream, so the atom streams that mutual_information (ascending)
+    left in the draw cache are used before a miss evicts them. Each value
+    equals kkt_value's bit for bit. A point or atom whose squared norm or
+    variance is not a finite double raises ScaleOverflowError.
     """
     grid = list(grid)
     if not grid:

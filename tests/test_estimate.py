@@ -490,6 +490,39 @@ class TestStreamDraws:
         kkt_scan(model, mu, KktContext(0.1, 1.0, max(mi.value, 0.0)), grid, cfg)
         assert len(seeds) == mu.n_atoms + 1 == len(set(seeds))
 
+    def test_scan_takes_the_cached_streams_before_the_missing_ones(self, monkeypatch,
+                                                                   cold_draws):
+        # with room for 3 of 5 atom streams, mutual_information leaves streams 2-4;
+        # in ascending order the scan's misses would evict each before its use
+        model = self.DENSE
+        rng = np.random.default_rng(8)
+        atoms = np.array([np.zeros(2)] + [random_input(rng, 2) for _ in range(4)])
+        mu = DiscreteMeasure(atoms, [0.2] * 5)
+        cfg = McConfig(1000, seed=5)
+        monkeypatch.setattr(estimate, "_DRAW_BUDGET", 3 * 4 * 1000 * 8)
+        seeds = []
+        draw = estimate._complex_standard_normals
+        monkeypatch.setattr(estimate, "_complex_standard_normals",
+                            lambda seed, *a: seeds.append(seed) or draw(seed, *a))
+        mi = mutual_information(model, mu, cfg)
+        grid = radial_scan_grid(model, 12.0, points_per_decade=2, decades=1,
+                                n_directions=1, seed=5)
+        kkt_scan(model, mu, KktContext(0.1, 1.0, max(mi.value, 0.0)), grid, cfg)
+        assert seeds == [derive_seed(cfg.seed, s, 0)
+                         for s in (0, 1, 2, 3, 4, 1, 0, estimate._CROSS_STREAM)]
+
+    def test_laws_hold_the_last_stream_the_cache_does_not_keep(self, monkeypatch,
+                                                               cold_draws):
+        laws = _ConditionalLaws(self.DENSE, np.zeros((1, 2)))
+        cfg, x = McConfig(1000, seed=5), np.zeros(2, dtype=complex)
+        laws.stream_stats(x, [1.0], cfg, 0)
+        assert laws._unkept is None and cold_draws
+        monkeypatch.setattr(estimate, "_DRAW_BUDGET", 0)
+        laws.stream_stats(x, [1.0], cfg, 1)
+        assert laws._unkept[0].shape == (4, 1000) and len(cold_draws) == 1
+        laws.stream_stats(x, [1.0], cfg, 0)  # kept: nothing more to hold
+        assert laws._unkept is None
+
     def test_retained_bytes_stay_within_the_budget(self, monkeypatch, cold_draws):
         cfg = McConfig(1000, seed=3, batch=400)
         stream_bytes = 4 * 1000 * 8  # (M^2, n) float64 monomials at M = 2
