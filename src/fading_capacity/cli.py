@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .channel import (ChannelModel, _at, _fail, _integer, _number, _numbers, _re
                       _vector, conditional_entropy, input_norm_sq, log_density)
 from .errors import AnalysisError, ConfigError
 from .estimate import McConfig, _mutual_information, mutual_information
-from .fano import build_construction, detection_report, find_sufficient_K
+from .fano import _report_mi, _sufficient_report, build_construction, detection_report
 from .kkt import KktContext, _kkt_lower_bounds, kkt_scan, lemma1_bound, radial_scan_grid, \
     support_radius_bound
 from .measure import DiscreteMeasure, InputShell, PowerConstraint, average_power
@@ -212,15 +213,15 @@ def _cmd_fano(cfg, model, out_dir):
     n = _integer(_require(cfg, "n", "config"), "config.n", 1)
     mc = _mc_from_config(cfg)
     K = cfg.get("K")
-    if K is None:
-        K = find_sufficient_K(model, n, mc)
-    else:
+    if K is not None:
         K = _number(K, "config.K")
         if K < 1.0:
             _fail("config.K", f"expected K >= 1, got {K}")
-    fc = build_construction(model, n, K)
-    report = detection_report(model, fc, mc,
-                              include_mi=bool(cfg.get("include_mi", True)))
+    report = (_sufficient_report(model, n, mc) if K is None else
+              detection_report(model, build_construction(model, n, K), mc, include_mi=False))
+    fc = report.construction
+    if cfg.get("include_mi", True):
+        report = replace(report, mutual_info=_report_mi(model, fc, mc))
     radii = np.exp(fc.log_r)
     rows = [(i + 1, float(radii[i]), report.bounds[i],
              report.detections[i].value, report.detections[i].std_error)
@@ -228,7 +229,7 @@ def _cmd_fano(cfg, model, out_dir):
     _write_csv(out_dir, "fano_shells.csv",
                ["shell", "r", "bound", "detection", "se"], rows)
     return {
-        "n": n, "K": K,
+        "n": n, "K": fc.k_base,
         "lambda_paper": report.lambda_paper, "lambda_impl": report.lambda_impl,
         "min_detection": report.min_detection, "meets_lambda": report.meets_lambda,
         "fano_lower_bound": report.fano_lower_bound,

@@ -17,18 +17,19 @@ One sample path serves the estimators, and kkt_scan and the optimizer on
 dense channels. A stream's draws depend on (M, cfg, stream index) alone, so
 _stream_draws shares them across the process within a byte budget; a
 _ConditionalLaws object forms component-major (atoms x samples) log densities
-from them and reduces them with measure._weighted_mix, so all callers agree
-bit for bit. On dense channels y = L_x w with w standard normal, so log
-densities are quadratic forms in w: one small matmul of their coefficients
-with each batch's monomials of w, every input on one stream in one pass,
-each with its own sums, so a value is the same alone or in a scan. On
-isotropic channels kkt_scan, the optimizer and the Fano report's I(mu)
-integrate ln f_mu, a function of ||y||^2 alone, by radial quadrature
-(_RadialTable); the public estimators stay Monte Carlo, its independent
-cross-check. It is batched
-(_ConditionalLaws.cross_quadratures): all inputs of a scan or a support are
-grouped by the node count their Gamma(M, c_x) law needs, each group is one
-array pass, and each row reduces on its own, so no value depends on the batch.
+from them, one (k, n) buffer per batch, and reduces them in place with
+measure._weighted_mix, so all callers agree bit for bit. On dense channels
+y = L_x w with w standard normal, so log densities are quadratic forms in w:
+one small matmul of their coefficients with each batch's monomials of w,
+every input on one stream in one pass, each with its own sums, so a value is
+the same alone or in a scan. On isotropic channels kkt_scan, the optimizer
+and the Fano report's I(mu) integrate ln f_mu, a function of ||y||^2 alone,
+by radial quadrature (_RadialTable); the public estimators stay Monte Carlo,
+its independent cross-check. It is batched (_ConditionalLaws.cross_quadratures):
+all inputs of a scan or a support are grouped by the node count their
+Gamma(M, c_x) law needs, each group is one array, formed and weighted in
+place, and each row reduces on its own, so no value depends on the batch.
+A support's entropies come from one batched factorization (neg_entropies).
 Shell probabilities (_shell_probabilities) take inputs and radii in logs and
 are exact at any scale on every channel: gamma tails when C(x) is a scalar
 matrix, else hypoexponential tails in the eigenvalues of C(x) (_hypoexp_tail).
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (_U64, ChannelModel, _as_input, _check_positive_int,
+from .channel import (_U64, LOG_PI_E, ChannelModel, _as_input, _check_positive_int,
                       _complex_standard_normals, _conditional_covariances,
                       conditional_covariance, conditional_entropy)
 from .errors import NotConvergedError, ScaleOverflowError
@@ -433,7 +434,8 @@ class _RadialTable:
         edges = edges[np.append(True, edges[1:] > edges[:-1])]  # np.unique loads numpy.ma
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-        logp = -np.outer(self.laws.inv_var, u) - self.laws.log_norm[:, None]
+        logp = np.multiply.outer(-self.laws.inv_var, u)
+        logp -= self.laws.log_norm[:, None]
         du = (half[:, None] * _GL_WEIGHTS).ravel()
         lnf = _weighted_mix(logp, self.weights)
         if first:
@@ -460,13 +462,14 @@ class _ConditionalLaws:
     per-atom scalar variances. Otherwise the atoms' Cholesky factors L_j and
     their inverses are kept, and log densities are quadratic forms in the
     draws' monomials. log_norm holds ln det(pi C_j) on both paths; the draws
-    come from _stream_draws (_draws). On dense channels stream_stats takes
-    every input that shares a stream in one pass over its draws, with one
-    (k, n) log-density buffer and one mixture buffer per batch. On isotropic
-    channels the radial quadrature takes a batch of input variances at once
-    (radial_weights, cross_quadratures) on one _RadialTable per call. An atom
-    whose squared norm or variance is not a finite double raises
-    ScaleOverflowError.
+    come from _stream_draws (_draws). stream_stats writes each batch's log
+    densities into one (k, n) buffer and takes the mixture in place; on dense
+    channels it takes every input that shares a stream in one pass over its
+    draws. On isotropic channels the radial quadrature takes a batch of input
+    variances at once (radial_weights, cross_quadratures) on one _RadialTable
+    per call. neg_entropies takes every atom's entropy from one batched
+    factorization, the dense laws' own. An atom whose squared norm or variance
+    is not a finite double raises ScaleOverflowError.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -485,14 +488,19 @@ class _ConditionalLaws:
             self.tail_s = _tail_quantile(model.M)
             self.u_max = float(np.max(self.scalar_var)) * self.tail_s
         else:
-            _, self.factors, log_det = _conditional_covariances(model, self.atoms)
+            _, self.factors, self.log_det = _conditional_covariances(model, self.atoms)
             self.inv_factors = np.linalg.inv(self.factors)
-            self.log_norm = model.M * math.log(math.pi) + log_det
+            self.log_norm = model.M * math.log(math.pi) + self.log_det
             self.upper = np.triu_indices(model.M, 1)
 
     def scalar_variance(self, x) -> float:
         """c_x = noise_var + iso_var ||x||^2, the variance of p(.|x), isotropic only."""
         return self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
+
+    def neg_entropies(self) -> np.ndarray:
+        """-h(Y|x_j) = -(M ln(pi e) + ln det C_j) per atom, from one batched factorization."""
+        log_det = _conditional_covariances(self.model, self.atoms)[2] if self.iso else self.log_det
+        return -(self.model.M * LOG_PI_E + log_det)
 
     def _draws(self, cfg: McConfig, stream: int) -> list:
         """_stream_draws of this channel. A stream the cache does not keep (M = 4 at 20k samples)
@@ -515,32 +523,26 @@ class _ConditionalLaws:
         return logp
 
     def stream_log_densities(self, x, cfg: McConfig, stream: int, factor=None):
-        """Yield (stratum ids, logp) per batch of the stream's samples of p(.|x).
+        """Yield logp per batch of the stream's samples of p(.|x), dense only.
 
-        logp is (k, n): row j holds ln p(y|x_j) at the batch's n outputs. On
-        dense channels ids is None (one stratum), and row j is
-        -w^H G_j w - log_norm[j] with G_j = A_j^H A_j, A_j = L_j^-1 L_x: one
+        logp is (k, n): row j holds ln p(y|x_j) = -w^H G_j w - log_norm[j] at
+        the batch's n outputs, G_j = A_j^H A_j with A_j = L_j^-1 L_x: one
         (k, M^2) @ (M^2, n) matmul of the forms' coefficients with the cached
         monomials for all atoms. factor is L_x when the caller already has it.
         """
-        if self.iso:
-            ratios = self.scalar_variance(x) / self.scalar_var
-            for ids, s in self._draws(cfg, stream):
-                yield ids, -np.outer(ratios, s) - self.log_norm[:, None]
-            return
         if factor is None:
             factor = conditional_covariance(self.model, x).factor
         coef = self._form_coefficients(factor)
         for monomials in self._draws(cfg, stream):
-            yield None, self._log_densities(coef, monomials)
+            yield self._log_densities(coef, monomials)
 
     def radial_weights(self, cxs, weights):
         """(table, groups), isotropic only: for the inputs of variances cxs that
         need n nodes, group (rows, q, n) gives E[g(||Y||^2)] ~ q @ g(table.u[:n]).
 
         ||Y||^2 ~ Gamma(M, c_x); a row of q is its density times the node
-        weights of the octaves that hold all but _TAIL_MASS of it, computed
-        elementwise. Each call builds its own table.
+        weights of the octaves that hold all but _TAIL_MASS of it, formed in
+        place in one array per group, the caller's to overwrite.
         """
         table = _RadialTable(self, np.asarray(weights, dtype=float))
         m, cxs = self.model.M, np.asarray(cxs, dtype=float)
@@ -552,10 +554,14 @@ class _ConditionalLaws:
             if end < len(ns) and ns[end] == ns[start]:
                 continue
             n, cx = ns[start], cx_sorted[start:end]
-            r = table.u[:n] / cx
-            # r^(m-1) e^-r / (m-1)! in one exp: each factor leaves double range near M = 150
-            log_density = -r if m == 1 else (m - 1) * np.log(r) - r - math.lgamma(m)
-            groups.append((order[start:end], table.du[:n] * np.exp(log_density) / cx, n))
+            q = table.u[:n] / cx  # r, overwritten by q in place
+            if m == 1:
+                np.negative(q, out=q)
+            else:  # r^(m-1) e^-r / (m-1)! in one exp: each factor leaves double range near M = 150
+                np.subtract((m - 1) * np.log(q), q, out=q)
+                q -= math.lgamma(m)
+            groups.append((order[start:end], np.divide(
+                np.multiply(np.exp(q, out=q), table.du[:n], out=q), cx, out=q), n))
             start = end
         return table, groups
 
@@ -565,7 +571,7 @@ class _ConditionalLaws:
         table, groups = self.radial_weights(cxs, weights)
         out = np.empty(np.size(cxs))
         for rows, q, n in groups:
-            out[rows] = np.add.reduce(q * table.lnf[:n], axis=1)
+            out[rows] = np.add.reduce(np.multiply(q, table.lnf[:n], out=q), axis=1)
         return out
 
     def cross_quadrature(self, x, weights) -> float:
@@ -578,20 +584,21 @@ class _ConditionalLaws:
         Isotropic channels sample the normalized squared radius directly,
         stratified over equiprobable shells. On dense channels x may also be a
         stack (P, N) of inputs that share the stream, with factor their (P, M,
-        M) factors L_x; the means and SEs are then arrays. One batched
-        coefficient product covers every input, and each batch is one pass:
-        per input, np.matmul into the batch's (k, n) buffer, log_norm
-        subtracted and the mixture taken in place (_weighted_mix with out).
-        Each input keeps its own sums, so a value does not depend on which
-        inputs share the call; one input is the P = 1 case. factor is L_x, if
-        known (required for a stack).
+        M) factors L_x; the means and SEs are then arrays, from one batched
+        coefficient product. Each batch's log densities fill one (k, n) buffer
+        per input, log_norm subtracted and the mixture taken in place
+        (_weighted_mix with out). Each input keeps its own sums, so a value
+        does not depend on which inputs share the call; one input is the P = 1
+        case. factor is L_x, if known (required for a stack).
         """
         weights = np.asarray(weights, dtype=float)
         if self.iso:  # the mean averages the equiprobable strata's
-            n = _n_strata(cfg)
+            n, ratios = _n_strata(cfg), self.scalar_variance(x) / self.scalar_var
             s1, s2, count = np.zeros(n), np.zeros(n), np.zeros(n)
-            for ids, logp in self.stream_log_densities(x, cfg, stream):
-                mix = _weighted_mix(logp, weights)
+            for ids, s in self._draws(cfg, stream):
+                logp = np.multiply.outer(-ratios, s)  # the batch's one (k, n) buffer
+                logp -= self.log_norm[:, None]
+                mix = _weighted_mix(logp, weights, out=np.empty(s.size))
                 s1 += np.bincount(ids, weights=mix, minlength=n)
                 s2 += np.bincount(ids, weights=mix * mix, minlength=n)
                 count += np.bincount(ids, minlength=n)
@@ -647,7 +654,8 @@ def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) 
     """
     laws = _ConditionalLaws(model, mu.atoms)
     neg_h = np.array([-conditional_entropy(model, x) for x in mu.atoms])
-    stats = [laws.stream_stats(x, mu.weights, cfg, i) for i, x in enumerate(mu.atoms)]
+    stats = [laws.stream_stats(x, mu.weights, cfg, i, None if laws.iso else laws.factors[i])
+             for i, x in enumerate(mu.atoms)]
     cross, cross_se = (np.array(v) for v in zip(*stats))
     value = _information(mu.weights, neg_h, cross)
     se = float(np.sqrt(np.dot(mu.weights ** 2, cross_se ** 2)))
@@ -666,9 +674,8 @@ def _mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig)
     if model.iso_var is None:
         return mutual_information(model, mu, cfg)
     laws = _ConditionalLaws(model, mu.atoms)
-    neg_h = np.array([-conditional_entropy(model, x) for x in mu.atoms])
     cross = laws.cross_quadratures(laws.scalar_var, mu.weights)
-    return McEstimate(_information(mu.weights, neg_h, cross), 0.0, 0, cfg.seed)
+    return McEstimate(_information(mu.weights, laws.neg_entropies(), cross), 0.0, 0, cfg.seed)
 
 
 def _shell_probabilities(model: ChannelModel, dirs: np.ndarray, log_norms: np.ndarray,

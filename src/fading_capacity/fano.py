@@ -165,6 +165,12 @@ def _analytic_shell_bound(fc: FanoConstruction, i: int) -> float:
     return float(fc.f_values[i]) * (e1 - e2)
 
 
+def _report_mi(model: ChannelModel, fc: FanoConstruction, cfg: McConfig):
+    """FanoReport.mutual_info: None unless the atoms are distinct and representable."""
+    distinct = fc.atoms_representable and (fc.n == 1 or fc.k_base > 1.0)
+    return _mutual_information(model, fc.measure(), cfg) if distinct else None
+
+
 def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
                      include_mi: bool = True) -> FanoReport:
     """Audit every shell against its analytic floor and the constant lambda.
@@ -179,10 +185,7 @@ def detection_report(model: ChannelModel, fc: FanoConstruction, cfg: McConfig,
     detections = tuple(_shell_probabilities(model, dirs, fc.log_k, log_rho, cfg))
     bounds = tuple(_analytic_shell_bound(fc, i) for i in range(fc.n))
     min_detection = min(d.value for d in detections)
-    mi = None
-    distinct_atoms = fc.n == 1 or fc.k_base > 1.0
-    if include_mi and fc.atoms_representable and distinct_atoms:
-        mi = _mutual_information(model, fc.measure(), cfg)
+    mi = _report_mi(model, fc, cfg) if include_mi else None
     fano_lower = fc.lambda_impl * math.log(fc.n) - 1.0
     log_power = fc.log_average_power()
     avg_power = math.exp(log_power) if log_power < _LOG_CAP else math.inf
@@ -202,10 +205,14 @@ def find_sufficient_K(model: ChannelModel, n: int, cfg: McConfig) -> float:
     Terminates because the shell floors approach twice lambda_impl as K grows;
     raises ScaleOverflowError if doubling exits the representable range first.
     """
+    return _sufficient_report(model, n, cfg).construction.k_base
+
+
+def _sufficient_report(model: ChannelModel, n: int, cfg: McConfig) -> FanoReport:
+    """detection_report, without the MI, of the construction at find_sufficient_K's K."""
     K = 2.0
-    while True:
-        fc = build_construction(model, n, K)  # raises ScaleOverflowError at the cap
-        report = detection_report(model, fc, cfg, include_mi=False)
+    while True:  # build_construction raises ScaleOverflowError at the cap
+        report = detection_report(model, build_construction(model, n, K), cfg, include_mi=False)
         if report.min_detection >= report.lambda_impl:
-            return K
+            return report
         K *= 2.0

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelModel, conditional_entropy
+from .channel import ChannelModel
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _information,
                        _mutual_information, derive_seed)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
@@ -87,8 +87,9 @@ class Optimum:
     (std_error 0, samples 0), else fresh-seed Monte Carlo; gamma is the final
     support's exact power multiplier, solved with its weights (0 if slack);
     kkt_report is the certification scan; converged means no scan value
-    below -kkt_tolerance, all support residuals within kkt_tolerance, and
-    power at most 2 % above the budget.
+    below -kkt_tolerance, all support residuals within kkt_tolerance, power
+    at most 2 % above the budget and, on isotropic channels, a closed tail:
+    gamma > 0 and c_max gamma >= M N iso_var (c_max: the outermost atom's output variance).
     """
 
     measure: DiscreteMeasure
@@ -111,17 +112,12 @@ class _SupportEvaluator:
     """
 
     def __init__(self, model: ChannelModel, atoms, mc: McConfig):
-        self.model = model
-        self.atoms = np.atleast_2d(np.asarray(atoms, dtype=complex))
-        self.k = self.atoms.shape[0]
-        laws = _ConditionalLaws(model, self.atoms)
-        self.norms_sq = laws.norms_sq
-        self.neg_h = np.array([-conditional_entropy(model, self.atoms[i])
-                               for i in range(self.k)])
-        self._laws = laws
+        laws = self._laws = _ConditionalLaws(model, atoms)
+        self.model, self.atoms, self.k = model, laws.atoms, laws.atoms.shape[0]
+        self.norms_sq, self.neg_h = laws.norms_sq, laws.neg_entropies()
         if not laws.iso:
-            self._batches = [[logp for _, logp in laws.stream_log_densities(
-                self.atoms[i], mc, i, laws.factors[i])] for i in range(self.k)]
+            self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i, laws.factors[i]))
+                             for i in range(self.k)]
             self._samples = mc.samples
 
     def cross_means(self, weights) -> np.ndarray:
@@ -141,8 +137,9 @@ class _SupportEvaluator:
         if self._laws.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
             table, groups = self._laws.radial_weights(self._laws.scalar_var, weights)
             for rows, q, n in groups:
-                cross[rows] = np.add.reduce(q * table.lnf[:n], axis=1)
-                post[rows] = q @ np.exp(table.logp[:, :n] + log_w - table.lnf[:n]).T
+                e = table.logp[:, :n] + log_w  # the posterior exponent, in one buffer
+                post[rows] = q @ np.exp(np.subtract(e, table.lnf[:n], out=e), out=e).T
+                cross[rows] = np.add.reduce(np.multiply(q, table.lnf[:n], out=q), axis=1)
             return cross, post
         for i, batches in enumerate(self._batches):  # one stratum: plain sample means
             total, row = 0.0, 0.0
@@ -284,11 +281,7 @@ def optimize_weights(model: ChannelModel, atoms, a: float, gamma: float,
 
 def _unit_direction(atom: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(atom)
-    if norm == 0.0:
-        u = np.zeros_like(atom)
-        u[0] = 1.0
-        return u
-    return atom / norm
+    return np.eye(atom.size, dtype=atom.dtype)[0] if norm == 0.0 else atom / norm
 
 
 def _golden_max(f, lo: float, hi: float):
@@ -555,7 +548,9 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
     residual_ok = max(report.support_residuals()) <= cfg.kkt_tolerance
     scan_ok = not report.violations(cfg.kkt_tolerance)
     power_ok = power <= a * (1.0 + _POWER_TOLERANCE)
-    converged = bool(residual_ok and scan_ok and power_ok)
+    iso, c_max = model.iso_var, model.noise_var + (model.iso_var or 0.0) * float(max(mu.norms_sq))
+    tail_ok = iso is None or (gamma > 0.0 and c_max * gamma >= model.M * model.N * iso)
+    converged = bool(residual_ok and scan_ok and power_ok and tail_ok)
     return Optimum(measure=mu, capacity_estimate=capacity, gamma=gamma,
                    kkt_report=report, converged=converged)
 

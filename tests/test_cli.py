@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fading_capacity import DiscreteMeasure, log_density
+from fading_capacity import (DiscreteMeasure, McConfig, build_construction, detection_report,
+                             fano, find_sufficient_K, log_density)
 from fading_capacity.cli import run
 from conftest import random_hermitian_pd
 
@@ -155,6 +156,33 @@ class TestFanoCommand:
         for row in rows[1:]:
             _, _, bound, detection, se = map(float, row.split(","))
             assert se == 0.0 and detection >= bound
+
+    def test_searched_K_is_audited_once(self, tmp_path, capsys, monkeypatch, scalar_model):
+        # without K the command takes the search's own construction and detections:
+        # one detection pass per K tried and one MI, with the API's values
+        cfg = write_config(tmp_path, "cfg.json", {"channel": SCALAR_CHANNEL, "seed": 3,
+                                                  "mc": {"samples": 2000}})
+        calls = {"shells": 0, "mi": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fano, "_shell_probabilities",
+                            counted("shells", fano._shell_probabilities))
+        monkeypatch.setattr(fano, "_mutual_information",
+                            counted("mi", fano._mutual_information))
+        assert run(["fano", "--config", cfg, "--out", str(tmp_path / "out"), "--n", "3"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert calls == {"shells": round(math.log2(summary["K"])), "mi": 1}
+        mc = McConfig(2000, seed=3)
+        assert summary["K"] == find_sufficient_K(scalar_model, 3, mc)
+        report = detection_report(scalar_model, build_construction(scalar_model, 3,
+                                                                   summary["K"]), mc)
+        assert summary["min_detection"] == report.min_detection
+        assert summary["mutual_information"]["value"] == report.mutual_info.value
 
 
 class TestFanoMargins:

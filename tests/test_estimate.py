@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
                                       _mutual_information, _shell_probabilities, _stirlerr,
                                       _stratified_radii_sq, _stream_draws)
 from fading_capacity.measure import _weighted_mix
+from fading_capacity.optimizer import _SupportEvaluator
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle, hypoexponential_shell_mass
 
@@ -433,6 +435,105 @@ class TestRadialQuadrature:
             assert abs(laws.cross_quadrature(x, ws) - est.value) <= 3 * est.std_error
 
 
+class TestInPlaceIsotropicPaths:
+    """The isotropic quadrature and Monte Carlo write into per-call buffers and
+    take every entropy from one batched factorization; each value equals the
+    one the allocating formulas give, bit for bit."""
+
+    @staticmethod
+    def _atoms(rng, n, k):
+        # the origin, then scales from 1e-3 to 1e3 along random directions
+        dirs = np.array([random_input(rng, n) for _ in range(k - 1)]).reshape(k - 1, n)
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        return np.vstack([np.zeros((1, n)), np.geomspace(1e-3, 1e3, k - 1)[:, None] * dirs])
+
+    @pytest.mark.parametrize("shape", ["iso1x1", "iso3x2", "dense2x2"])
+    @pytest.mark.parametrize("k", [1, 2, 7, 16])
+    def test_neg_entropies_equal_the_per_atom_entropies(self, shape, k):
+        rng = np.random.default_rng(k)
+        model = {"iso1x1": ChannelModel.isotropic(1, 1, 1.0, 1.0),
+                 "iso3x2": ChannelModel.isotropic(3, 2, 0.5, 2.0),
+                 "dense2x2": random_model(rng, 2, 2)}[shape]
+        atoms = self._atoms(rng, model.N, k)
+        want = [-conditional_entropy(model, x) for x in atoms]
+        assert np.array_equal(_ConditionalLaws(model, atoms).neg_entropies(), want)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("batch", [None, 300])
+    def test_stream_stats_equal_the_allocating_formulas(self, m, batch):
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        laws = _ConditionalLaws(model, [[0j], [2.0 + 0j], [0.5j], [7.0 + 1.0j]])
+        w = np.array([0.5, 0.3, 0.0, 0.2])
+        cfg = McConfig(1000, seed=5, batch=batch)
+        strata = estimate._n_strata(cfg)
+        for stream, x in enumerate(([0j], [2.0 + 0j], [30.0 + 0j])):
+            ratios = laws.scalar_variance(x) / laws.scalar_var
+            s1, s2, count = np.zeros(strata), np.zeros(strata), np.zeros(strata)
+            for ids, s in _stream_draws(m, True, cfg, stream):
+                mix = _weighted_mix(-np.outer(ratios, s) - laws.log_norm[:, None], w)
+                s1 += np.bincount(ids, weights=mix, minlength=strata)
+                s2 += np.bincount(ids, weights=mix * mix, minlength=strata)
+                count += np.bincount(ids, minlength=strata)
+            means, var = estimate._sample_moments(s1, s2, count)
+            want = (float(np.sum(means)) / strata, math.sqrt(float(np.sum(var)) / strata ** 2))
+            assert laws.stream_stats(x, w, cfg, stream) == want
+
+    @staticmethod
+    def _reference_weights(laws, table, cx, n):
+        # the allocating form: du * exp(log density) / cx
+        m, r = laws.model.M, table.u[:n] / cx
+        log_density = -r if m == 1 else (m - 1) * np.log(r) - r - math.lgamma(m)
+        return table.du[:n] * np.exp(log_density) / cx
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_quadratures_equal_the_allocating_formulas(self, m):
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        ts, w = [0.0, 4.0, 30.0], np.array([0.6, 0.3, 0.1])
+        laws = TestRadialQuadrature._laws(model, ts)
+        cxs = 1.0 + np.array([0.0, 0.3, 4.0, 7.5, 30.0, 90.0, 400.0, 2500.0])
+        table, groups = laws.radial_weights(cxs, w)
+        assert np.array_equal(table.logp,
+                              -np.outer(laws.inv_var, table.u) - laws.log_norm[:, None])
+        assert len(groups) >= 3
+        want = np.empty(cxs.size)
+        for rows, q, n in groups:
+            ref = self._reference_weights(laws, table, cxs[rows, None], n)
+            assert np.array_equal(q, ref)
+            want[rows] = np.add.reduce(ref * table.lnf[:n], axis=1)
+        assert np.array_equal(laws.cross_quadratures(cxs, w), want)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_evaluate_equals_the_allocating_formulas(self, m):
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        atoms = np.array([[0j], [2.0 + 0j], [5.0 + 0j], [30.0 + 0j]])
+        w = np.array([0.5, 0.3, 0.2, 0.0])
+        ev = _SupportEvaluator(model, atoms, McConfig(1000, seed=5))
+        cross, post = ev.evaluate(w)
+        laws = _ConditionalLaws(model, atoms)
+        table, groups = laws.radial_weights(laws.scalar_var, w)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)[:, None]
+        for rows, _, n in groups:
+            q = self._reference_weights(laws, table, laws.scalar_var[rows, None], n)
+            assert np.array_equal(cross[rows], np.add.reduce(q * table.lnf[:n], axis=1))
+            assert np.array_equal(post[rows],
+                                  q @ np.exp(table.logp[:, :n] + log_w - table.lnf[:n]).T)
+
+    def test_stream_stats_peak_is_one_buffer_and_four_vectors(self, scalar_model, cold_draws):
+        # 4 atoms x 20k samples: one (k, n) log-density buffer and at most four
+        # n-vectors (mixture, shift, square and a spare), draws already cached
+        laws = _ConditionalLaws(scalar_model, [[0j], [1.0 + 0j], [2.0 + 0j], [3.0 + 0j]])
+        w, cfg = np.full(4, 0.25), McConfig(20_000, seed=3)
+        laws.stream_stats([1.0 + 0j], w, cfg, 1)  # draws the stream into the cache
+        tracemalloc.start()
+        try:
+            laws.stream_stats([1.0 + 0j], w, cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 + 4) * 20_000 * 8
+
+
 def _retained_bytes(cache) -> int:
     return sum(arr.nbytes for draws, _ in cache.values() for draw in draws
                for arr in (draw if isinstance(draw, tuple) else (draw,)))
@@ -676,11 +777,11 @@ class TestDenseKernel:
             factor = conditional_covariance(model, x).factor
             batches = list(laws.stream_log_densities(x, cfg, stream))
             assert len(batches) == 4
-            for b, (ids, logp) in enumerate(batches):
+            for b, logp in enumerate(batches):
                 w = _complex_standard_normals(derive_seed(cfg.seed, stream, b),
                                               logp.shape[1], m)
                 ref = np.array([c.log_densities(w @ factor.T) for c in covs])
-                assert ids is None and logp.shape == (10, w.shape[0])
+                assert logp.shape == (10, w.shape[0])
                 np.testing.assert_allclose(logp, ref, rtol=1e-12, atol=0.0)
 
     @staticmethod

@@ -6,7 +6,7 @@ import pytest
 
 from fading_capacity import (DiscreteMeasure, KktContext, McConfig,
                              OptimizerConfig, PowerConstraint, average_power,
-                             derive_seed, insert_atom, kkt_scan, mutual_information,
+                             derive_seed, insert_atom, kkt_scan, kkt_value, mutual_information,
                              optimize_measure, optimize_weights,
                              radial_scan_grid)
 from fading_capacity.estimate import _ConditionalLaws
@@ -254,6 +254,24 @@ class TestOptimizeMeasure:
         cfg = small_config(12)
         opt = optimize_measure(scalar_model, PowerConstraint(1.0), cfg)
         assert opt.gamma > 0.0
+
+    @pytest.mark.parametrize("a", [0.01, 0.5])
+    def test_open_tail_is_not_converged(self, scalar_model, a):
+        # the scan, the support residuals and the power all pass, but the outermost
+        # atom's variance leaves c_max gamma < M N iso: KKT falls like
+        # (gamma - 1/c_max) ||x||^2 beyond the scan cap
+        cfg = small_config(7)
+        opt = optimize_measure(scalar_model, PowerConstraint(a), cfg)
+        report = opt.kkt_report
+        assert not report.violations(cfg.kkt_tolerance)
+        assert max(report.support_residuals()) <= cfg.kkt_tolerance
+        assert average_power(opt.measure) <= a * (1 + _POWER_TOLERANCE)
+        c_max = 1.0 + float(np.max(opt.measure.norms_sq))
+        assert 0.0 < opt.gamma < 1.0 / c_max
+        ctx = KktContext(opt.gamma, a, opt.capacity_estimate.value)
+        far = kkt_value(scalar_model, opt.measure, ctx, [100.0 + 0j], cfg.mc)
+        assert far.value < -cfg.kkt_tolerance
+        assert not opt.converged
 
     def test_deterministic(self, scalar_model):
         cfg = small_config(13, max_atoms=3, outer_iterations=2)
