@@ -47,11 +47,24 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# the fields each optional section of a config may hold
+_SECTION_FIELDS = {
+    "mc": ("samples", "batch"),
+    "grid": ("max_norm_sq", "points_per_decade", "decades", "directions"),
+    "optimizer": ("max_atoms", "outer_iterations", "weight_iterations", "kkt_tolerance",
+                  "search_radius_sq"),
+}
+
+
 def _section(cfg: dict, key: str) -> dict:
-    """The optional object cfg[key]; {} when it is absent."""
+    """The optional object cfg[key]; {} when it is absent. A field that is not one
+    of _SECTION_FIELDS[key] is an error, not silently left at its default."""
     spec = cfg.get(key, {})
     if not isinstance(spec, dict):
         _fail(f"config.{key}", "expected an object")
+    for field in spec:
+        if field not in _SECTION_FIELDS[key]:
+            _fail(f"config.{key}.{field}", "unknown field")
     return spec
 
 
@@ -162,15 +175,12 @@ def _cmd_kkt_scan(cfg, model, out_dir):
 def _optimizer_from_config(cfg) -> OptimizerConfig:
     spec = _section(cfg, "optimizer")
     counts = ("max_atoms", "outer_iterations", "weight_iterations")
-    positives = ("kkt_tolerance", "search_radius_sq")
     kwargs = {}
     for key, value in spec.items():
         if key in counts:
             kwargs[key] = _integer(value, f"config.optimizer.{key}", 1)
-        elif key in positives:
+        else:  # kkt_tolerance, search_radius_sq
             kwargs[key] = _number(value, f"config.optimizer.{key}", positive=True)
-        else:
-            _fail(f"config.optimizer.{key}", "unknown field")
     return OptimizerConfig(mc=_mc_from_config(cfg), **kwargs)
 
 
@@ -217,10 +227,13 @@ def _cmd_fano(cfg, model, out_dir):
         K = _number(K, "config.K")
         if K < 1.0:
             _fail("config.K", f"expected K >= 1, got {K}")
+    include_mi = cfg.get("include_mi", True)
+    if not isinstance(include_mi, bool):
+        _fail("config.include_mi", f"expected a boolean, got {type(include_mi).__name__}")
     report = (_sufficient_report(model, n, mc) if K is None else
               detection_report(model, build_construction(model, n, K), mc, include_mi=False))
     fc = report.construction
-    if cfg.get("include_mi", True):
+    if include_mi:
         report = replace(report, mutual_info=_report_mi(model, fc, mc))
     radii = np.exp(fc.log_r)
     rows = [(i + 1, float(radii[i]), report.bounds[i],

@@ -18,14 +18,16 @@ dense channels. A stream's draws depend on (M, cfg, stream index) alone, so
 _stream_draws shares them across the process within a byte budget; a
 _ConditionalLaws object forms component-major (atoms x samples) log densities
 from them, one (k, n) buffer per batch, and reduces them in place with
-measure._weighted_mix, so all callers agree bit for bit. On dense channels
-y = L_x w with w standard normal, so log densities are quadratic forms in w:
-one small matmul of their coefficients with each batch's monomials of w,
-every input on one stream in one pass, each with its own sums, so a value is
-the same alone or in a scan. On isotropic channels kkt_scan, the optimizer
-and the Fano report's I(mu) integrate ln f_mu, a function of ||y||^2 alone,
-by radial quadrature (_RadialTable); the public estimators stay Monte Carlo,
-its independent cross-check. It is batched (_ConditionalLaws.cross_quadratures):
+measure._weighted_mix. _ConditionalLaws.stream_stats is the one reduction of
+a stream to means and SEs, for a (P, N) stack of inputs (one input is P = 1),
+so all callers agree bit for bit. On dense channels y = L_x w with w standard
+normal, so log densities are quadratic forms in w: one small matmul of their
+coefficients with each batch's monomials of w, every input on one stream in
+one pass, each with its own sums, so a value is the same alone or in a scan.
+On isotropic channels kkt_scan, the optimizer and the Fano report's I(mu)
+integrate ln f_mu, a function of ||y||^2 alone, by radial quadrature
+(_RadialTable); the public estimators stay Monte Carlo, its independent
+cross-check. It is batched (_ConditionalLaws.cross_quadratures):
 all inputs of a scan or a support are grouped by the node count their
 Gamma(M, c_x) law needs, each group is one array, formed and weighted in
 place, and each row reduces on its own, so no value depends on the batch.
@@ -52,8 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (_U64, LOG_PI_E, ChannelModel, _as_input, _check_positive_int,
-                      _complex_standard_normals, _conditional_covariances,
-                      conditional_covariance, conditional_entropy)
+                      _complex_standard_normals, _conditional_covariances, conditional_entropy)
 from .errors import NotConvergedError, ScaleOverflowError
 from .measure import DiscreteMeasure, _weighted_mix
 
@@ -462,14 +463,15 @@ class _ConditionalLaws:
     per-atom scalar variances. Otherwise the atoms' Cholesky factors L_j and
     their inverses are kept, and log densities are quadratic forms in the
     draws' monomials. log_norm holds ln det(pi C_j) on both paths; the draws
-    come from _stream_draws (_draws). stream_stats writes each batch's log
-    densities into one (k, n) buffer and takes the mixture in place; on dense
-    channels it takes every input that shares a stream in one pass over its
-    draws. On isotropic channels the radial quadrature takes a batch of input
-    variances at once (radial_weights, cross_quadratures) on one _RadialTable
-    per call. neg_entropies takes every atom's entropy from one batched
-    factorization, the dense laws' own. An atom whose squared norm or variance
-    is not a finite double raises ScaleOverflowError.
+    come from _stream_draws (_draws). stream_stats takes a stack of inputs
+    that share a stream, writes each batch's log densities into one (k, n)
+    buffer and takes the mixture in place; on dense channels it takes every
+    input in one pass over the draws. On isotropic channels the radial
+    quadrature takes a batch of input variances at once (radial_weights,
+    cross_quadratures) on one _RadialTable per call. neg_entropies takes
+    every atom's entropy from one batched factorization, the dense laws' own.
+    An atom whose squared norm or variance is not a finite double raises
+    ScaleOverflowError.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -492,10 +494,6 @@ class _ConditionalLaws:
             self.inv_factors = np.linalg.inv(self.factors)
             self.log_norm = model.M * math.log(math.pi) + self.log_det
             self.upper = np.triu_indices(model.M, 1)
-
-    def scalar_variance(self, x) -> float:
-        """c_x = noise_var + iso_var ||x||^2, the variance of p(.|x), isotropic only."""
-        return self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
 
     def neg_entropies(self) -> np.ndarray:
         """-h(Y|x_j) = -(M ln(pi e) + ln det C_j) per atom, from one batched factorization."""
@@ -521,20 +519,6 @@ class _ConditionalLaws:
         logp = np.matmul(coef, monomials, out=out)
         logp -= self.log_norm[:, None]
         return logp
-
-    def stream_log_densities(self, x, cfg: McConfig, stream: int, factor=None):
-        """Yield logp per batch of the stream's samples of p(.|x), dense only.
-
-        logp is (k, n): row j holds ln p(y|x_j) = -w^H G_j w - log_norm[j] at
-        the batch's n outputs, G_j = A_j^H A_j with A_j = L_j^-1 L_x: one
-        (k, M^2) @ (M^2, n) matmul of the forms' coefficients with the cached
-        monomials for all atoms. factor is L_x when the caller already has it.
-        """
-        if factor is None:
-            factor = conditional_covariance(self.model, x).factor
-        coef = self._form_coefficients(factor)
-        for monomials in self._draws(cfg, stream):
-            yield self._log_densities(coef, monomials)
 
     def radial_weights(self, cxs, weights):
         """(table, groups), isotropic only: for the inputs of variances cxs that
@@ -574,52 +558,49 @@ class _ConditionalLaws:
             out[rows] = np.add.reduce(np.multiply(q, table.lnf[:n], out=q), axis=1)
         return out
 
-    def cross_quadrature(self, x, weights) -> float:
-        """cross_quadratures for the one input x."""
-        return float(self.cross_quadratures([self.scalar_variance(x)], weights)[0])
-
-    def stream_stats(self, x, weights, cfg: McConfig, stream: int, factor=None):
-        """Mean and SE of ln f_mu(Y) over Y ~ p(.|x), accumulated batch-wise.
+    def stream_stats(self, xs, weights, cfg: McConfig, stream: int, factors=None):
+        """Means and SEs, two (P,) arrays, of ln f_mu(Y) over Y ~ p(.|x) for the P
+        rows x of xs, all on one stream's draws, accumulated batch-wise.
 
         Isotropic channels sample the normalized squared radius directly,
-        stratified over equiprobable shells. On dense channels x may also be a
-        stack (P, N) of inputs that share the stream, with factor their (P, M,
-        M) factors L_x; the means and SEs are then arrays, from one batched
-        coefficient product. Each batch's log densities fill one (k, n) buffer
-        per input, log_norm subtracted and the mixture taken in place
-        (_weighted_mix with out). Each input keeps its own sums, so a value
-        does not depend on which inputs share the call; one input is the P = 1
-        case. factor is L_x, if known (required for a stack).
+        stratified over equiprobable shells, one row at a time at its variance
+        c_x = noise_var + iso_var x^H x. Dense channels take every row in one
+        pass over the draws, with coefficients from one batched product of the
+        rows' (P, M, M) factors L_x (one _conditional_covariances call when
+        factors is None). Each batch's log densities fill one (k, n) buffer,
+        log_norm subtracted and the mixture taken in place (_weighted_mix with
+        out). Each row keeps its own sums, so a value does not depend on which
+        rows share the call.
         """
-        weights = np.asarray(weights, dtype=float)
+        weights, draws = np.asarray(weights, dtype=float), self._draws(cfg, stream)
         if self.iso:  # the mean averages the equiprobable strata's
-            n, ratios = _n_strata(cfg), self.scalar_variance(x) / self.scalar_var
-            s1, s2, count = np.zeros(n), np.zeros(n), np.zeros(n)
-            for ids, s in self._draws(cfg, stream):
-                logp = np.multiply.outer(-ratios, s)  # the batch's one (k, n) buffer
-                logp -= self.log_norm[:, None]
-                mix = _weighted_mix(logp, weights, out=np.empty(s.size))
-                s1 += np.bincount(ids, weights=mix, minlength=n)
-                s2 += np.bincount(ids, weights=mix * mix, minlength=n)
-                count += np.bincount(ids, minlength=n)
-            means, var = _sample_moments(s1, s2, count)
-            return float(np.sum(means)) / n, math.sqrt(float(np.sum(var)) / (n * n))
-        if factor is None:
-            factor = conditional_covariance(self.model, x).factor
-        coefs = self._form_coefficients(factor)
-        s1, s2, count = np.zeros(np.shape(x)[:-1]), np.zeros(np.shape(x)[:-1]), 0
-        for monomials in self._draws(cfg, stream):
+            n, means, ses = _n_strata(cfg), np.empty(len(xs)), np.empty(len(xs))
+            for row, x in enumerate(xs):
+                cx = self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
+                ratios, s1, s2, count = cx / self.scalar_var, np.zeros(n), np.zeros(n), np.zeros(n)
+                for ids, s in draws:
+                    logp = np.multiply.outer(-ratios, s)  # the batch's one (k, n) buffer
+                    logp -= self.log_norm[:, None]
+                    mix = _weighted_mix(logp, weights, out=np.empty(s.size))
+                    s1 += np.bincount(ids, weights=mix, minlength=n)
+                    s2 += np.bincount(ids, weights=mix * mix, minlength=n)
+                    count += np.bincount(ids, minlength=n)
+                strata, var = _sample_moments(s1, s2, count)
+                means[row], ses[row] = np.sum(strata) / n, math.sqrt(float(np.sum(var)) / (n * n))
+            return means, ses
+        if factors is None:
+            factors = _conditional_covariances(self.model, xs)[1]
+        coefs = self._form_coefficients(factors)
+        s1, s2, count = np.zeros(len(xs)), np.zeros(len(xs)), 0
+        for monomials in draws:
             n = monomials.shape[1]
             logp, mix = np.empty((self.log_norm.size, n)), np.empty(n)
-            for i in np.ndindex(s1.shape):
-                _weighted_mix(self._log_densities(coefs[i], monomials, out=logp), weights,
-                              out=mix)
-                s1[i] += mix.sum()
-                s2[i] += mix @ mix
+            for row, coef in enumerate(coefs):
+                _weighted_mix(self._log_densities(coef, monomials, out=logp), weights, out=mix)
+                s1[row] += mix.sum()
+                s2[row] += mix @ mix
             count += n
         means, var = _sample_moments(s1, s2, count)
-        if means.ndim == 0:
-            return float(means), math.sqrt(var)
         return means, np.sqrt(var)
 
 
@@ -637,11 +618,11 @@ def cross_term(model: ChannelModel, mu: DiscreteMeasure, x, cfg: McConfig) -> Mc
     mutual_information uses for that atom, so the two estimators decompose
     consistently.
     """
-    x = _as_input(model, x)
-    _finite_norms_sq(x[None], model)
+    xs = _as_input(model, x)[None]
+    _finite_norms_sq(xs, model)
     mean, se = _ConditionalLaws(model, mu.atoms).stream_stats(
-        x, mu.weights, cfg, _stream_indices(mu.atoms, x[None])[0])
-    return McEstimate(mean, se, cfg.samples, cfg.seed)
+        xs, mu.weights, cfg, _stream_indices(mu.atoms, xs)[0])
+    return McEstimate(float(mean[0]), float(se[0]), cfg.samples, cfg.seed)
 
 
 def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) -> McEstimate:
@@ -654,9 +635,10 @@ def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) 
     """
     laws = _ConditionalLaws(model, mu.atoms)
     neg_h = np.array([-conditional_entropy(model, x) for x in mu.atoms])
-    stats = [laws.stream_stats(x, mu.weights, cfg, i, None if laws.iso else laws.factors[i])
-             for i, x in enumerate(mu.atoms)]
-    cross, cross_se = (np.array(v) for v in zip(*stats))
+    stats = [laws.stream_stats(mu.atoms[i:i + 1], mu.weights, cfg, i,
+                               None if laws.iso else laws.factors[i:i + 1])
+             for i in range(mu.n_atoms)]
+    cross, cross_se = (np.concatenate(v) for v in zip(*stats))
     value = _information(mu.weights, neg_h, cross)
     se = float(np.sqrt(np.dot(mu.weights ** 2, cross_se ** 2)))
     return McEstimate(value, se, cfg.samples * mu.n_atoms, cfg.seed)

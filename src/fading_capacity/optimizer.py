@@ -102,53 +102,57 @@ class Optimum:
 class _SupportEvaluator:
     """Per-atom cross terms E_i[ln f_w] of a fixed support, as functions of w.
 
-    On isotropic channels cross_means(w) is one batched radial quadrature of
-    all atoms, _ConditionalLaws.cross_quadratures, as kkt_value takes it.
-    Otherwise it reduces the cached batches of atom i's stream (one stratum)
-    like stream_stats(atoms[i], w, mc, i) does, and equals its mean bit for
-    bit. Either way it is a smooth deterministic function of the weights.
-    evaluate(w) returns the same cross means with the posteriors, from one
-    radial_weights call or one _weighted_mix per cached batch.
+    cross_means(w) takes them as kkt_value does: one batched radial quadrature
+    (_ConditionalLaws.cross_quadratures) on isotropic channels, else one
+    stream_stats call per atom on its own stream. Either way it is a smooth
+    deterministic function of the weights. evaluate(w) returns the same cross
+    means with the posteriors, from one radial_weights call or one (k, n) log
+    density buffer per batch of the k atom streams. It takes those streams on
+    its first call and keeps them: the draw cache holds few streams of a
+    search's size, a weight solve calls evaluate hundreds of times, and the
+    mover's evaluators call only cross_means.
     """
 
     def __init__(self, model: ChannelModel, atoms, mc: McConfig):
         laws = self._laws = _ConditionalLaws(model, atoms)
         self.model, self.atoms, self.k = model, laws.atoms, laws.atoms.shape[0]
         self.norms_sq, self.neg_h = laws.norms_sq, laws.neg_entropies()
-        if not laws.iso:
-            self._batches = [list(laws.stream_log_densities(self.atoms[i], mc, i, laws.factors[i]))
-                             for i in range(self.k)]
-            self._samples = mc.samples
+        self._mc, self._streams = mc, None
 
     def cross_means(self, weights) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        if self._laws.iso:
-            return self._laws.cross_quadratures(self._laws.scalar_var, weights)
-        return np.array([sum(_weighted_mix(logp, weights).sum() for logp in batches)
-                         for batches in self._batches]) / self._samples
+        weights, laws = np.asarray(weights, dtype=float), self._laws
+        if laws.iso:
+            return laws.cross_quadratures(laws.scalar_var, weights)
+        return np.concatenate([laws.stream_stats(self.atoms[i:i + 1], weights, self._mc, i,
+                                                 laws.factors[i:i + 1])[0]
+                               for i in range(self.k)])
 
     def evaluate(self, weights) -> tuple[np.ndarray, np.ndarray]:
         """(cross_means(w), P) with P[i, j] = w_j E_i[p_j / f_mu], atom j's mean
         posterior under atom i's law."""
-        weights = np.asarray(weights, dtype=float)
+        weights, laws = np.asarray(weights, dtype=float), self._laws
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)[:, None]
-        cross, post = np.empty(self.k), np.empty((self.k, self.k))
-        if self._laws.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
-            table, groups = self._laws.radial_weights(self._laws.scalar_var, weights)
+        cross, post = np.zeros(self.k), np.zeros((self.k, self.k))
+        if laws.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
+            table, groups = laws.radial_weights(laws.scalar_var, weights)
             for rows, q, n in groups:
                 e = table.logp[:, :n] + log_w  # the posterior exponent, in one buffer
                 post[rows] = q @ np.exp(np.subtract(e, table.lnf[:n], out=e), out=e).T
                 cross[rows] = np.add.reduce(np.multiply(q, table.lnf[:n], out=q), axis=1)
             return cross, post
-        for i, batches in enumerate(self._batches):  # one stratum: plain sample means
-            total, row = 0.0, 0.0
-            for logp in batches:
-                mix = _weighted_mix(logp, weights)
-                total += mix.sum()
-                row = row + np.exp(logp + log_w - mix).sum(axis=1)
-            cross[i], post[i] = total / self._samples, row / self._samples
-        return cross, post
+        if self._streams is None:
+            self._streams = [laws._draws(self._mc, i) for i in range(self.k)]
+        coefs = laws._form_coefficients(laws.factors)
+        for batch in zip(*self._streams):  # batch b of every atom's stream
+            logp = np.empty((self.k, batch[0].shape[1]))  # the batch's one (k, n) buffer
+            for i, (coef, monomials) in enumerate(zip(coefs, batch)):
+                mix = _weighted_mix(laws._log_densities(coef, monomials, out=logp), weights)
+                cross[i] += mix.sum()
+                logp += log_w  # the posterior exponent, in place
+                logp -= mix
+                post[i] += np.exp(logp, out=logp).sum(axis=1)
+        return cross / self._mc.samples, post / self._mc.samples
 
     def mutual_information(self, weights) -> float:
         return _information(weights, self.neg_h, self.cross_means(weights))
@@ -204,8 +208,7 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
     weight >= _PRUNE_FLOOR agree with the objective within _GAIN_TOLERANCE
     and no other gain exceeds it by more, when even the Blahut-Arimoto step
     no longer moves the weights, or when the budget runs out. Returns
-    (weights, gamma, scores, lagrangian); scores are the per-atom gains
-    D_i - gamma*(||x_i||^2/N - a).
+    (weights, gamma, lagrangian).
     """
     k = ev.k
     w = np.full(k, 1.0 / k) if w0 is None else np.asarray(w0, dtype=float).copy()
@@ -214,7 +217,6 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
     excess = ev.norms_sq / ev.model.N - a
     free = gamma is None
     gamma = 0.0 if free else gamma
-    scores = np.zeros(k)
     value = 0.0
     damping, before = 0.0, None  # before: the point ahead of an unchecked step
     for _ in range(iterations):
@@ -259,7 +261,7 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
         w = w_new
         if still:
             break
-    return w, gamma, scores, value
+    return w, gamma, value
 
 
 def optimize_weights(model: ChannelModel, atoms, a: float, gamma: float,
@@ -275,7 +277,7 @@ def optimize_weights(model: ChannelModel, atoms, a: float, gamma: float,
     if atoms.shape[0] == 0:
         raise ValueError("need at least one atom")
     ev = _SupportEvaluator(model, atoms, cfg.mc)
-    w, _, _, _ = _multiplicative_solve(ev, gamma, a, cfg.weight_iterations)
+    w, _, _ = _multiplicative_solve(ev, gamma, a, cfg.weight_iterations)
     return w
 
 
@@ -436,11 +438,10 @@ def _match_power(ev: _SupportEvaluator, a: float, weight_iters: int, w0=None):
     """Weights and power multiplier of the support's budget-constrained optimum.
 
     One _multiplicative_solve with the multiplier free, on one evaluator.
-    Returns (gamma, weights, scores, value, power); gamma = 0 when the budget
-    is slack.
+    Returns (gamma, weights, value, power); gamma = 0 when the budget is slack.
     """
-    w, gamma, scores, value = _multiplicative_solve(ev, None, a, weight_iters, w0)
-    return gamma, w, scores, value, float(np.dot(w, ev.norms_sq) / ev.model.N)
+    w, gamma, value = _multiplicative_solve(ev, None, a, weight_iters, w0)
+    return gamma, w, value, float(np.dot(w, ev.norms_sq) / ev.model.N)
 
 
 def _with_atom(atoms, weights, x):
@@ -452,9 +453,7 @@ def _polish(model, a, atoms, weights, cfg):
     """Full-fidelity power match on the consolidated support, again if it prunes."""
     def match(atoms, weights):
         ev = _SupportEvaluator(model, atoms, cfg.mc)
-        gamma, weights, _, value, power = _match_power(
-            ev, a, cfg.weight_iterations, weights)
-        return gamma, weights, value, power
+        return _match_power(ev, a, cfg.weight_iterations, weights)
 
     atoms, weights, _ = _consolidate(atoms, weights)
     gamma, weights, value, power = match(atoms, weights)
@@ -499,7 +498,7 @@ def optimize_measure(model: ChannelModel, constraint: PowerConstraint,
     # (max(2, outer_iterations // 3)) search phases had together
     for _ in range(cfg.outer_iterations + max(2, cfg.outer_iterations // 3)):
         ev = _SupportEvaluator(model, atoms, search_mc)
-        gamma, weights, _, value, _ = _match_power(ev, a, cfg.weight_iterations, weights)
+        gamma, weights, value, _ = _match_power(ev, a, cfg.weight_iterations, weights)
         atoms, weights, pruned = _consolidate(atoms, weights)
         atoms, moved, value = _move_radii(model, atoms, weights, gamma, a,
                                           search_mc, srs, value)

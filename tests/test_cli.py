@@ -410,6 +410,23 @@ class TestErrorPaths:
         assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
+    @pytest.mark.parametrize("command, fields, message", [
+        ("mi", {"mc": {"sample": 1000}}, "config.mc.sample: unknown field"),
+        ("kkt-scan", {"gamma": 0.1, "a": 1.0, "capacity": 0.3, "mc": {"samples": 1000},
+                      "grid": {"max_norm": 5.0}}, "config.grid.max_norm: unknown field"),
+        ("fano", {"n": 2, "mc": {"samples": 1000}, "include_mi": "no"},
+         "config.include_mi: expected a boolean, got str"),
+    ], ids=["mc-unknown-key", "grid-unknown-key", "include-mi-string"])
+    def test_misnamed_or_mistyped_field_is_named(self, tmp_path, capsys, command, fields,
+                                                 message):
+        # each ran on defaults: 200k samples, a scan to 48 a N, and the MI computed
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "seed": 1,
+            "measure": {"atoms": [{"re": [0.0]}, {"re": [2.0]}], "weights": [0.5, 0.5]},
+            **fields})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+
     @pytest.mark.parametrize("sigma, path", [
         ({"re": [[2.0, "1.0"], [1.0, 2.0]]}, "config.channel.sigma.re[0][1]: "),
         ({"re": [[2.0, 0.0], [1.0]]}, "config.channel.sigma.re[1]: "),

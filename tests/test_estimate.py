@@ -340,6 +340,16 @@ class TestMixtureKernel:
         np.testing.assert_allclose(got, self._reference(logp, w), rtol=1e-12)
 
 
+def _variance(model, x) -> float:
+    """c_x = noise_var + iso_var x^H x, the variance of p(.|x) on an isotropic channel."""
+    return model.noise_var + model.iso_var * float(np.real(np.vdot(x, x)))
+
+
+def _cross_quadrature(laws, x, weights) -> float:
+    """cross_quadratures for the one input x."""
+    return float(laws.cross_quadratures([_variance(laws.model, x)], weights)[0])
+
+
 class TestRadialQuadrature:
     @staticmethod
     def _laws(model, ts):
@@ -353,7 +363,7 @@ class TestRadialQuadrature:
         laws = self._laws(scalar_model, ts)
         for x in radial_scan_grid(scalar_model, 48.0 * a):
             t = float(np.real(np.vdot(x, x)))
-            got = laws.cross_quadrature(x, ws)
+            got = _cross_quadrature(laws, x, ws)
             assert abs(got - ORACLE.cross_term(t, ts, ws)) <= 1e-9
 
     def test_zero_weight_atom_is_ignored(self, scalar_model):
@@ -361,7 +371,7 @@ class TestRadialQuadrature:
         ts, ws = ts + [60.0], ws + [0.0]
         laws = self._laws(scalar_model, ts)
         for t in (0.0, 9.4, 30.0, 60.0, 150.0):
-            got = laws.cross_quadrature([math.sqrt(t) + 0j], ws)
+            got = _cross_quadrature(laws, [math.sqrt(t) + 0j], ws)
             assert abs(got - ORACLE.cross_term(t, ts, ws)) <= 1e-9
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -372,7 +382,7 @@ class TestRadialQuadrature:
         laws = self._laws(model, ts)
         for t, w in zip(ts, ws):
             c = 1.0 + t
-            got = laws.cross_quadrature([math.sqrt(t) + 0j], ws)
+            got = _cross_quadrature(laws, [math.sqrt(t) + 0j], ws)
             want = math.log(w) - m * math.log(math.pi * math.e * c)
             assert abs(got - want) <= 1e-9
 
@@ -385,7 +395,7 @@ class TestRadialQuadrature:
         for x in ([0j, 0j], [1.0 + 0.5j, -0.5j], [3.0, 2.0j], [20.0, 0j]):
             cx = 0.5 + 2.0 * float(np.real(np.vdot(x, x)))
             want = -m * math.log(math.pi * c0) - m * cx / c0
-            assert abs(laws.cross_quadrature(x, [1.0]) - want) <= 1e-9
+            assert abs(_cross_quadrature(laws, x, [1.0]) - want) <= 1e-9
 
     @pytest.mark.parametrize("m", [1, 2, 8])
     def test_tail_quantile_is_the_closed_form(self, m):
@@ -403,7 +413,7 @@ class TestRadialQuadrature:
             laws = _ConditionalLaws(model, [[2.0 + 0j]])
             for t in (0.0, 4.0, 30.0):
                 want = -m * math.log(5.0 * math.pi) - m * (1.0 + t) / 5.0
-                got = laws.cross_quadrature([math.sqrt(t) + 0j], [1.0])
+                got = _cross_quadrature(laws, [math.sqrt(t) + 0j], [1.0])
                 assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -413,9 +423,9 @@ class TestRadialQuadrature:
         model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
         ts, ws = [0.0, 4.0, 30.0], [0.6, 0.3, 0.1]
         xs = [[math.sqrt(t) + 0j] for t in (0.0, 0.3, 4.0, 7.5, 30.0, 90.0, 400.0, 2500.0)]
-        want = [self._laws(model, ts).cross_quadrature(x, ws) for x in xs]
+        want = [_cross_quadrature(self._laws(model, ts), x, ws) for x in xs]
         laws = self._laws(model, ts)
-        cxs = np.array([laws.scalar_variance(x) for x in xs])
+        cxs = np.array([_variance(model, x) for x in xs])
         table, _ = laws.radial_weights(cxs, ws)
         assert len(set(table.node_counts(cxs * laws.tail_s).tolist())) >= 3
         for order in (np.arange(len(xs)), np.arange(len(xs))[::-1],
@@ -432,7 +442,7 @@ class TestRadialQuadrature:
         for t in (0.0, 4.0, 12.0):
             x = [math.sqrt(t) + 0j]
             est = cross_term(model, mu, x, McConfig(20_000, seed=21))
-            assert abs(laws.cross_quadrature(x, ws) - est.value) <= 3 * est.std_error
+            assert abs(_cross_quadrature(laws, x, ws) - est.value) <= 3 * est.std_error
 
 
 class TestInPlaceIsotropicPaths:
@@ -467,7 +477,7 @@ class TestInPlaceIsotropicPaths:
         cfg = McConfig(1000, seed=5, batch=batch)
         strata = estimate._n_strata(cfg)
         for stream, x in enumerate(([0j], [2.0 + 0j], [30.0 + 0j])):
-            ratios = laws.scalar_variance(x) / laws.scalar_var
+            ratios = _variance(model, x) / laws.scalar_var
             s1, s2, count = np.zeros(strata), np.zeros(strata), np.zeros(strata)
             for ids, s in _stream_draws(m, True, cfg, stream):
                 mix = _weighted_mix(-np.outer(ratios, s) - laws.log_norm[:, None], w)
@@ -476,7 +486,8 @@ class TestInPlaceIsotropicPaths:
                 count += np.bincount(ids, minlength=strata)
             means, var = estimate._sample_moments(s1, s2, count)
             want = (float(np.sum(means)) / strata, math.sqrt(float(np.sum(var)) / strata ** 2))
-            assert laws.stream_stats(x, w, cfg, stream) == want
+            got = laws.stream_stats([x], w, cfg, stream)
+            assert (got[0].tolist(), got[1].tolist()) == ([want[0]], [want[1]])
 
     @staticmethod
     def _reference_weights(laws, table, cx, n):
@@ -519,15 +530,28 @@ class TestInPlaceIsotropicPaths:
             assert np.array_equal(post[rows],
                                   q @ np.exp(table.logp[:, :n] + log_w - table.lnf[:n]).T)
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_stream_stats_stack_equals_the_one_row_calls(self, dense):
+        # complex inputs: c_x takes x^H x, whose bits differ from sum |x|^2
+        rng = np.random.default_rng(12)
+        model = random_model(rng, 2, 2) if dense else ChannelModel.isotropic(3, 2, 0.5, 2.0)
+        laws = _ConditionalLaws(model, self._atoms(rng, 2, 4))
+        xs = np.array([[0j, 0j], [0.7 + 0.1j, -2.0j], [1.5 - 0.5j, 0.3 + 2.0j]])
+        w, cfg = np.array([0.4, 0.3, 0.2, 0.1]), McConfig(1000, seed=5, batch=300)
+        means, ses = laws.stream_stats(xs, w, cfg, 2)
+        rows = [laws.stream_stats(xs[i:i + 1], w, cfg, 2) for i in range(len(xs))]
+        assert means.tolist() == [m[0] for m, _ in rows]
+        assert ses.tolist() == [s[0] for _, s in rows]
+
     def test_stream_stats_peak_is_one_buffer_and_four_vectors(self, scalar_model, cold_draws):
         # 4 atoms x 20k samples: one (k, n) log-density buffer and at most four
         # n-vectors (mixture, shift, square and a spare), draws already cached
         laws = _ConditionalLaws(scalar_model, [[0j], [1.0 + 0j], [2.0 + 0j], [3.0 + 0j]])
         w, cfg = np.full(4, 0.25), McConfig(20_000, seed=3)
-        laws.stream_stats([1.0 + 0j], w, cfg, 1)  # draws the stream into the cache
+        laws.stream_stats([[1.0 + 0j]], w, cfg, 1)  # draws the stream into the cache
         tracemalloc.start()
         try:
-            laws.stream_stats([1.0 + 0j], w, cfg, 1)
+            laws.stream_stats([[1.0 + 0j]], w, cfg, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -615,7 +639,7 @@ class TestStreamDraws:
     def test_laws_hold_the_last_stream_the_cache_does_not_keep(self, monkeypatch,
                                                                cold_draws):
         laws = _ConditionalLaws(self.DENSE, np.zeros((1, 2)))
-        cfg, x = McConfig(1000, seed=5), np.zeros(2, dtype=complex)
+        cfg, x = McConfig(1000, seed=5), np.zeros((1, 2), dtype=complex)
         laws.stream_stats(x, [1.0], cfg, 0)
         assert laws._unkept is None and cold_draws
         monkeypatch.setattr(estimate, "_DRAW_BUDGET", 0)
@@ -775,7 +799,9 @@ class TestDenseKernel:
                   random_input(rng, n), random_input(rng, n, scale=300.0)]
         for stream, x in enumerate(inputs):
             factor = conditional_covariance(model, x).factor
-            batches = list(laws.stream_log_densities(x, cfg, stream))
+            coef = laws._form_coefficients(factor)
+            batches = [laws._log_densities(coef, monomials)
+                       for monomials in _stream_draws(m, False, cfg, stream)]
             assert len(batches) == 4
             for b, logp in enumerate(batches):
                 w = _complex_standard_normals(derive_seed(cfg.seed, stream, b),

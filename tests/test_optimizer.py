@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fading_capacity import (DiscreteMeasure, KktContext, McConfig,
+from fading_capacity import (DiscreteMeasure, KktContext, McConfig, estimate,
                              OptimizerConfig, PowerConstraint, average_power,
                              derive_seed, insert_atom, kkt_scan, kkt_value, mutual_information,
                              optimize_measure, optimize_weights,
@@ -166,10 +166,10 @@ class TestSupportEvaluator:
         got = _SupportEvaluator(model, atoms, mc).cross_means(w)
         laws = _ConditionalLaws(model, atoms)
         for i in range(atoms.shape[0]):
-            if dense:
-                assert got[i] == laws.stream_stats(atoms[i], w, mc, i)[0]
+            if dense:  # the factors from a fresh factorization of the atom
+                assert got[i] == laws.stream_stats(atoms[i:i + 1], w, mc, i)[0][0]
             else:  # the radial quadrature kkt_value takes on isotropic channels
-                assert got[i] == laws.cross_quadrature(atoms[i], w)
+                assert got[i] == laws.cross_quadratures(laws.scalar_var[i:i + 1], w)[0]
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_evaluate_returns_the_cross_means(self, scalar_model, dense):
@@ -182,6 +182,26 @@ class TestSupportEvaluator:
         ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6, batch=1000))
         for w in (np.array([0.6, 0.4, 0.0]), np.array([0.6, 0.3, 0.1])):
             assert ev.evaluate(w)[0].tolist() == ev.cross_means(w).tolist()
+
+    def test_evaluate_draws_each_atom_stream_once(self, monkeypatch, cold_draws):
+        # with no stream cached, the evaluator holds the k streams it took on
+        # its first call; a weight solve calls evaluate hundreds of times
+        model = random_model(np.random.default_rng(3), 2, 2)
+        atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
+        monkeypatch.setattr(estimate, "_DRAW_BUDGET", 0)
+        seeds = []
+        draw = estimate._complex_standard_normals
+        monkeypatch.setattr(estimate, "_complex_standard_normals",
+                            lambda seed, *a: seeds.append(seed) or draw(seed, *a))
+        mc = McConfig(3000, seed=6)
+        ev = _SupportEvaluator(model, atoms, mc)
+        first = ev.evaluate(np.array([0.6, 0.3, 0.1]))
+        for w in (np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.2, 0.6]),
+                  np.array([0.6, 0.4, 0.0]), np.array([0.6, 0.3, 0.1])):
+            ev.evaluate(w)
+        assert seeds == [derive_seed(mc.seed, i, 0) for i in range(3)] and not cold_draws
+        again = ev.evaluate(np.array([0.6, 0.3, 0.1]))
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_posteriors_are_the_cross_means_jacobian(self, scalar_model, dense):
@@ -209,14 +229,14 @@ class TestMatchPower:
         atoms = np.array([[0j], [1.0 + 0j]])
         ev = _SupportEvaluator(scalar_model, atoms, McConfig(5000, seed=8))
         cfg = small_config(8)
-        gamma, w, scores, value, power = _match_power(ev, a=10.0, weight_iters=100)
+        gamma, w, value, power = _match_power(ev, a=10.0, weight_iters=100)
         assert gamma == 0.0
         assert power <= 10.0
 
     def test_power_matched_when_binding(self, scalar_model):
         atoms = np.array([[0j], [math.sqrt(8.0) + 0j]])
         ev = _SupportEvaluator(scalar_model, atoms, McConfig(10_000, seed=9))
-        gamma, w, scores, value, power = _match_power(ev, a=1.0, weight_iters=200)
+        gamma, w, value, power = _match_power(ev, a=1.0, weight_iters=200)
         assert gamma > 0.0
         assert abs(power - 1.0) <= 1.0 * _POWER_TOLERANCE
 
@@ -227,7 +247,7 @@ class TestMatchPower:
         ts, _, gamma_star, _ = ORACLE_OPTIMA[a]
         atoms = np.array([[math.sqrt(t) + 0j] for t in ts])
         ev = _SupportEvaluator(scalar_model, atoms, McConfig(20_000, seed=31))
-        gamma, w, scores, value, power = _match_power(ev, a=a, weight_iters=200)
+        gamma, w, value, power = _match_power(ev, a=a, weight_iters=200)
         assert abs(gamma - gamma_star) <= 1e-4 * gamma_star
         assert abs(power - a) <= 1e-9 * a
 
