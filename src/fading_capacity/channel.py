@@ -251,9 +251,10 @@ class ConditionalCovariance:
         return self.matrix.shape[0]
 
     def quad_forms(self, outputs) -> np.ndarray:
-        """Row-wise y^H C^{-1} y for outputs of shape (n, M)."""
+        """Row-wise y^H C^{-1} y for outputs of shape (n, M); inf past double range."""
         z = solve_triangular(self.factor, np.atleast_2d(outputs).T)
-        return np.sum(np.abs(z) ** 2, axis=0)
+        with np.errstate(over="ignore"):
+            return np.sum(np.abs(z) ** 2, axis=0)
 
     def log_densities(self, outputs) -> np.ndarray:
         """Row-wise ln p(y|x) under this covariance, in nats."""

@@ -41,6 +41,12 @@ log_chi_square_tail, all shell masses) are sums of positive Poisson terms
 (_poisson_terms). They, the isotropic quadrature and its tail quantile
 (_tail_quantile) run on numpy and closed forms, as does the whole package:
 numpy is its only dependency.
+
+Every command is one process, so its peak resident set is part of its cost.
+The Gauss-Legendre rule is written out as constants, so no process loads
+numpy.polynomial (9 modules, 0.6-1.0 MB of peak). A draw-cache miss that
+will be kept evicts before it forms the stream's arrays, so the cached draws
+and the one stream being drawn peak at _DRAW_BUDGET plus that stream.
 """
 
 from __future__ import annotations
@@ -60,10 +66,16 @@ from .measure import DiscreteMeasure, _weighted_mix
 
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm: n * hi exact, |n| < 2^21
 
-# Radial quadrature: Gauss-Legendre rule per panel, the Gamma(M) tail mass
-# left beyond the last octave, and the panel edges around a crossover of two
-# mixture lines, in transition widths.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# Radial quadrature: the 12-point Gauss-Legendre rule on [-1, 1] per panel, the
+# Gamma(M) tail mass left beyond the last octave, and the panel edges around a
+# crossover of two mixture lines, in transition widths. The rule is the reprs of
+# numpy.polynomial.legendre.leggauss(12), mirrored (a test pins them bit for bit).
+_GL_HALF_NODES = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                           0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_HALF_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                             0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _TAIL_MASS = 1e-18
 _CROSSOVER_GRADING = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
 _DEFAULT_BATCH = 50_000
@@ -184,12 +196,18 @@ def _tail_quantile(m: int) -> float:
 
 
 def _finite_norms_sq(xs: np.ndarray, model: ChannelModel) -> np.ndarray:
-    """Squared norms of the rows of xs; ScaleOverflowError if one, or on isotropic
-    channels its output variance noise_var + iso_var ||x||^2, is not finite."""
+    """Squared norms of the rows of xs; ScaleOverflowError if one is not finite, or on
+    isotropic channels if what the isotropic paths form from its output variance c =
+    noise_var + iso_var ||x||^2 is not: the law's tail edge c s_tail (_tail_quantile;
+    s_tail > pi, so pi c is finite too), the octave edge up to twice it that covers
+    it, and its ratio to noise_var."""
     with np.errstate(over="ignore"):
         norms_sq = np.sum(np.abs(xs) ** 2, axis=1)
-        var = norms_sq if model.iso_var is None else model.noise_var + model.iso_var * norms_sq
-    if not np.all(np.isfinite(var)):
+        tops = [norms_sq]
+        if model.iso_var is not None:
+            edge = (model.noise_var + model.iso_var * norms_sq) * _tail_quantile(model.M)
+            tops += [2.0 * edge, edge / model.noise_var]
+    if not all(np.all(np.isfinite(top)) for top in tops):
         raise ScaleOverflowError("input squared norms or variances exceed double range")
     return norms_sq
 
@@ -213,36 +231,55 @@ def _n_strata(cfg: McConfig) -> int:
     return max(1, min(64, cfg.samples // 8))
 
 
+def _evict(room: int) -> None:
+    """Evict least recently used streams until room more bytes fit in _DRAW_BUDGET.
+    The caller holds _DRAWS_LOCK."""
+    retained = sum(nbytes for _, nbytes in _DRAWS.values())
+    while retained + room > _DRAW_BUDGET:
+        retained -= _DRAWS.popitem(last=False)[1][1]
+
+
 def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
     """Per-batch draws of one stream, seeded by (seed, stream, batch), read-only:
     (ids, s), stratum ids and normalized squared radii, on isotropic channels,
     else the (M^2, n) _monomials of complex standard normals w (n, M). Every
     caller in the process shares them, least recently used evicted first,
-    within _DRAW_BUDGET bytes; a larger stream is returned without being kept.
-    Two callers that miss on one key at once both draw it, and get equal arrays.
+    within _DRAW_BUDGET bytes; a larger stream is returned without being kept,
+    and evicts nothing. A stream's bytes are known before it is drawn (16 per
+    sample isotropic, 8 M^2 dense), so a miss that will be kept evicts before it
+    forms its first batch's arrays: the cache and the stream being drawn peak at
+    the budget plus that stream. On dense channels that is once the batch's
+    normals are drawn (at M >= 2 no larger than its monomials): evicting before
+    them gave the same peak but about 110 more minor page faults per fano-cli
+    pass (allocator layout). Two callers that miss on one key at once both draw
+    it, and get equal arrays; evicting again after the insertion keeps the
+    budget then too.
     """
     key, batch = (m, iso, cfg, stream), cfg.effective_batch
+    size = cfg.samples * (16 if iso else 8 * m * m)
+    keep = size <= _DRAW_BUDGET
     with _DRAWS_LOCK:
         if key in _DRAWS:
             _DRAWS.move_to_end(key)
             return _DRAWS[key][0]
-    draws, size = [], 0
+    draws = []
     for b, start in enumerate(range(0, cfg.samples, batch)):
         seed_key, nb = derive_seed(cfg.seed, stream, b), min(batch, cfg.samples - start)
+        w = None if iso else _complex_standard_normals(seed_key, nb, m)
+        if keep and b == 0:
+            with _DRAWS_LOCK:
+                _evict(size)
         if iso:  # stratum ids continue from the batches before
             draw = _stratified_radii_sq(seed_key, start, nb, m, _n_strata(cfg))
         else:
-            draw = _monomials(_complex_standard_normals(seed_key, nb, m))
+            draw, w = _monomials(w), None
         for arr in draw if iso else (draw,):
             arr.flags.writeable = False
-            size += arr.nbytes
         draws.append(draw)
-    with _DRAWS_LOCK:
-        if size <= _DRAW_BUDGET:
+    if keep:
+        with _DRAWS_LOCK:
             _DRAWS[key] = draws, size
-            retained = sum(nbytes for _, nbytes in _DRAWS.values())
-            while retained > _DRAW_BUDGET:
-                retained -= _DRAWS.popitem(last=False)[1][1]
+            _evict(0)
     return draws
 
 
@@ -416,7 +453,8 @@ class _RadialTable:
         i, j = i[live], j[live]
         b = (np.log(weights[i]) - laws.log_norm[i]) - (np.log(weights[j]) - laws.log_norm[j])
         slope = laws.inv_var[i] - laws.inv_var[j]
-        splits = ((b / slope)[:, None] + _CROSSOVER_GRADING / np.abs(slope)[:, None]).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):  # widths past range: inf or NaN, dropped
+            splits = ((b / slope)[:, None] + _CROSSOVER_GRADING / np.abs(slope)[:, None]).ravel()
         self.splits = splits[splits > 0.0]
         parts = math.ceil(math.sqrt(laws.model.M) / 3.0)
         self.cuts = [j / parts for j in range(1, parts)]  # inner panel edges, in octave widths
@@ -711,9 +749,18 @@ def shell_probability(model: ChannelModel, x, shell: OutputShell, cfg: McConfig)
     a direction u with D(u) scalar), hypoexponential tails in the eigenvalues
     of C(x) otherwise. It is the one-input case of _shell_probabilities.
     """
-    x = _as_input(model, x)
-    norm = float(np.linalg.norm(x))
-    u = x / norm if norm > 0.0 else np.eye(model.N, dtype=complex)[0]
+    u, log_norm = _polar(_as_input(model, x))
     with np.errstate(divide="ignore"):
-        return _shell_probabilities(model, u[None], np.log([norm]),
+        return _shell_probabilities(model, u[None], np.array([log_norm]),
                                     np.log([[shell.rho1, shell.rho2]]), cfg)[0]
+
+
+def _polar(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(u, ln ||x||) with x = ||x|| u, u = e0 at the origin. The norm is taken of x /
+    max|x_i|, so no square leaves double range at any finite x."""
+    scale = float(np.max(np.abs(x)))
+    if scale == 0.0:
+        return np.eye(x.size, dtype=complex)[0], -math.inf
+    u = x / scale
+    norm = float(np.linalg.norm(u))
+    return u / norm, math.log(scale) + math.log(norm)

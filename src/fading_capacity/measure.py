@@ -6,6 +6,7 @@ every estimator reduce ln f_mu = ln sum_j w_j p(y|x_j) through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,12 +158,15 @@ def _weighted_mix(logp: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray
 
 
 def mixture_log_density(model: ChannelModel, mu: DiscreteMeasure, y) -> float:
-    """ln f_mu(y) = ln sum_i w_i p(y|x_i), reduced by the mixture kernel _weighted_mix."""
+    """ln f_mu(y) = ln sum_i w_i p(y|x_i), reduced by the mixture kernel _weighted_mix;
+    -inf when every atom's log density is (an output past double range)."""
     if mu.dim != model.N:
         raise ValueError(f"measure dimension {mu.dim} != channel input dimension {model.N}")
     y = _as_output(model, y)
     logp = np.array([conditional_covariance(model, a).log_densities(y)[0]
                      for a in mu.atoms])
+    if np.max(logp[mu.weights > 0.0]) == -np.inf:  # the kernel's shift would be -inf - -inf
+        return -math.inf
     return float(_weighted_mix(logp[:, None], mu.weights)[0])
 
 

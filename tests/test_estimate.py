@@ -13,13 +13,13 @@ from fading_capacity import (ChannelModel, DiscreteMeasure,
                              NotConvergedError, OutputShell, ScaleOverflowError,
                              chi_square_tail,
                              conditional_covariance, conditional_entropy,
-                             cross_term, derive_seed, estimate, kkt_scan,
+                             cross_term, derive_seed, estimate, kkt_scan, kkt_value,
                              log_chi_square_tail, mutual_information,
                              radial_scan_grid, shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
                                       _gamma_quantile, _log_gamma_tail, _monomials,
-                                      _mutual_information, _shell_probabilities, _stirlerr,
+                                      _mutual_information, _polar, _shell_probabilities, _stirlerr,
                                       _stratified_radii_sq, _stream_draws)
 from fading_capacity.measure import _weighted_mix
 from fading_capacity.optimizer import _SupportEvaluator
@@ -234,6 +234,36 @@ class TestMutualInformation:
         mu = DiscreteMeasure(atoms, [0.5, 0.5])
         with pytest.raises(ScaleOverflowError):
             estimator(model, mu, McConfig(1000, seed=1))
+
+    @pytest.mark.parametrize("call", ["mutual_information", "_mutual_information",
+                                      "cross_term", "kkt_value"])
+    @pytest.mark.parametrize("x", [1e153, 1e154, 1.3e154])
+    def test_isotropic_inputs_near_the_double_range(self, scalar_model, call, x):
+        # ||x||^2 = 1e306 fits every form the isotropic paths take of its variance;
+        # at 1e308 and 1.69e308 pi c and the law's tail edge do not (warnings are errors)
+        mu = DiscreteMeasure([[0j], [x + 0j]], [0.5, 0.5])
+        cfg = McConfig(1000, seed=1)
+        calls = {
+            "mutual_information": lambda: mutual_information(scalar_model, mu, cfg),
+            "_mutual_information": lambda: _mutual_information(scalar_model, mu, cfg),
+            "cross_term": lambda: cross_term(scalar_model, mu, [x + 0j], cfg),
+            "kkt_value": lambda: kkt_value(scalar_model, mu, KktContext(0.1, 1.0, 0.2),
+                                           [x + 0j], cfg),
+        }
+        if x > 1e153:
+            with pytest.raises(ScaleOverflowError):
+                calls[call]()
+        else:
+            assert math.isfinite(calls[call]().value)
+
+    def test_close_variances_near_the_double_range(self, scalar_model):
+        # two laws at ||x||^2 ~ 1e300 whose transition width 1 / |1/c_i - 1/c_j| is
+        # past double range: its panel edges are dropped, with no overflow warning
+        mu = DiscreteMeasure([[0j], [1e150 + 0j], [1.0000001e150 + 0j]], [0.4, 0.3, 0.3])
+        cfg = McConfig(1000, seed=1)
+        assert math.isfinite(_mutual_information(scalar_model, mu, cfg).value)
+        assert math.isfinite(kkt_value(scalar_model, mu, KktContext(0.1, 1.0, 0.2),
+                                       [1e150 + 0j], cfg).value)
 
     def test_exact_information_on_isotropic_channels(self, scalar_model):
         mu = radial_measure([0.0, 10.0], [0.5, 0.5])
@@ -664,6 +694,32 @@ class TestStreamDraws:
         assert big[0].shape == (4, 3000)
         assert [key[-1] for key in cold_draws] == [3, 0]
 
+    @pytest.mark.parametrize("iso", [False, True])
+    def test_recorded_bytes_are_the_draws_bytes(self, iso, cold_draws):
+        # the size a miss evicts room for before it draws is the size of what it drew
+        cfg = McConfig(1000, seed=3, batch=400)
+        _stream_draws(2, iso, cfg, 0)
+        assert [size for _, size in cold_draws.values()] == [_retained_bytes(cold_draws)]
+
+    @pytest.mark.parametrize("iso", [False, True])
+    def test_a_miss_makes_room_before_it_draws(self, monkeypatch, cold_draws, iso):
+        # three M = 2 streams fill the cache; the fourth evicts the oldest before it
+        # forms its arrays, so the cache and the stream being drawn never hold more
+        # than the budget
+        cfg = McConfig(1000, seed=3, batch=400)
+        stream_bytes = 1000 * (16 if iso else 4 * 8)
+        monkeypatch.setattr(estimate, "_DRAW_BUDGET", 3 * stream_bytes)
+        for stream in range(3):
+            _stream_draws(2, iso, cfg, stream)
+        retained = []
+        name = "_stratified_radii_sq" if iso else "_monomials"
+        draw = getattr(estimate, name)
+        monkeypatch.setattr(estimate, name,
+                            lambda *a: retained.append(_retained_bytes(cold_draws)) or draw(*a))
+        _stream_draws(2, iso, cfg, 3)
+        assert len(retained) == 3 and max(retained) <= 2 * stream_bytes
+        assert [key[-1] for key in cold_draws] == [1, 2, 3]
+
     def test_concurrent_callers_keep_the_budget(self, monkeypatch, cold_draws):
         cfg = McConfig(200, seed=4, batch=90)
         want = {s: [d.copy() for d in _stream_draws(2, False, cfg, s)] for s in range(6)}
@@ -776,6 +832,14 @@ class TestStratifiedRadii:
         first = _stratified_radii_sq(derive_seed(5, 0, 0), 7, 1000, m, self.N_STRATA)
         again = _stratified_radii_sq(derive_seed(5, 0, 0), 7, 1000, m, self.N_STRATA)
         assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+
+
+class TestGaussLegendreRule:
+    def test_constants_are_leggauss_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+        for got, want in zip((estimate._GL_NODES, estimate._GL_WEIGHTS), leggauss(12)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDenseKernel:
@@ -940,6 +1004,23 @@ class TestShellProbability:
                 assert est.std_error == 0.0
                 assert abs(est.value - float(ref)) <= 1e-15
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_inputs_past_the_square_range(self, scalar_model, dense):
+        # x = s e0 against [s/2, 2s): noise is negligible from s = 1e20 up, so the
+        # mass is that of s = 1e20, also where ||x||^2 is past double range
+        model = TestStreamDraws.DENSE if dense else scalar_model
+        cfg = McConfig(1000, seed=1)
+
+        def mass(s):
+            x = np.zeros(model.N, dtype=complex)
+            x[0] = s
+            return shell_probability(model, x, OutputShell(s / 2, 2 * s), cfg).value
+
+        want = mass(1e20)
+        assert 0.0 < want < 1.0
+        for s in (1e155, 1e300):
+            assert mass(s) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestHypoexponentialShells:
     @staticmethod
@@ -1001,13 +1082,11 @@ class TestBatchedShells:
         shells = [OutputShell(0.5, 2.0), OutputShell(1.0, 3.0),
                   OutputShell(2.0, math.inf), OutputShell(5.0, 20.0)]
         cfg = McConfig(1000, seed=4, batch=300)
-        # polar form: unit directions (e0 at the origin), ln ||x||, log radii
-        norms = np.array([np.linalg.norm(x) for x in xs])
-        dirs = np.array([x / r if r > 0.0 else np.eye(2)[0] for x, r in zip(xs, norms)],
-                        dtype=complex)
-        with np.errstate(divide="ignore"):
-            batched = _shell_probabilities(model, dirs, np.log(norms),
-                                           np.log([[s.rho1, s.rho2] for s in shells]), cfg)
+        # polar form as shell_probability takes it: unit directions (e0 at the
+        # origin), ln ||x||, log radii
+        dirs, log_norms = (np.array(v) for v in zip(*map(_polar, xs)))
+        batched = _shell_probabilities(model, dirs, log_norms,
+                                       np.log([[s.rho1, s.rho2] for s in shells]), cfg)
         single = [shell_probability(model, x, s, cfg) for x, s in zip(xs, shells)]
         assert batched == single
         assert all(e.std_error == 0.0 and e.samples == 0 for e in batched)

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # M = 1, M = 3 and on a dense 2x2 channel, a dense Fano detection audit, the dense
 # density paths, and the fano CLI on an isotropic 3x2 channel and the density CLI on a
 # dense 2x2 one, in a fresh interpreter: none may load scipy, nor numpy.ma (np.unique
-# loads it, about 1.6 MB of maxrss).
+# loads it, about 1.6 MB of maxrss), nor numpy.polynomial (its 9 modules cost 0.6-1.0 MB).
 SCIPY_FREE = """
 import contextlib
 import io
@@ -67,7 +67,8 @@ with tempfile.TemporaryDirectory() as tmp:
         code = fading_capacity.cli.run(["density", "--config", str(config),
                                         "--out", str(Path(tmp) / "density")])
     assert code == 0
-print(sorted(m for m in sys.modules if m in ("scipy", "numpy.ma") or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m in ("scipy", "numpy.ma", "numpy.polynomial")
+             or m.startswith(("scipy.", "numpy.polynomial."))))
 """
 
 

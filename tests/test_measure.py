@@ -171,6 +171,14 @@ class TestMixtureLogDensity:
         assert mixture_log_density(model, mu, y) == pytest.approx(
             self._mpmath(model, mu, y), rel=1e-15, abs=0.0)
 
+    def test_output_past_double_range_has_no_density(self, scalar_model):
+        # ||y||^2 = 1e310: every atom's density is -inf, and so is the mixture's,
+        # with no overflow warning (warnings are errors) and no -inf - -inf
+        mu = radial_measure([0.0, 4.0], [0.6, 0.4])
+        y = [1e155 + 0j]
+        assert log_density(scalar_model, y, [0j]) == -math.inf
+        assert mixture_log_density(scalar_model, mu, y) == -math.inf
+
     def test_rejects_non_finite_output(self):
         model = ChannelModel.isotropic(2, 1, 1.0, 1.0)
         mu = DiscreteMeasure.single([1.0 + 0j])
