@@ -29,8 +29,13 @@ HERMITIAN_ATOL = 1e-12
 _U64 = (1 << 64) - 1
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_positive_int(value, name: str) -> None:
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+    if not (_is_int(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

@@ -15,7 +15,11 @@ quantile (_gamma_quantile), each half solved on its own tail's finite sum.
 
 One sample path serves the estimators, and kkt_scan and the optimizer on
 dense channels. A stream's draws depend on (M, cfg, stream index) alone, so
-_stream_draws shares them across the process within a byte budget; a
+_stream_draws shares them across the process within a byte budget, one
+read-only float64 array per batch on every channel: on isotropic channels the
+normalized squared radii alone, since a sample's radial stratum is its stream
+position modulo the stratum count and stream_stats sums the strata by
+position; on dense channels the monomials of the normals. A
 _ConditionalLaws object forms component-major (atoms x samples) log densities
 from them, one (k, n) buffer per batch, and reduces them in place with
 measure._weighted_mix. _ConditionalLaws.stream_stats is the one reduction of
@@ -60,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (_U64, LOG_PI_E, ChannelModel, _as_input, _check_positive_int,
-                      _complex_standard_normals, _conditional_covariances, conditional_entropy)
+                      _complex_standard_normals, _conditional_covariances, _is_int,
+                      conditional_entropy)
 from .errors import NotConvergedError, ScaleOverflowError
 from .measure import DiscreteMeasure, _weighted_mix
 
@@ -111,10 +116,10 @@ class McConfig:
     batch: int | None = None
 
     def __post_init__(self):
-        if self.samples < 100:
-            raise ValueError(f"samples must be >= 100, got {self.samples}")
-        if self.batch is not None and not (1 <= self.batch <= self.samples):
-            raise ValueError(f"batch must lie in [1, samples], got {self.batch}")
+        if not (_is_int(self.samples) and self.samples >= 100):
+            raise ValueError(f"samples must be an integer >= 100, got {self.samples!r}")
+        if self.batch is not None and not (_is_int(self.batch) and 1 <= self.batch <= self.samples):
+            raise ValueError(f"batch must be an integer in [1, samples], got {self.batch!r}")
 
     @property
     def effective_batch(self) -> int:
@@ -213,17 +218,19 @@ def _finite_norms_sq(xs: np.ndarray, model: ChannelModel) -> np.ndarray:
 
 
 def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
-                         n_strata: int):
+                         n_strata: int) -> np.ndarray:
     """Normalized squared radii s = ||y||^2 / c for y ~ CN(0, c I_m).
 
     s follows Gamma(m, 1); draws are stratified over n_strata equiprobable
-    radial shells, cycling stratum ids from the given offset so allocation
+    radial shells, the stratum id cycling from the given offset so allocation
     stays balanced across batches: s = _gamma_quantile of q = (id + u) / n_strata,
-    with 1 - q as (n_strata - id - u) / n_strata. Returns (ids, s).
+    with 1 - q as (n_strata - id - u) / n_strata. Only s is returned: the id of
+    the sample at stream position p is p % n_strata, so a reduction takes it
+    from the position rather than from a stored array.
     """
     u = np.random.default_rng(seed_key).random(nb)
     ids = (offset + np.arange(nb)) % n_strata
-    return ids, _gamma_quantile(m, (ids + u) / n_strata, (n_strata - ids - u) / n_strata)
+    return _gamma_quantile(m, (ids + u) / n_strata, (n_strata - ids - u) / n_strata)
 
 
 def _n_strata(cfg: McConfig) -> int:
@@ -240,23 +247,24 @@ def _evict(room: int) -> None:
 
 
 def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
-    """Per-batch draws of one stream, seeded by (seed, stream, batch), read-only:
-    (ids, s), stratum ids and normalized squared radii, on isotropic channels,
-    else the (M^2, n) _monomials of complex standard normals w (n, M). Every
-    caller in the process shares them, least recently used evicted first,
-    within _DRAW_BUDGET bytes; a larger stream is returned without being kept,
-    and evicts nothing. A stream's bytes are known before it is drawn (16 per
-    sample isotropic, 8 M^2 dense), so a miss that will be kept evicts before it
-    forms its first batch's arrays: the cache and the stream being drawn peak at
-    the budget plus that stream. On dense channels that is once the batch's
-    normals are drawn (at M >= 2 no larger than its monomials): evicting before
-    them gave the same peak but about 110 more minor page faults per fano-cli
-    pass (allocator layout). Two callers that miss on one key at once both draw
-    it, and get equal arrays; evicting again after the insertion keeps the
-    budget then too.
+    """Per-batch draws of one stream, seeded by (seed, stream, batch), each one
+    read-only float64 array: the (n,) normalized squared radii on isotropic
+    channels (_stratified_radii_sq; a sample's stratum is its stream position
+    modulo _n_strata, so no id is stored), else the (M^2, n) _monomials of
+    complex standard normals w (n, M). Every caller in the process shares them,
+    least recently used evicted first, within _DRAW_BUDGET bytes; a larger
+    stream is returned without being kept, and evicts nothing. A stream's bytes
+    are known before it is drawn (8 per sample isotropic, 8 M^2 dense), so a
+    miss that will be kept evicts before it forms its first batch's arrays: the
+    cache and the stream being drawn peak at the budget plus that stream. On
+    dense channels that is once the batch's normals are drawn (at M >= 2 no
+    larger than its monomials): evicting before them gave the same peak but
+    about 110 more minor page faults per fano-cli pass (allocator layout). Two
+    callers that miss on one key at once both draw it, and get equal arrays;
+    evicting again after the insertion keeps the budget then too.
     """
     key, batch = (m, iso, cfg, stream), cfg.effective_batch
-    size = cfg.samples * (16 if iso else 8 * m * m)
+    size = cfg.samples * 8 * (1 if iso else m * m)
     keep = size <= _DRAW_BUDGET
     with _DRAWS_LOCK:
         if key in _DRAWS:
@@ -269,12 +277,11 @@ def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
         if keep and b == 0:
             with _DRAWS_LOCK:
                 _evict(size)
-        if iso:  # stratum ids continue from the batches before
+        if iso:  # strata continue from the batches before
             draw = _stratified_radii_sq(seed_key, start, nb, m, _n_strata(cfg))
         else:
             draw, w = _monomials(w), None
-        for arr in draw if iso else (draw,):
-            arr.flags.writeable = False
+        draw.flags.writeable = False
         draws.append(draw)
     if keep:
         with _DRAWS_LOCK:
@@ -602,27 +609,39 @@ class _ConditionalLaws:
 
         Isotropic channels sample the normalized squared radius directly,
         stratified over equiprobable shells, one row at a time at its variance
-        c_x = noise_var + iso_var x^H x. Dense channels take every row in one
-        pass over the draws, with coefficients from one batched product of the
-        rows' (P, M, M) factors L_x (one _conditional_covariances call when
-        factors is None). Each batch's log densities fill one (k, n) buffer,
-        log_norm subtracted and the mixture taken in place (_weighted_mix with
-        out). Each row keeps its own sums, so a value does not depend on which
-        rows share the call.
+        c_x = noise_var + iso_var x^H x. The stratum of stream position p is
+        p % n, so the stratum counts follow from cfg, and batch b, which starts
+        at stratum r = (b batch) % n, writes its mixture at offset r of one
+        zero-padded buffer of whole rows of n: an axis-0 np.add.reduce of its
+        (rows, n) view adds each stratum's samples in stream order, as bincount
+        over stored ids did, and the padding adds +0.0. Dense channels take
+        every row in one pass over the draws, with coefficients from one
+        batched product of the rows' (P, M, M) factors L_x (one
+        _conditional_covariances call when factors is None). Each batch's log
+        densities fill one (k, n) buffer, log_norm subtracted and the mixture
+        taken in place (_weighted_mix with out). Each row keeps its own sums, so
+        a value does not depend on which rows share the call.
         """
         weights, draws = np.asarray(weights, dtype=float), self._draws(cfg, stream)
         if self.iso:  # the mean averages the equiprobable strata's
-            n, means, ses = _n_strata(cfg), np.empty(len(xs)), np.empty(len(xs))
+            n, batch = _n_strata(cfg), cfg.effective_batch
+            means, ses = np.empty(len(xs)), np.empty(len(xs))
+            count = np.full(n, float(cfg.samples // n))  # stream position p is in stratum p % n
+            count[:cfg.samples % n] += 1.0
+            buf = np.empty(-(-(n - 1 + batch) // n) * n)  # batch b from offset (b batch) % n
+            strata_rows = buf.reshape(-1, n)
             for row, x in enumerate(xs):
                 cx = self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
-                ratios, s1, s2, count = cx / self.scalar_var, np.zeros(n), np.zeros(n), np.zeros(n)
-                for ids, s in draws:
+                ratios, s1, s2 = cx / self.scalar_var, np.zeros(n), np.zeros(n)
+                for b, s in enumerate(draws):
+                    r = b * batch % n
+                    buf[:r], buf[r + s.size:] = 0.0, 0.0  # padding adds +0.0 to a stratum
                     logp = np.multiply.outer(-ratios, s)  # the batch's one (k, n) buffer
                     logp -= self.log_norm[:, None]
-                    mix = _weighted_mix(logp, weights, out=np.empty(s.size))
-                    s1 += np.bincount(ids, weights=mix, minlength=n)
-                    s2 += np.bincount(ids, weights=mix * mix, minlength=n)
-                    count += np.bincount(ids, minlength=n)
+                    mix = _weighted_mix(logp, weights, out=buf[r:r + s.size])
+                    s1 += np.add.reduce(strata_rows, axis=0)  # adds the rows in order
+                    np.square(mix, out=mix)
+                    s2 += np.add.reduce(strata_rows, axis=0)
                 strata, var = _sample_moments(s1, s2, count)
                 means[row], ses[row] = np.sum(strata) / n, math.sqrt(float(np.sum(var)) / (n * n))
             return means, ses

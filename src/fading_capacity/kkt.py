@@ -35,13 +35,13 @@ class KktContext:
     a: float
     capacity: float
 
-    def __post_init__(self):
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.a > 0.0:
-            raise ValueError(f"power budget must be positive, got {self.a}")
-        if not self.capacity >= 0.0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
+    def __post_init__(self):  # an inf field makes KKT values NaN (0 * inf) or +inf: no violation
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"power budget must be positive and finite, got {self.a}")
+        if not 0.0 <= self.capacity < math.inf:
+            raise ValueError(f"capacity must be finite and >= 0, got {self.capacity}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def certified_pi_bar(model: ChannelModel, shell: InputShell) -> float:
 def lemma1_bound(model: ChannelModel, shell: InputShell, mass: float,
                  pi_bar: float | None = None) -> Lemma1Bound:
     """Assemble a Lemma1Bound, defaulting pi_bar to the certified shell maximum."""
-    if mass < 0.0 or mass > 1.0 + 1e-12:
+    if not 0.0 <= mass <= 1.0 + 1e-12:
         raise ValueError(f"mass must lie in [0, 1], got {mass}")
     if pi_bar is None:
         pi_bar = certified_pi_bar(model, shell)
@@ -234,8 +234,8 @@ def radial_scan_grid(model: ChannelModel, max_norm_sq: float,
     the norm only); otherwise the first coordinate direction plus
     n_directions random unit directions.
     """
-    if not max_norm_sq > 0.0:
-        raise ValueError(f"max_norm_sq must be positive, got {max_norm_sq}")
+    if not 0.0 < max_norm_sq < math.inf:
+        raise ValueError(f"max_norm_sq must be positive and finite, got {max_norm_sq}")
     count = points_per_decade * decades + 1
     norms = np.geomspace(max_norm_sq * 10.0 ** (-decades), max_norm_sq, count)
     e0 = np.zeros(model.N, dtype=complex)

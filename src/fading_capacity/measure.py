@@ -46,8 +46,8 @@ class PowerConstraint:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"power budget must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"power budget must be positive and finite, got {self.a}")
 
 
 class DiscreteMeasure:

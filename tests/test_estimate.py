@@ -38,6 +38,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(samples=1000, seed=0, batch=2000)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("samples", {"samples": 1000.5}), ("samples", {"samples": 1000.0}),
+        ("samples", {"samples": True}), ("batch", {"samples": 1000, "batch": 300.5}),
+        ("batch", {"samples": 1000, "batch": True})],
+        ids=["samples-float", "samples-whole-float", "samples-bool", "batch-float", "batch-bool"])
+    def test_counts_must_be_integers(self, field, kwargs):
+        # 1000.5 and 300.5 constructed, then _stream_draws raised an untyped TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            McConfig(seed=1, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = McConfig(np.int64(1000), seed=1, batch=np.int32(300))
+        assert cfg == McConfig(1000, seed=1, batch=300) and cfg.effective_batch == 300
+
     def test_derive_seed_deterministic_and_distinct(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
@@ -509,7 +523,8 @@ class TestInPlaceIsotropicPaths:
         for stream, x in enumerate(([0j], [2.0 + 0j], [30.0 + 0j])):
             ratios = _variance(model, x) / laws.scalar_var
             s1, s2, count = np.zeros(strata), np.zeros(strata), np.zeros(strata)
-            for ids, s in _stream_draws(m, True, cfg, stream):
+            for b, s in enumerate(_stream_draws(m, True, cfg, stream)):
+                ids = (b * cfg.effective_batch + np.arange(s.size)) % strata  # by position
                 mix = _weighted_mix(-np.outer(ratios, s) - laws.log_norm[:, None], w)
                 s1 += np.bincount(ids, weights=mix, minlength=strata)
                 s2 += np.bincount(ids, weights=mix * mix, minlength=strata)
@@ -518,6 +533,34 @@ class TestInPlaceIsotropicPaths:
             want = (float(np.sum(means)) / strata, math.sqrt(float(np.sum(var)) / strata ** 2))
             got = laws.stream_stats([x], w, cfg, stream)
             assert (got[0].tolist(), got[1].tolist()) == ([want[0]], [want[1]])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("samples,batch", [(100, 7), (200, 90), (1000, 300)])
+    def test_stream_stats_where_strata_straddle_batches(self, m, samples, batch):
+        # the reference draws each batch's radii afresh, from its seed and positions,
+        # and sums every stratum with bincount
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        laws = _ConditionalLaws(model, [[0j], [2.0 + 0j], [0.5j], [7.0 + 1.0j]])
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        cfg = McConfig(samples, seed=9, batch=batch)
+        n = estimate._n_strata(cfg)
+        assert batch % n  # a stratum's samples fall in more than one batch
+        for stream, x in enumerate(([0j], [2.0 + 0j], [30.0 + 0j])):
+            ratios = _variance(model, x) / laws.scalar_var
+            s1, s2, count = np.zeros(n), np.zeros(n), np.zeros(n)
+            for b, start in enumerate(range(0, samples, batch)):
+                nb = min(batch, samples - start)
+                u = np.random.default_rng(derive_seed(cfg.seed, stream, b)).random(nb)
+                ids = (start + np.arange(nb)) % n
+                s = _gamma_quantile(m, (ids + u) / n, (n - ids - u) / n)
+                mix = _weighted_mix(-np.outer(ratios, s) - laws.log_norm[:, None], w)
+                s1 += np.bincount(ids, weights=mix, minlength=n)
+                s2 += np.bincount(ids, weights=mix * mix, minlength=n)
+                count += np.bincount(ids, minlength=n)
+            means, var = estimate._sample_moments(s1, s2, count)
+            got = laws.stream_stats([x], w, cfg, stream)
+            assert got[0].tolist() == [float(np.sum(means)) / n]
+            assert got[1].tolist() == [math.sqrt(float(np.sum(var)) / n ** 2)]
 
     @staticmethod
     def _reference_weights(laws, table, cx, n):
@@ -589,8 +632,7 @@ class TestInPlaceIsotropicPaths:
 
 
 def _retained_bytes(cache) -> int:
-    return sum(arr.nbytes for draws, _ in cache.values() for draw in draws
-               for arr in (draw if isinstance(draw, tuple) else (draw,)))
+    return sum(draw.nbytes for draws, _ in cache.values() for draw in draws)
 
 
 class TestStreamDraws:
@@ -600,9 +642,19 @@ class TestStreamDraws:
         cfg = McConfig(1000, seed=3, batch=400)
         for model in (scalar_model, self.DENSE):
             for draw in _stream_draws(model.M, model.iso_var is not None, cfg, 0):
-                for arr in (draw if isinstance(draw, tuple) else (draw,)):
-                    with pytest.raises(ValueError):
-                        arr[0] = 0
+                with pytest.raises(ValueError):
+                    draw[0] = 0
+
+    def test_isotropic_batches_are_radii_alone(self, cold_draws):
+        # one read-only float64 array per batch, 8 bytes a sample: the stratum of a
+        # sample is its position, not a stored id
+        cfg = McConfig(1000, seed=3, batch=400)
+        draws = _stream_draws(2, True, cfg, 0)
+        assert all(type(d) is np.ndarray and d.dtype == np.float64 and not d.flags.writeable
+                   for d in draws)
+        assert [d.shape for d in draws] == [(400,), (400,), (200,)]
+        assert [size for _, size in cold_draws.values()] == [8 * 1000]
+        assert _retained_bytes(cold_draws) == 8 * 1000
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_cold_warm_and_unkept_draws_agree(self, scalar_model, dense, cold_draws,
@@ -707,7 +759,7 @@ class TestStreamDraws:
         # forms its arrays, so the cache and the stream being drawn never hold more
         # than the budget
         cfg = McConfig(1000, seed=3, batch=400)
-        stream_bytes = 1000 * (16 if iso else 4 * 8)
+        stream_bytes = 1000 * (8 if iso else 4 * 8)
         monkeypatch.setattr(estimate, "_DRAW_BUDGET", 3 * stream_bytes)
         for stream in range(3):
             _stream_draws(2, iso, cfg, stream)
@@ -831,7 +883,7 @@ class TestStratifiedRadii:
     def test_reruns_are_bit_identical(self, m):
         first = _stratified_radii_sq(derive_seed(5, 0, 0), 7, 1000, m, self.N_STRATA)
         again = _stratified_radii_sq(derive_seed(5, 0, 0), 7, 1000, m, self.N_STRATA)
-        assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+        assert first.shape == (1000,) and np.array_equal(first, again)
 
 
 class TestGaussLegendreRule:

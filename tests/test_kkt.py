@@ -30,6 +30,12 @@ class TestLemma1Bound:
         assert bound.pi_bar == pytest.approx(5.0)
         assert bound.log_a == pytest.approx(-math.log(5 * math.pi), abs=1e-12)
 
+    @pytest.mark.parametrize("mass", [math.nan, -0.1, 1.5])
+    def test_mass_outside_the_unit_interval_rejected(self, scalar_model, mass):
+        # NaN passed the range test, and support_radius_bound then returned inf
+        with pytest.raises(ValueError, match="mass must lie in"):
+            lemma1_bound(scalar_model, InputShell(1.0, 4.0), mass=mass)
+
     def test_zero_mass_raises_on_use(self, scalar_model):
         bound = lemma1_bound(scalar_model, InputShell(1.0, 4.0), mass=0.0)
         with pytest.raises(InsufficientMassError):
@@ -85,6 +91,15 @@ class TestKktContext:
     def test_negative_or_nan_rejected(self, field, bad):
         kwargs = {"gamma": 0.1, "a": 1.0, "capacity": 0.2, field: bad}
         with pytest.raises(ValueError):
+            KktContext(**kwargs)
+
+    @pytest.mark.parametrize("field,name", [("gamma", "gamma"), ("a", "power budget"),
+                                            ("capacity", "capacity")])
+    def test_infinite_field_rejected(self, field, name):
+        # gamma 0 with a = inf made every KKT value NaN (0 * inf), capacity inf made
+        # every value +inf: either way violations() was empty
+        kwargs = {"gamma": 0.1, "a": 1.0, "capacity": 0.2, field: math.inf}
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             KktContext(**kwargs)
 
 
@@ -364,3 +379,9 @@ class TestScanGrid:
         grid = radial_scan_grid(model, 4.0, points_per_decade=4, decades=1,
                                 n_directions=3, seed=5)
         assert len(grid) == 1 + 4 * (4 * 1 + 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_max_norm_sq_must_be_positive_and_finite(self, scalar_model, bad):
+        # inf warned (inf - inf in geomspace) and gave points inf+nanj, nan+nanj, ...
+        with pytest.raises(ValueError, match="max_norm_sq must be positive and finite"):
+            radial_scan_grid(scalar_model, bad)

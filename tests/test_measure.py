@@ -114,6 +114,12 @@ class TestShells:
         with pytest.raises(ValueError):
             PowerConstraint(0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_power_constraint_must_be_finite(self, bad):
+        # inf was accepted, and optimize_measure then overflowed the squared norms
+        with pytest.raises(ValueError, match="power budget must be positive and finite"):
+            PowerConstraint(bad)
+
 
 class TestMixtureLogDensity:
     def test_single_atom_equals_conditional(self, scalar_model):
