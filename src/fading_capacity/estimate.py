@@ -29,9 +29,10 @@ normal, so log densities are quadratic forms in w: one small matmul of their
 coefficients with each batch's monomials of w, every input on one stream in
 one pass, each with its own sums, so a value is the same alone or in a scan.
 On isotropic channels kkt_scan, the optimizer and the Fano report's I(mu)
-integrate ln f_mu, a function of ||y||^2 alone, by radial quadrature
-(_RadialTable); the public estimators stay Monte Carlo, its independent
-cross-check. It is batched (_ConditionalLaws.cross_quadratures):
+integrate ln f_mu, a function of ||y||^2 alone, by radial quadrature on a
+support's one _RadialTable: plain panels, 5 ceil(sqrt(M) / 3) to an octave,
+that no weight vector changes. The public estimators stay Monte Carlo, its
+independent cross-check. It is batched (_ConditionalLaws.cross_quadratures):
 all inputs of a scan or a support are grouped by the node count their
 Gamma(M, c_x) law needs, each group is one array, formed and weighted in
 place, and each row reduces on its own, so no value depends on the batch.
@@ -72,9 +73,9 @@ from .measure import DiscreteMeasure, _weighted_mix
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm: n * hi exact, |n| < 2^21
 
 # Radial quadrature: the 12-point Gauss-Legendre rule on [-1, 1] per panel, the
-# Gamma(M) tail mass left beyond the last octave, and the panel edges around a
-# crossover of two mixture lines, in transition widths. The rule is the reprs of
-# numpy.polynomial.legendre.leggauss(12), mirrored (a test pins them bit for bit).
+# Gamma(M) tail mass left beyond the last octave, and the panels per octave per
+# ceil(sqrt(M) / 3) (4 are 2e-10 off at a 1e-12 tail weight). The rule is the reprs
+# of numpy.polynomial.legendre.leggauss(12), mirrored (a test pins them bit for bit).
 _GL_HALF_NODES = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
                            0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
 _GL_HALF_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
@@ -82,7 +83,7 @@ _GL_HALF_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.203167426
 _GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
 _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _TAIL_MASS = 1e-18
-_CROSSOVER_GRADING = np.array([-64.0, -16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0, 64.0])
+_OCTAVE_PARTS = 5
 _DEFAULT_BATCH = 50_000
 # Largest exponent allowed for a plain-domain scale (double overflows at ~709.8).
 _LOG_CAP = 700.0
@@ -118,6 +119,8 @@ class McConfig:
     def __post_init__(self):
         if not (_is_int(self.samples) and self.samples >= 100):
             raise ValueError(f"samples must be an integer >= 100, got {self.samples!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.batch is not None and not (_is_int(self.batch) and 1 <= self.batch <= self.samples):
             raise ValueError(f"batch must be an integer in [1, samples], got {self.batch!r}")
 
@@ -438,66 +441,60 @@ def _norm_coefficients(a: np.ndarray, upper) -> np.ndarray:
 
 
 class _RadialTable:
-    """ln f_mu for one weight vector on composite Gauss-Legendre nodes in u = ||y||^2.
+    """Composite Gauss-Legendre nodes in u = ||y||^2 and every atom's ln p(u|x_j) there.
 
-    ln f_mu(u) is a log-sum-exp of the lines ln w_j - M ln(pi c_j) - u / c_j.
     Panels are the octaves [c0 2^(j-1), c0 2^j] up from the noise variance c0
-    (the least variance of any law), each cut into ceil(sqrt(M) / 3) equal
-    parts so that a panel spans a few widths of the Gamma(M) peak (one part up
-    to M = 9), split at the lines' crossovers and graded around each by its
-    transition width 1 / |1/c_i - 1/c_j|. None of it depends on the input, so
-    one table serves every input. The octaves the atoms' laws need are
-    tabulated in one block, later ones one at a time, so a node's value does
-    not depend on which inputs came before. An input needs the nodes up to
-    the end of the first octave that holds its law's tail (node_counts), and
-    inputs that need the same count form one group of the batched quadrature.
+    (octave 0 is [0, c0]), each cut into _OCTAVE_PARTS ceil(sqrt(M) / 3) equal
+    panels, narrower than the Gamma(M) peak at any order. No node depends on the
+    weights, so one table serves every weight vector and input of a support;
+    ln f_mu there is one _weighted_mix per tabulated block (mixture). The
+    atoms' octaves are tabulated in one block, later ones one at a time, so a
+    node's value does not depend on which inputs came before. An input needs
+    the nodes up to the end of the first octave that holds its law's tail
+    (node_counts). The table holds the laws' arrays, not the laws: a reference
+    back would keep both alive until the cyclic garbage collector runs.
     """
 
-    def __init__(self, laws: "_ConditionalLaws", weights: np.ndarray):
-        self.laws, self.weights = laws, weights
-        i, j = laws.pairs
-        live = (weights[i] > 0.0) & (weights[j] > 0.0) & (laws.inv_var[i] != laws.inv_var[j])
-        i, j = i[live], j[live]
-        b = (np.log(weights[i]) - laws.log_norm[i]) - (np.log(weights[j]) - laws.log_norm[j])
-        slope = laws.inv_var[i] - laws.inv_var[j]
-        with np.errstate(over="ignore", invalid="ignore"):  # widths past range: inf or NaN, dropped
-            splits = ((b / slope)[:, None] + _CROSSOVER_GRADING / np.abs(slope)[:, None]).ravel()
-        self.splits = splits[splits > 0.0]
-        parts = math.ceil(math.sqrt(laws.model.M) / 3.0)
-        self.cuts = [j / parts for j in range(1, parts)]  # inner panel edges, in octave widths
-        self.ends: list[int] = []  # node count up to the end of each octave
+    def __init__(self, laws: "_ConditionalLaws"):
+        self.inv_var, self.log_norm = laws.inv_var, laws.log_norm
+        self.noise_var = laws.model.noise_var
+        parts = _OCTAVE_PARTS * math.ceil(math.sqrt(laws.model.M) / 3.0)
+        self.fractions = np.arange(parts + 1) / parts  # panel edges, in octave widths
+        self.per_octave = _GL_NODES.size * parts
         self.tops: list[float] = []  # each octave's upper edge in u
-        self._tabulate(max(0, math.ceil(math.log2(laws.u_max / laws.model.noise_var))))
+        self.blocks: list[int] = []  # node count up to the end of each tabulated block
+        u_max = float(np.max(laws.scalar_var)) * laws.tail_s
+        self._tabulate(max(0, math.ceil(math.log2(u_max / self.noise_var))))
 
     def _tabulate(self, top: int):
         """Append the octaves after the last tabulated one, up to octave top."""
-        c0, first = self.laws.model.noise_var, len(self.ends)
-        bounds = [math.ldexp(c0, j) for j in range(first, top + 1)]
-        lo = 0.0 if first == 0 else math.ldexp(c0, first - 1)
-        inner = self.splits[(self.splits > lo) & (self.splits < bounds[-1])]
-        cuts = [a + (b - a) * f for a, b in zip([lo] + bounds[:-1], bounds) for f in self.cuts]
-        edges = np.sort(np.concatenate(([lo], inner, cuts, bounds)))
-        edges = edges[np.append(True, edges[1:] > edges[:-1])]  # np.unique loads numpy.ma
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-        logp = np.multiply.outer(-self.laws.inv_var, u)
-        logp -= self.laws.log_norm[:, None]
-        du = (half[:, None] * _GL_WEIGHTS).ravel()
-        lnf = _weighted_mix(logp, self.weights)
-        if first:
+        j = np.arange(len(self.tops), top + 1)
+        hi = np.ldexp(self.noise_var, j)
+        lo = np.where(j > 0, 0.5 * hi, 0.0)
+        edges = lo[:, None] + (hi - lo)[:, None] * self.fractions
+        mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
+        u = (mid[..., None] + half[..., None] * _GL_NODES).ravel()
+        du = (half[..., None] * _GL_WEIGHTS).ravel()
+        logp = np.multiply.outer(-self.inv_var, u)
+        logp -= self.log_norm[:, None]
+        if self.tops:
             u, du = np.concatenate((self.u, u)), np.concatenate((self.du, du))
             logp = np.concatenate((self.logp, logp), axis=1)
-            lnf = np.concatenate((self.lnf, lnf))
-        base = self.ends[-1] if first else 0
-        self.ends += (base + _GL_NODES.size * np.searchsorted(edges, bounds)).tolist()
-        self.tops += bounds
-        self.u, self.du, self.logp, self.lnf = u, du, logp, lnf
+        self.tops += hi.tolist()
+        self.blocks.append(u.size)
+        self.u, self.du, self.logp = u, du, logp
 
     def node_counts(self, u_max: np.ndarray) -> np.ndarray:
         """Node counts of the octaves that cover [0, u_max], tabulating new ones."""
         while self.tops[-1] < u_max.max():
-            self._tabulate(len(self.ends))
-        return np.asarray(self.ends)[np.searchsorted(self.tops, u_max)]
+            self._tabulate(len(self.tops))
+        return (np.searchsorted(self.tops, u_max) + 1) * self.per_octave
+
+    def mixture(self, weights: np.ndarray) -> np.ndarray:
+        """ln f_mu at every node, one _weighted_mix per tabulated block: a matrix product's
+        bits depend on its width, so no value depends on how far the table grew later."""
+        bounds = zip([0] + self.blocks, self.blocks)
+        return np.concatenate([_weighted_mix(self.logp[:, a:b], weights) for a, b in bounds])
 
 
 class _ConditionalLaws:
@@ -513,10 +510,11 @@ class _ConditionalLaws:
     buffer and takes the mixture in place; on dense channels it takes every
     input in one pass over the draws. On isotropic channels the radial
     quadrature takes a batch of input variances at once (radial_weights,
-    cross_quadratures) on one _RadialTable per call. neg_entropies takes
-    every atom's entropy from one batched factorization, the dense laws' own.
-    An atom whose squared norm or variance is not a finite double raises
-    ScaleOverflowError.
+    cross_quadratures) on the atoms' one _RadialTable (table), built on
+    first use and kept: every weight vector and input share it.
+    neg_entropies takes every atom's entropy from one batched
+    factorization, the dense laws' own. An atom whose squared norm or
+    variance is not a finite double raises ScaleOverflowError.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -531,9 +529,7 @@ class _ConditionalLaws:
             self.scalar_var = model.noise_var + model.iso_var * self.norms_sq
             self.log_norm = model.M * np.log(np.pi * self.scalar_var)
             self.inv_var = 1.0 / self.scalar_var
-            self.pairs = np.triu_indices(self.scalar_var.size, 1)
             self.tail_s = _tail_quantile(model.M)
-            self.u_max = float(np.max(self.scalar_var)) * self.tail_s
         else:
             _, self.factors, self.log_det = _conditional_covariances(model, self.atoms)
             self.inv_factors = np.linalg.inv(self.factors)
@@ -565,42 +561,41 @@ class _ConditionalLaws:
         logp -= self.log_norm[:, None]
         return logp
 
-    def radial_weights(self, cxs, weights):
-        """(table, groups), isotropic only: for the inputs of variances cxs that
-        need n nodes, group (rows, q, n) gives E[g(||Y||^2)] ~ q @ g(table.u[:n]).
+    @functools.cached_property
+    def table(self) -> _RadialTable:
+        """The support's one _RadialTable, isotropic only: built on first use, then kept."""
+        return _RadialTable(self)
+
+    def radial_weights(self, cxs: np.ndarray, counts: np.ndarray):
+        """Groups (rows, q, n), isotropic only: for the inputs of variances cxs that
+        need n nodes (counts: table.node_counts), E[g(||Y||^2)] ~ q @ g(table.u[:n]).
 
         ||Y||^2 ~ Gamma(M, c_x); a row of q is its density times the node
-        weights of the octaves that hold all but _TAIL_MASS of it, formed in
-        place in one array per group, the caller's to overwrite.
+        weights of the octaves that hold all but _TAIL_MASS of it. A generator:
+        each group is formed in place in one array when it is taken, the
+        caller's to overwrite.
         """
-        table = _RadialTable(self, np.asarray(weights, dtype=float))
-        m, cxs = self.model.M, np.asarray(cxs, dtype=float)
-        counts = table.node_counts(cxs * self.tail_s)
-        order = np.argsort(counts, kind="stable")
-        ns, cx_sorted = counts[order].tolist(), cxs[order, None]
-        groups, start = [], 0
-        for end in range(1, len(ns) + 1):
-            if end < len(ns) and ns[end] == ns[start]:
-                continue
-            n, cx = ns[start], cx_sorted[start:end]
-            q = table.u[:n] / cx  # r, overwritten by q in place
+        m, order = self.model.M, np.argsort(counts, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+            n, cx = int(counts[rows[0]]), cxs[rows, None]
+            q = self.table.u[:n] / cx  # r, overwritten by q in place
             if m == 1:
                 np.negative(q, out=q)
             else:  # r^(m-1) e^-r / (m-1)! in one exp: each factor leaves double range near M = 150
                 np.subtract((m - 1) * np.log(q), q, out=q)
                 q -= math.lgamma(m)
-            groups.append((order[start:end], np.divide(
-                np.multiply(np.exp(q, out=q), table.du[:n], out=q), cx, out=q), n))
-            start = end
-        return table, groups
+            yield rows, np.divide(np.multiply(np.exp(q, out=q), self.table.du[:n], out=q),
+                                  cx, out=q), n
 
     def cross_quadratures(self, cxs, weights) -> np.ndarray:
-        """E_{Y~p(.|x)}[ln f_mu(Y)] for inputs of variances cxs, isotropic only.
-        Rows reduce by np.add.reduce, not BLAS, so a value is the same in any batch."""
-        table, groups = self.radial_weights(cxs, weights)
-        out = np.empty(np.size(cxs))
-        for rows, q, n in groups:
-            out[rows] = np.add.reduce(np.multiply(q, table.lnf[:n], out=q), axis=1)
+        """E_{Y~p(.|x)}[ln f_mu(Y)] for inputs of variances cxs, isotropic only, one
+        node-count group formed and reduced at a time. Rows reduce by np.add.reduce,
+        not BLAS, so a value is the same in any batch."""
+        cxs = np.asarray(cxs, dtype=float)
+        counts = self.table.node_counts(cxs * self.tail_s)
+        lnf, out = self.table.mixture(np.asarray(weights, dtype=float)), np.empty(cxs.size)
+        for rows, q, n in self.radial_weights(cxs, counts):
+            out[rows] = np.add.reduce(np.multiply(q, lnf[:n], out=q), axis=1)
         return out
 
     def stream_stats(self, xs, weights, cfg: McConfig, stream: int, factors=None):

@@ -76,8 +76,8 @@ def lemma1_bound(model: ChannelModel, shell: InputShell, mass: float,
         raise ValueError(f"mass must lie in [0, 1], got {mass}")
     if pi_bar is None:
         pi_bar = certified_pi_bar(model, shell)
-    if not pi_bar > 0.0:
-        raise ValueError(f"pi_bar must be positive, got {pi_bar}")
+    if not 0.0 < pi_bar < math.inf:
+        raise ValueError(f"pi_bar must be positive and finite, got {pi_bar}")
     log_a = (math.log(mass) if mass > 0.0 else -math.inf) \
         - model.M * LOG_PI - math.log(pi_bar)
     return Lemma1Bound(shell=shell, mass=float(mass), pi_bar=float(pi_bar), log_a=log_a)

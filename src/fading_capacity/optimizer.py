@@ -106,18 +106,19 @@ class _SupportEvaluator:
     (_ConditionalLaws.cross_quadratures) on isotropic channels, else one
     stream_stats call per atom on its own stream. Either way it is a smooth
     deterministic function of the weights. evaluate(w) returns the same cross
-    means with the posteriors, from one radial_weights call or one (k, n) log
-    density buffer per batch of the k atom streams. It takes those streams on
-    its first call and keeps them: the draw cache holds few streams of a
-    search's size, a weight solve calls evaluate hundreds of times, and the
-    mover's evaluators call only cross_means.
+    means with the posteriors. Its first call keeps what no weight vector
+    changes: the atoms' Gamma-density groups on the laws' _RadialTable, so a
+    call forms only ln f_mu and the posteriors, or on dense channels the k
+    atom streams (the draw cache holds few streams of a search's size). A
+    weight solve calls evaluate hundreds of times, and the mover's
+    evaluators call only cross_means.
     """
 
     def __init__(self, model: ChannelModel, atoms, mc: McConfig):
         laws = self._laws = _ConditionalLaws(model, atoms)
         self.model, self.atoms, self.k = model, laws.atoms, laws.atoms.shape[0]
         self.norms_sq, self.neg_h = laws.norms_sq, laws.neg_entropies()
-        self._mc, self._streams = mc, None
+        self._mc, self._kept = mc, None
 
     def cross_means(self, weights) -> np.ndarray:
         weights, laws = np.asarray(weights, dtype=float), self._laws
@@ -135,16 +136,19 @@ class _SupportEvaluator:
             log_w = np.log(weights)[:, None]
         cross, post = np.zeros(self.k), np.zeros((self.k, self.k))
         if laws.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
-            table, groups = laws.radial_weights(laws.scalar_var, weights)
-            for rows, q, n in groups:
-                e = table.logp[:, :n] + log_w  # the posterior exponent, in one buffer
-                post[rows] = q @ np.exp(np.subtract(e, table.lnf[:n], out=e), out=e).T
-                cross[rows] = np.add.reduce(np.multiply(q, table.lnf[:n], out=q), axis=1)
+            if self._kept is None:
+                counts = laws.table.node_counts(laws.scalar_var * laws.tail_s)
+                self._kept = list(laws.radial_weights(laws.scalar_var, counts))
+            logp, lnf = laws.table.logp, laws.table.mixture(weights)
+            for rows, q, n in self._kept:
+                e = logp[:, :n] + log_w  # the posterior exponent, in one buffer
+                post[rows] = q @ np.exp(np.subtract(e, lnf[:n], out=e), out=e).T
+                cross[rows] = np.add.reduce(q * lnf[:n], axis=1)  # q is kept: not in place
             return cross, post
-        if self._streams is None:
-            self._streams = [laws._draws(self._mc, i) for i in range(self.k)]
+        if self._kept is None:
+            self._kept = [laws._draws(self._mc, i) for i in range(self.k)]
         coefs = laws._form_coefficients(laws.factors)
-        for batch in zip(*self._streams):  # batch b of every atom's stream
+        for batch in zip(*self._kept):  # batch b of every atom's stream
             logp = np.empty((self.k, batch[0].shape[1]))  # the batch's one (k, n) buffer
             for i, (coef, monomials) in enumerate(zip(coefs, batch)):
                 mix = _weighted_mix(laws._log_densities(coef, monomials, out=logp), weights)

@@ -48,6 +48,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             McConfig(seed=1, **kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True], ids=["float", "whole-float", "bool"])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 constructed, drew the seed-1 streams and reported seed=1.5
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            McConfig(1000, seed=seed)
+
     def test_numpy_integer_counts_accepted(self):
         cfg = McConfig(np.int64(1000), seed=1, batch=np.int32(300))
         assert cfg == McConfig(1000, seed=1, batch=300) and cfg.effective_batch == 300
@@ -389,6 +395,11 @@ def _variance(model, x) -> float:
     return model.noise_var + model.iso_var * float(np.real(np.vdot(x, x)))
 
 
+def _radial_groups(laws, cxs):
+    """(rows, q, n) per node count of the input variances cxs, every group formed."""
+    return list(laws.radial_weights(cxs, laws.table.node_counts(cxs * laws.tail_s)))
+
+
 def _cross_quadrature(laws, x, weights) -> float:
     """cross_quadratures for the one input x."""
     return float(laws.cross_quadratures([_variance(laws.model, x)], weights)[0])
@@ -470,12 +481,50 @@ class TestRadialQuadrature:
         want = [_cross_quadrature(self._laws(model, ts), x, ws) for x in xs]
         laws = self._laws(model, ts)
         cxs = np.array([_variance(model, x) for x in xs])
-        table, _ = laws.radial_weights(cxs, ws)
-        assert len(set(table.node_counts(cxs * laws.tail_s).tolist())) >= 3
+        assert len(set(laws.table.node_counts(cxs * laws.tail_s).tolist())) >= 3
         for order in (np.arange(len(xs)), np.arange(len(xs))[::-1],
                       np.random.default_rng(m).permutation(len(xs))):
             got = self._laws(model, ts).cross_quadratures(cxs[order], ws)
             assert got.tolist() == [want[i] for i in order]
+
+    # (M, squared norms, weights): the oracle optima, then supports with a tail
+    # weight far below the others' or atoms crowded together, where ln f_mu
+    # turns sharply between two lines
+    ACCURACY_CASES = {
+        **{f"oracle-{a}": (1, ts, ws) for a, (ts, ws, _, _) in ORACLE_OPTIMA.items()},
+        "1e-12-at-1e4": (1, [0.0, 1e4], [1.0 - 1e-12, 1e-12]),
+        "crowded": (1, [0.0, 5.0, 5.001, 5.002], [0.4, 0.2, 0.2, 0.2]),
+        "1e-20-at-40": (1, [0.0, 40.0], [1.0, 1e-20]),
+        "1e-20-at-400": (1, [0.0, 400.0], [1.0, 1e-20]),
+        "1e-20-next-to-100": (1, [0.0, 100.0, 110.0], [0.5, 0.5, 1e-20]),
+        "m3-to-1e6": (3, [0.0, 1e3, 1e6], [0.5, 0.3, 0.2]),
+        "m8": (8, [0.0, 4.0, 30.0], [0.6, 0.3, 0.1]),
+        "m2-4-atoms": (2, [0.0, 1.0, 9.0, 50.0], [0.4, 0.3, 0.2, 0.1]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ACCURACY_CASES))
+    def test_matches_finely_cut_panels(self, monkeypatch, case):
+        # against 256 panels per octave, at the origin, 200 squared norms from
+        # 1e-4 to 1e5 and the atoms; 4 panels per octave read 2.1e-10 at
+        # 1e-12-at-1e4 and 1.8e-10 at 1e-20-at-400
+        m, ts, ws = self.ACCURACY_CASES[case]
+        model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
+        cxs = 1.0 + np.concatenate(([0.0], np.geomspace(1e-4, 1e5, 200), ts))
+        got = self._laws(model, ts).cross_quadratures(cxs, ws)
+        monkeypatch.setattr(estimate, "_OCTAVE_PARTS", 256)
+        want = self._laws(model, ts).cross_quadratures(cxs, ws)
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_node_count_depends_on_the_largest_variance_alone(self):
+        # no node depends on the weights or on how many atoms there are: 160
+        # atoms need the nodes 2 do, and at most 1000 of them
+        model = ChannelModel.isotropic(1, 1, 1.0, 1.0)
+        many = self._laws(model, np.concatenate(([0.0], np.geomspace(1e-3, 200.0, 159))))
+        two = self._laws(model, [0.0, 200.0])
+        counts = [laws.table.node_counts(laws.scalar_var * laws.tail_s).max()
+                  for laws in (many, two)]
+        assert counts[0] == counts[1] <= 1000
+        assert np.array_equal(many.table.u, two.table.u)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_monte_carlo(self, m):
@@ -575,15 +624,17 @@ class TestInPlaceIsotropicPaths:
         ts, w = [0.0, 4.0, 30.0], np.array([0.6, 0.3, 0.1])
         laws = TestRadialQuadrature._laws(model, ts)
         cxs = 1.0 + np.array([0.0, 0.3, 4.0, 7.5, 30.0, 90.0, 400.0, 2500.0])
-        table, groups = laws.radial_weights(cxs, w)
+        groups = _radial_groups(laws, cxs)
+        table = laws.table
         assert np.array_equal(table.logp,
                               -np.outer(laws.inv_var, table.u) - laws.log_norm[:, None])
         assert len(groups) >= 3
+        lnf = table.mixture(w)
         want = np.empty(cxs.size)
         for rows, q, n in groups:
             ref = self._reference_weights(laws, table, cxs[rows, None], n)
             assert np.array_equal(q, ref)
-            want[rows] = np.add.reduce(ref * table.lnf[:n], axis=1)
+            want[rows] = np.add.reduce(ref * lnf[:n], axis=1)
         assert np.array_equal(laws.cross_quadratures(cxs, w), want)
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -594,14 +645,33 @@ class TestInPlaceIsotropicPaths:
         ev = _SupportEvaluator(model, atoms, McConfig(1000, seed=5))
         cross, post = ev.evaluate(w)
         laws = _ConditionalLaws(model, atoms)
-        table, groups = laws.radial_weights(laws.scalar_var, w)
+        groups = _radial_groups(laws, laws.scalar_var)
+        table, lnf = laws.table, laws.table.mixture(w)
         with np.errstate(divide="ignore"):
             log_w = np.log(w)[:, None]
         for rows, _, n in groups:
             q = self._reference_weights(laws, table, laws.scalar_var[rows, None], n)
-            assert np.array_equal(cross[rows], np.add.reduce(q * table.lnf[:n], axis=1))
+            assert np.array_equal(cross[rows], np.add.reduce(q * lnf[:n], axis=1))
             assert np.array_equal(post[rows],
-                                  q @ np.exp(table.logp[:, :n] + log_w - table.lnf[:n]).T)
+                                  q @ np.exp(table.logp[:, :n] + log_w - lnf[:n]).T)
+
+    def test_evaluate_keeps_one_table_and_its_groups(self):
+        # a second weight vector reuses the first call's nodes and Gamma-density
+        # groups, and no call overwrites the kept groups
+        model = ChannelModel.isotropic(2, 1, 1.0, 1.0)
+        atoms = np.array([[0j], [2.0 + 0j], [5.0 + 0j], [30.0 + 0j]])
+        ev = _SupportEvaluator(model, atoms, McConfig(1000, seed=5))
+        ev.evaluate(np.array([0.5, 0.3, 0.2, 0.0]))
+        table, kept = ev._laws.table, ev._kept
+        u, logp, groups = table.u, table.logp, [q.copy() for _, q, _ in kept]
+        assert len(groups) >= 2
+        ev.evaluate(np.array([0.1, 0.2, 0.3, 0.4]))
+        assert ev._laws.table is table and ev._kept is kept
+        assert table.u is u and table.logp is logp
+        laws = _ConditionalLaws(model, atoms)
+        fresh = _radial_groups(laws, laws.scalar_var)
+        for (_, q, _), before, (_, want, _) in zip(kept, groups, fresh):
+            assert np.array_equal(q, before) and np.array_equal(q, want)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_stream_stats_stack_equals_the_one_row_calls(self, dense):

@@ -36,6 +36,12 @@ class TestLemma1Bound:
         with pytest.raises(ValueError, match="mass must lie in"):
             lemma1_bound(scalar_model, InputShell(1.0, 4.0), mass=mass)
 
+    @pytest.mark.parametrize("pi_bar", [math.inf, math.nan, 0.0, -1.0])
+    def test_pi_bar_must_be_positive_and_finite(self, scalar_model, pi_bar):
+        # inf made log_a -inf, and support_radius_bound then returned inf
+        with pytest.raises(ValueError, match="pi_bar must be positive and finite"):
+            lemma1_bound(scalar_model, InputShell(1.0, 4.0), mass=0.5, pi_bar=pi_bar)
+
     def test_zero_mass_raises_on_use(self, scalar_model):
         bound = lemma1_bound(scalar_model, InputShell(1.0, 4.0), mass=0.0)
         with pytest.raises(InsufficientMassError):
