@@ -320,8 +320,7 @@ def sample_output(model: ChannelModel, x, count: int, seed: int) -> np.ndarray:
     Deterministic for a fixed seed. The randomness state is taken by value,
     so concurrent callers should use disjoint seeds.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_positive_int(count, "count")
     cov = conditional_covariance(model, x)
     w = _complex_standard_normals(int(seed) & _U64, int(count), model.M)
     return w @ cov.factor.T

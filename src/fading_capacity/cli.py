@@ -24,7 +24,7 @@ import numpy as np
 from .channel import (ChannelModel, _at, _fail, _integer, _number, _numbers, _require,
                       _vector, conditional_entropy, input_norm_sq, log_density)
 from .errors import AnalysisError, ConfigError
-from .estimate import McConfig, _mutual_information, mutual_information
+from .estimate import McConfig, _mutual_information
 from .fano import _report_mi, _sufficient_report, build_construction, detection_report
 from .kkt import KktContext, _kkt_lower_bounds, kkt_scan, lemma1_bound, radial_scan_grid, \
     support_radius_bound
@@ -134,7 +134,7 @@ def _cmd_density(cfg, model, out_dir):
 
 def _cmd_mi(cfg, model, out_dir):
     mu = _measure_from_config(cfg, model)
-    est = mutual_information(model, mu, _mc_from_config(cfg))
+    est = _mutual_information(model, mu, _mc_from_config(cfg))
     _write_csv(out_dir, "mi.csv", ["value", "se", "samples"],
                [(est.value, est.std_error, est.samples)])
     return {"mutual_information": _estimate_dict(est), "atoms": mu.n_atoms}

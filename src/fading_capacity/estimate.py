@@ -1,45 +1,41 @@
 """Integrals over the output space: seeded Monte Carlo and radial quadrature.
 
 All stochastic results are McEstimate values (point estimate, standard error,
-sample count, seed) and are bit-reproducible for a fixed configuration:
-sample streams are derived counter-style from (seed, stream index, batch
-index), so batches can be evaluated independently and reduced in a fixed
-order. Mutual information uses per-atom stratified sampling: mixture
-components produced by the shell-decoder constructions are separated by
-hundreds of orders of magnitude, and sampling the mixture directly would
-never visit the small ones. When the conditional law is radially symmetric,
-the output radius is additionally stratified over equiprobable shells, which
-tames the large cross-term variance at inputs far outside the measure's
-support. The squared radius is the closed-form integer-order Gamma(M)
+sample count, seed), bit-reproducible for a fixed configuration: streams are
+seeded counter-style by (seed, stream index, batch index) and reduced in a
+fixed order. Mutual information samples each atom's law on its own stream:
+the shell-decoder constructions' mixture components are hundreds of orders
+of magnitude apart, and sampling the mixture would never visit the small
+ones. Radially symmetric laws also stratify the output radius over
+equiprobable shells, which tames the cross-term variance far outside the
+support; the squared radius is the closed-form integer-order Gamma(M)
 quantile (_gamma_quantile), each half solved on its own tail's finite sum.
 
-One sample path serves the estimators, and kkt_scan and the optimizer on
-dense channels. A stream's draws depend on (M, cfg, stream index) alone, so
-_stream_draws shares them across the process within a byte budget, one
-read-only float64 array per batch on every channel: on isotropic channels the
-normalized squared radii alone, since a sample's radial stratum is its stream
-position modulo the stratum count and stream_stats sums the strata by
-position; on dense channels the monomials of the normals. A
-_ConditionalLaws object forms component-major (atoms x samples) log densities
-from them, one (k, n) buffer per batch, and reduces them in place with
-measure._weighted_mix. _ConditionalLaws.stream_stats is the one reduction of
-a stream to means and SEs, for a (P, N) stack of inputs (one input is P = 1),
-so all callers agree bit for bit. On dense channels y = L_x w with w standard
-normal, so log densities are quadratic forms in w: one small matmul of their
-coefficients with each batch's monomials of w, every input on one stream in
-one pass, each with its own sums, so a value is the same alone or in a scan.
-On isotropic channels kkt_scan, the optimizer and the Fano report's I(mu)
-integrate ln f_mu, a function of ||y||^2 alone, by radial quadrature on a
-support's one _RadialTable: plain panels, 5 ceil(sqrt(M) / 3) to an octave,
-that no weight vector changes. The public estimators stay Monte Carlo, its
-independent cross-check. It is batched (_ConditionalLaws.cross_quadratures):
-all inputs of a scan or a support are grouped by the node count their
-Gamma(M, c_x) law needs, each group is one array, formed and weighted in
-place, and each row reduces on its own, so no value depends on the batch.
-A support's entropies come from one batched factorization (neg_entropies).
-Shell probabilities (_shell_probabilities) take inputs and radii in logs and
-are exact at any scale on every channel: gamma tails when C(x) is a scalar
-matrix, else hypoexponential tails in the eigenvalues of C(x) (_hypoexp_tail).
+One sample path serves every Monte Carlo caller. A stream's draws depend on
+(M, cfg, stream index) alone, so _stream_draws shares them across the process
+within a byte budget: per batch, the normalized squared radii on isotropic
+channels (a sample's stratum is its position modulo the stratum count), else
+the M^2 monomials of the normals w (y = L_x w, so ln p(y|x_j) is a quadratic
+form in w). _ConditionalLaws is the package's one integrator; kkt, the
+optimizer and the Fano report reach the output space only through it.
+stream_stats reduces a stream to means and SEs for a stack of inputs in one
+batch loop: a batch's monomials times each atom's coefficients (one column,
+-c_x / c_j, on isotropic channels) in one (k, n) buffer, the mixture taken in
+place by measure._weighted_mix, sums kept per input and per stratum (one on
+dense channels), so a value is the same alone or in a scan. cross_terms
+integrates ln f_mu against each input's law: on isotropic channels, where
+ln f_mu depends on ||y||^2 alone, by radial quadrature on the support's one
+_RadialTable (plain panels, 5 ceil(sqrt(M) / 3) to an octave, that no weight
+vector changes), inputs grouped by the node count their Gamma(M, c_x) law
+needs and each row reduced on its own; on dense channels by one stream_stats
+call per stream, atoms descending, then the cross stream, so the atom streams
+that mutual_information (ascending) left in the draw cache are used before a
+miss evicts them. posteriors adds the atoms' mean posteriors for the weight
+solve. The public estimators stay Monte Carlo on every channel, the
+quadrature's independent cross-check. Shell probabilities
+(_shell_probabilities) take inputs and radii in logs and are exact at any
+scale on every channel: gamma tails when C(x) is a scalar matrix, else
+hypoexponential tails in the eigenvalues of C(x) (_hypoexp_tail).
 
 The integer-order gamma and the hypoexponential tails (chi_square_tail,
 log_chi_square_tail, all shell masses) are sums of positive Poisson terms
@@ -47,11 +43,10 @@ log_chi_square_tail, all shell masses) are sums of positive Poisson terms
 (_tail_quantile) run on numpy and closed forms, as does the whole package:
 numpy is its only dependency.
 
-Every command is one process, so its peak resident set is part of its cost.
-The Gauss-Legendre rule is written out as constants, so no process loads
-numpy.polynomial (9 modules, 0.6-1.0 MB of peak). A draw-cache miss that
-will be kept evicts before it forms the stream's arrays, so the cached draws
-and the one stream being drawn peak at _DRAW_BUDGET plus that stream.
+Every command is one process, so its peak resident set is part of its cost:
+the Gauss-Legendre rule is written out as constants, so no process loads
+numpy.polynomial (9 modules, 0.6-1.0 MB of peak), and a draw-cache miss
+evicts before it draws (_stream_draws).
 """
 
 from __future__ import annotations
@@ -131,11 +126,8 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo result: value, standard error, total draws, base seed.
-
-    Exact results (closed forms, radial quadratures) carry std_error 0 and
-    samples 0.
-    """
+    """Monte Carlo result: value, standard error, total draws, base seed. Exact
+    results (closed forms, radial quadratures) carry std_error 0 and samples 0."""
 
     value: float
     std_error: float
@@ -205,10 +197,9 @@ def _tail_quantile(m: int) -> float:
 
 def _finite_norms_sq(xs: np.ndarray, model: ChannelModel) -> np.ndarray:
     """Squared norms of the rows of xs; ScaleOverflowError if one is not finite, or on
-    isotropic channels if what the isotropic paths form from its output variance c =
-    noise_var + iso_var ||x||^2 is not: the law's tail edge c s_tail (_tail_quantile;
-    s_tail > pi, so pi c is finite too), the octave edge up to twice it that covers
-    it, and its ratio to noise_var."""
+    isotropic channels if, for c = noise_var + iso_var ||x||^2, the tail edge c s_tail
+    (_tail_quantile; s_tail > pi, so pi c is finite too), the octave edge up to twice
+    it that covers it, or its ratio to noise_var is not."""
     with np.errstate(over="ignore"):
         norms_sq = np.sum(np.abs(xs) ** 2, axis=1)
         tops = [norms_sq]
@@ -222,15 +213,10 @@ def _finite_norms_sq(xs: np.ndarray, model: ChannelModel) -> np.ndarray:
 
 def _stratified_radii_sq(seed_key: int, offset: int, nb: int, m: int,
                          n_strata: int) -> np.ndarray:
-    """Normalized squared radii s = ||y||^2 / c for y ~ CN(0, c I_m).
-
-    s follows Gamma(m, 1); draws are stratified over n_strata equiprobable
-    radial shells, the stratum id cycling from the given offset so allocation
-    stays balanced across batches: s = _gamma_quantile of q = (id + u) / n_strata,
-    with 1 - q as (n_strata - id - u) / n_strata. Only s is returned: the id of
-    the sample at stream position p is p % n_strata, so a reduction takes it
-    from the position rather than from a stored array.
-    """
+    """Normalized squared radii s = ||y||^2 / c ~ Gamma(m, 1) for y ~ CN(0, c I_m),
+    stratified over n_strata equiprobable radial shells: s = _gamma_quantile of q =
+    (id + u) / n_strata (1 - q as (n_strata - id - u) / n_strata), the stratum id of
+    stream position p being p % n_strata, so no id is returned or stored."""
     u = np.random.default_rng(seed_key).random(nb)
     ids = (offset + np.arange(nb)) % n_strata
     return _gamma_quantile(m, (ids + u) / n_strata, (n_strata - ids - u) / n_strata)
@@ -242,8 +228,7 @@ def _n_strata(cfg: McConfig) -> int:
 
 
 def _evict(room: int) -> None:
-    """Evict least recently used streams until room more bytes fit in _DRAW_BUDGET.
-    The caller holds _DRAWS_LOCK."""
+    """Evict least recently used streams until room more bytes fit (caller holds the lock)."""
     retained = sum(nbytes for _, nbytes in _DRAWS.values())
     while retained + room > _DRAW_BUDGET:
         retained -= _DRAWS.popitem(last=False)[1][1]
@@ -251,20 +236,15 @@ def _evict(room: int) -> None:
 
 def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
     """Per-batch draws of one stream, seeded by (seed, stream, batch), each one
-    read-only float64 array: the (n,) normalized squared radii on isotropic
-    channels (_stratified_radii_sq; a sample's stratum is its stream position
-    modulo _n_strata, so no id is stored), else the (M^2, n) _monomials of
-    complex standard normals w (n, M). Every caller in the process shares them,
-    least recently used evicted first, within _DRAW_BUDGET bytes; a larger
-    stream is returned without being kept, and evicts nothing. A stream's bytes
-    are known before it is drawn (8 per sample isotropic, 8 M^2 dense), so a
-    miss that will be kept evicts before it forms its first batch's arrays: the
-    cache and the stream being drawn peak at the budget plus that stream. On
-    dense channels that is once the batch's normals are drawn (at M >= 2 no
-    larger than its monomials): evicting before them gave the same peak but
-    about 110 more minor page faults per fano-cli pass (allocator layout). Two
-    callers that miss on one key at once both draw it, and get equal arrays;
-    evicting again after the insertion keeps the budget then too.
+    read-only float64 array: the (n,) _stratified_radii_sq on isotropic channels,
+    else the (M^2, n) _monomials of complex standard normals w (n, M). Every
+    caller in the process shares them, least recently used evicted first, within
+    _DRAW_BUDGET bytes; a larger stream is returned unkept, and evicts nothing.
+    A kept miss knows its bytes in advance and evicts before it forms its arrays
+    (dense: after the first normals, no larger than their monomials at M >= 2;
+    earlier gave the same peak but ~110 more page faults per fano-cli pass), so
+    the cache peaks at the budget plus the stream being drawn. Two callers that
+    miss on one key at once both draw it, get equal arrays, and evict again.
     """
     key, batch = (m, iso, cfg, stream), cfg.effective_batch
     size = cfg.samples * 8 * (1 if iso else m * m)
@@ -294,8 +274,8 @@ def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
 
 
 def _sample_moments(s1, s2, count):
-    """Sample means and the variances of those means, per entry, from the sums
-    s1 and s2 of count values and of their squares."""
+    """Per entry, the mean and its variance from the sums s1 and s2 of count values
+    and of their squares."""
     means = s1 / count
     return means, np.maximum(s2 - s1 * means, 0.0) / np.maximum(count - 1, 1) / count
 
@@ -443,16 +423,13 @@ def _norm_coefficients(a: np.ndarray, upper) -> np.ndarray:
 class _RadialTable:
     """Composite Gauss-Legendre nodes in u = ||y||^2 and every atom's ln p(u|x_j) there.
 
-    Panels are the octaves [c0 2^(j-1), c0 2^j] up from the noise variance c0
-    (octave 0 is [0, c0]), each cut into _OCTAVE_PARTS ceil(sqrt(M) / 3) equal
-    panels, narrower than the Gamma(M) peak at any order. No node depends on the
-    weights, so one table serves every weight vector and input of a support;
-    ln f_mu there is one _weighted_mix per tabulated block (mixture). The
-    atoms' octaves are tabulated in one block, later ones one at a time, so a
-    node's value does not depend on which inputs came before. An input needs
-    the nodes up to the end of the first octave that holds its law's tail
-    (node_counts). The table holds the laws' arrays, not the laws: a reference
-    back would keep both alive until the cyclic garbage collector runs.
+    Panels cut the octaves [c0 2^(j-1), c0 2^j] up from the noise variance c0
+    (octave 0 is [0, c0]) into _OCTAVE_PARTS ceil(sqrt(M) / 3) equal parts,
+    narrower than the Gamma(M) peak at any order; no node depends on the weights.
+    The atoms' octaves are one block, later ones one each, so a node's value does
+    not depend on which inputs came before; an input needs the nodes up to the
+    first octave that holds its law's tail (node_counts). The table holds the
+    laws' arrays, not the laws: a reference back would make a cycle.
     """
 
     def __init__(self, laws: "_ConditionalLaws"):
@@ -492,29 +469,19 @@ class _RadialTable:
 
     def mixture(self, weights: np.ndarray) -> np.ndarray:
         """ln f_mu at every node, one _weighted_mix per tabulated block: a matrix product's
-        bits depend on its width, so no value depends on how far the table grew later."""
+        bits depend on its width, and no value may depend on how far the table grew."""
         bounds = zip([0] + self.blocks, self.blocks)
         return np.concatenate([_weighted_mix(self.logp[:, a:b], weights) for a, b in bounds])
 
 
 class _ConditionalLaws:
-    """Pre-factored conditional output laws p(.|x_j) for a fixed atom list.
+    """Pre-factored conditional output laws p(.|x_j) for a fixed atom list: the
+    package's one integrator (stream_stats, cross_terms, posteriors).
 
-    For isotropic fading the law depends on the input norm only, so the
-    per-sample work reduces to outer products of squared radii against the
-    per-atom scalar variances. Otherwise the atoms' Cholesky factors L_j and
-    their inverses are kept, and log densities are quadratic forms in the
-    draws' monomials. log_norm holds ln det(pi C_j) on both paths; the draws
-    come from _stream_draws (_draws). stream_stats takes a stack of inputs
-    that share a stream, writes each batch's log densities into one (k, n)
-    buffer and takes the mixture in place; on dense channels it takes every
-    input in one pass over the draws. On isotropic channels the radial
-    quadrature takes a batch of input variances at once (radial_weights,
-    cross_quadratures) on the atoms' one _RadialTable (table), built on
-    first use and kept: every weight vector and input share it.
-    neg_entropies takes every atom's entropy from one batched
-    factorization, the dense laws' own. An atom whose squared norm or
-    variance is not a finite double raises ScaleOverflowError.
+    Isotropic laws keep the atoms' variances c_j, dense ones their Cholesky
+    factors L_j and inverses; log_norm is ln det(pi C_j) on both. The radial
+    quadrature runs on the atoms' one _RadialTable (table). An atom whose squared
+    norm or variance is not a finite double raises ScaleOverflowError.
     """
 
     def __init__(self, model: ChannelModel, atoms):
@@ -535,6 +502,7 @@ class _ConditionalLaws:
             self.inv_factors = np.linalg.inv(self.factors)
             self.log_norm = model.M * math.log(math.pi) + self.log_det
             self.upper = np.triu_indices(model.M, 1)
+        self._streams = None, []  # posteriors' cfg and its atom streams
 
     def neg_entropies(self) -> np.ndarray:
         """-h(Y|x_j) = -(M ln(pi e) + ln det C_j) per atom, from one batched factorization."""
@@ -554,10 +522,11 @@ class _ConditionalLaws:
         L_j^-1 L_x, for the (..., M, M) factors L_x: one batched product."""
         return -_norm_coefficients(self.inv_factors @ factor[..., None, :, :], self.upper)
 
-    def _log_densities(self, coef: np.ndarray, monomials: np.ndarray, out=None) -> np.ndarray:
-        """(k, n) ln p(y|x_j) = coef @ monomials - log_norm[j] at one batch's outputs,
-        written to out if given."""
-        logp = np.matmul(coef, monomials, out=out)
+    def _log_densities(self, coef: np.ndarray, draw: np.ndarray, out=None) -> np.ndarray:
+        """(k, n) ln p(y|x_j) = coef @ draw - log_norm[j] at one batch's outputs, written to
+        out if given. One coefficient column (isotropic radii, or M = 1) takes a broadcast
+        product: the same bits as the (k, 1) @ (1, n) matmul, several times faster."""
+        logp = (np.multiply if coef.shape[-1] == 1 else np.matmul)(coef, draw, out=out)
         logp -= self.log_norm[:, None]
         return logp
 
@@ -566,14 +535,17 @@ class _ConditionalLaws:
         """The support's one _RadialTable, isotropic only: built on first use, then kept."""
         return _RadialTable(self)
 
+    @functools.cached_property
+    def atom_groups(self) -> list:
+        """radial_weights at the atoms, isotropic only: formed on first use, then kept."""
+        counts = self.table.node_counts(self.scalar_var * self.tail_s)
+        return list(self.radial_weights(self.scalar_var, counts))
+
     def radial_weights(self, cxs: np.ndarray, counts: np.ndarray):
         """Groups (rows, q, n), isotropic only: for the inputs of variances cxs that
-        need n nodes (counts: table.node_counts), E[g(||Y||^2)] ~ q @ g(table.u[:n]).
-
-        ||Y||^2 ~ Gamma(M, c_x); a row of q is its density times the node
-        weights of the octaves that hold all but _TAIL_MASS of it. A generator:
-        each group is formed in place in one array when it is taken, the
-        caller's to overwrite.
+        need n nodes (counts: table.node_counts), E[g(||Y||^2)] ~ q @ g(table.u[:n]),
+        a row of q being the Gamma(M, c_x) density times the node weights. A
+        generator: each group is formed in place when taken, the caller's to overwrite.
         """
         m, order = self.model.M, np.argsort(counts, kind="stable")
         for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
@@ -600,90 +572,118 @@ class _ConditionalLaws:
 
     def stream_stats(self, xs, weights, cfg: McConfig, stream: int, factors=None):
         """Means and SEs, two (P,) arrays, of ln f_mu(Y) over Y ~ p(.|x) for the P
-        rows x of xs, all on one stream's draws, accumulated batch-wise.
+        rows x of xs, all on one stream's draws, in one loop over its batches.
 
-        Isotropic channels sample the normalized squared radius directly,
-        stratified over equiprobable shells, one row at a time at its variance
-        c_x = noise_var + iso_var x^H x. The stratum of stream position p is
-        p % n, so the stratum counts follow from cfg, and batch b, which starts
-        at stratum r = (b batch) % n, writes its mixture at offset r of one
-        zero-padded buffer of whole rows of n: an axis-0 np.add.reduce of its
-        (rows, n) view adds each stratum's samples in stream order, as bincount
-        over stored ids did, and the padding adds +0.0. Dense channels take
-        every row in one pass over the draws, with coefficients from one
-        batched product of the rows' (P, M, M) factors L_x (one
-        _conditional_covariances call when factors is None). Each batch's log
-        densities fill one (k, n) buffer, log_norm subtracted and the mixture
-        taken in place (_weighted_mix with out). Each row keeps its own sums, so
-        a value does not depend on which rows share the call.
+        A row's coefficients are -c_x / c_j, c_x = noise_var + iso_var x^H x, on
+        isotropic channels, else from one batched product of the rows' factors L_x
+        (_conditional_covariances when factors is None). The mixture goes into a
+        zero-padded buffer of whole rows of n strata (n = 1 on dense channels):
+        position p is in stratum p % n, so batch b writes at offset (b batch) % n,
+        and an axis-0 np.add.reduce of the (rows, n) view adds each stratum in
+        stream order (pairwise when n = 1). The mean averages the strata's.
         """
         weights, draws = np.asarray(weights, dtype=float), self._draws(cfg, stream)
-        if self.iso:  # the mean averages the equiprobable strata's
-            n, batch = _n_strata(cfg), cfg.effective_batch
-            means, ses = np.empty(len(xs)), np.empty(len(xs))
-            count = np.full(n, float(cfg.samples // n))  # stream position p is in stratum p % n
-            count[:cfg.samples % n] += 1.0
-            buf = np.empty(-(-(n - 1 + batch) // n) * n)  # batch b from offset (b batch) % n
-            strata_rows = buf.reshape(-1, n)
-            for row, x in enumerate(xs):
-                cx = self.model.noise_var + self.model.iso_var * float(np.real(np.vdot(x, x)))
-                ratios, s1, s2 = cx / self.scalar_var, np.zeros(n), np.zeros(n)
-                for b, s in enumerate(draws):
-                    r = b * batch % n
-                    buf[:r], buf[r + s.size:] = 0.0, 0.0  # padding adds +0.0 to a stratum
-                    logp = np.multiply.outer(-ratios, s)  # the batch's one (k, n) buffer
-                    logp -= self.log_norm[:, None]
-                    mix = _weighted_mix(logp, weights, out=buf[r:r + s.size])
-                    s1 += np.add.reduce(strata_rows, axis=0)  # adds the rows in order
-                    np.square(mix, out=mix)
-                    s2 += np.add.reduce(strata_rows, axis=0)
-                strata, var = _sample_moments(s1, s2, count)
-                means[row], ses[row] = np.sum(strata) / n, math.sqrt(float(np.sum(var)) / (n * n))
-            return means, ses
-        if factors is None:
-            factors = _conditional_covariances(self.model, xs)[1]
-        coefs = self._form_coefficients(factors)
-        s1, s2, count = np.zeros(len(xs)), np.zeros(len(xs)), 0
-        for monomials in draws:
-            n = monomials.shape[1]
-            logp, mix = np.empty((self.log_norm.size, n)), np.empty(n)
+        if self.iso:
+            cxs = self.model.noise_var + self.model.iso_var * np.array(
+                [np.vdot(x, x).real for x in xs])
+            coefs = -(cxs[:, None] / self.scalar_var)[..., None]
+        else:
+            coefs = self._form_coefficients(
+                _conditional_covariances(self.model, xs)[1] if factors is None else factors)
+        n, batch = _n_strata(cfg) if self.iso else 1, cfg.effective_batch
+        count = np.full(n, float(cfg.samples // n))
+        count[:cfg.samples % n] += 1.0
+        buf = np.empty(-(-(n - 1 + batch) // n) * n)
+        s1, s2 = np.zeros((2, len(coefs), n))
+        for b, draw in enumerate(draws):
+            r, size = b * batch % n, draw.shape[-1]
+            strata = buf[:-(-(r + size) // n) * n].reshape(-1, n)
+            buf[:r], buf[r + size:strata.size] = 0.0, 0.0
+            logp = np.empty((self.log_norm.size, size))
             for row, coef in enumerate(coefs):
-                _weighted_mix(self._log_densities(coef, monomials, out=logp), weights, out=mix)
-                s1[row] += mix.sum()
-                s2[row] += mix @ mix
-            count += n
+                mix = _weighted_mix(self._log_densities(coef, draw, out=logp), weights,
+                                    out=buf[r:r + size])
+                s1[row] += np.add.reduce(strata, axis=0)
+                np.square(mix, out=mix)
+                s2[row] += np.add.reduce(strata, axis=0)
         means, var = _sample_moments(s1, s2, count)
-        return means, np.sqrt(var)
+        return np.sum(means, axis=1) / n, np.sqrt(np.sum(var, axis=1) / (n * n))
+
+    def cross_terms(self, weights, cfg: McConfig, xs=None):
+        """(E[ln f_mu(Y)], its SE, ln det C(x), ||x||^2), four (P,) arrays, for Y ~
+        p(.|x) at the P rows x of xs, the atoms when xs is None. Radial quadrature
+        on isotropic channels (SE 0); Monte Carlo on dense ones, each row on the
+        stream of the first atom it equals, else the cross stream, one stream_stats
+        call per stream: atoms descending, then the cross stream. A squared norm or
+        variance that is not a finite double raises ScaleOverflowError."""
+        weights, model = np.asarray(weights, dtype=float), self.model
+        norms_sq = self.norms_sq if xs is None else _finite_norms_sq(xs, model)
+        xs = self.atoms if xs is None else xs
+        if self.iso:
+            cxs = model.noise_var + model.iso_var * norms_sq
+            return (self.cross_quadratures(cxs, weights), np.zeros(len(xs)),
+                    model.M * np.log(cxs), norms_sq)
+        _, factors, log_det = _conditional_covariances(model, xs)
+        streams = _stream_indices(self.atoms, xs)
+        cross, ses = np.empty(len(xs)), np.empty(len(xs))
+        # sorted, not np.unique: np.unique loads numpy.ma
+        for stream in sorted(set(streams.tolist()), key=lambda s: (s == _CROSS_STREAM, -s)):
+            rows = np.flatnonzero(streams == stream)
+            cross[rows], ses[rows] = self.stream_stats(xs[rows], weights, cfg, stream,
+                                                       factors[rows])
+        return cross, ses, log_det, norms_sq
+
+    def posteriors(self, weights, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
+        """(cross_terms at the atoms, P) with P[i, j] = w_j E_i[p_j / f_mu], atom j's
+        mean posterior under atom i's law. It keeps what no weight vector changes, the
+        atom_groups or on dense channels the k atom streams of cfg (the draw cache holds
+        few of a search's size): a weight solve calls it hundreds of times."""
+        weights, k = np.asarray(weights, dtype=float), self.log_norm.size
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights)[:, None]
+        cross, post = np.zeros(k), np.zeros((k, k))
+        if self.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
+            logp, lnf = self.table.logp, self.table.mixture(weights)
+            for rows, q, n in self.atom_groups:
+                e = logp[:, :n] + log_w  # the posterior exponent, in one buffer
+                post[rows] = q @ np.exp(np.subtract(e, lnf[:n], out=e), out=e).T
+                cross[rows] = np.add.reduce(q * lnf[:n], axis=1)  # q is kept: not in place
+            return cross, post
+        if self._streams[0] != cfg:
+            self._streams = cfg, [self._draws(cfg, i) for i in range(k)]
+        coefs = self._form_coefficients(self.factors)
+        for batch in zip(*self._streams[1]):  # batch b of every atom's stream
+            logp = np.empty((k, batch[0].shape[1]))  # the batch's one (k, n) buffer
+            for i, (coef, monomials) in enumerate(zip(coefs, batch)):
+                mix = _weighted_mix(self._log_densities(coef, monomials, out=logp), weights)
+                cross[i] += mix.sum()
+                logp += log_w  # the posterior exponent, in place
+                logp -= mix
+                post[i] += np.exp(logp, out=logp).sum(axis=1)
+        return cross / cfg.samples, post / cfg.samples
 
 
-def _stream_indices(atoms: np.ndarray, xs: np.ndarray) -> list[int]:
-    """Sample stream of each row of xs: the index of the first atom it equals,
-    else the cross stream."""
+def _stream_indices(atoms: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sample stream of each row of xs: the first atom it equals, else the cross stream."""
     match = np.all(xs[:, None] == atoms[None], axis=2)
-    return np.where(match.any(axis=1), match.argmax(axis=1), _CROSS_STREAM).tolist()
+    return np.where(match.any(axis=1), match.argmax(axis=1), _CROSS_STREAM)
 
 
 def cross_term(model: ChannelModel, mu: DiscreteMeasure, x, cfg: McConfig) -> McEstimate:
-    """Estimate E_{y ~ p(.|x)}[ln f_mu(y)], in nats.
-
-    When x coincides with an atom of mu, the sample stream matches the one
-    mutual_information uses for that atom, so the two estimators decompose
-    consistently.
-    """
+    """Estimate E_{y ~ p(.|x)}[ln f_mu(y)], in nats. At an atom of mu it takes the
+    atom's stream, as mutual_information does, so the two decompose consistently."""
     xs = _as_input(model, x)[None]
     _finite_norms_sq(xs, model)
     mean, se = _ConditionalLaws(model, mu.atoms).stream_stats(
-        xs, mu.weights, cfg, _stream_indices(mu.atoms, xs)[0])
+        xs, mu.weights, cfg, int(_stream_indices(mu.atoms, xs)[0]))
     return McEstimate(float(mean[0]), float(se[0]), cfg.samples, cfg.seed)
 
 
 def mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) -> McEstimate:
     """Estimate I(mu; W) = sum_i w_i E_{y~p(.|x_i)}[ln p(y|x_i) - ln f_mu(y)].
 
-    Stratified sampler with cfg.samples draws per atom; the estimate is
-    nonnegative up to Monte Carlo error (about -3 standard errors). The
-    conditional-entropy term is exact, so only the mixture cross terms carry
-    Monte Carlo error.
+    Stratified sampler with cfg.samples draws per atom, nonnegative up to Monte
+    Carlo error (about -3 SE); only the cross terms carry it, the entropies are exact.
     """
     laws = _ConditionalLaws(model, mu.atoms)
     neg_h = np.array([-conditional_entropy(model, x) for x in mu.atoms])
@@ -702,31 +702,29 @@ def _information(weights, neg_h, cross) -> float:
 
 
 def _mutual_information(model: ChannelModel, mu: DiscreteMeasure, cfg: McConfig) -> McEstimate:
-    """I(mu; W) for the Fano report and Optimum: exact on isotropic channels (std_error 0,
-    samples 0, bit for bit _SupportEvaluator.mutual_information), else mutual_information.
-    The public estimators keep the Monte Carlo while the benchmark self-test pins it."""
-    if model.iso_var is None:
-        return mutual_information(model, mu, cfg)
+    """I(mu; W) from _ConditionalLaws.cross_terms at the atoms, for the Fano report, Optimum
+    and the CLI: exact on isotropic channels (std_error 0, samples 0, bit for bit
+    _SupportEvaluator.mutual_information), else bit for bit mutual_information. The public
+    estimators keep the Monte Carlo while the benchmark self-test pins it."""
     laws = _ConditionalLaws(model, mu.atoms)
-    cross = laws.cross_quadratures(laws.scalar_var, mu.weights)
-    return McEstimate(_information(mu.weights, laws.neg_entropies(), cross), 0.0, 0, cfg.seed)
+    cross, ses, _, _ = laws.cross_terms(mu.weights, cfg)
+    se = float(np.sqrt(np.dot(mu.weights ** 2, ses ** 2)))
+    return McEstimate(_information(mu.weights, laws.neg_entropies(), cross), se,
+                      0 if laws.iso else cfg.samples * mu.n_atoms, cfg.seed)
 
 
 def _shell_probabilities(model: ChannelModel, dirs: np.ndarray, log_norms: np.ndarray,
                          log_rho: np.ndarray, cfg: McConfig) -> list[McEstimate]:
     """shell_probability for the K inputs x_i = ||x_i|| u_i, each against its own shell.
 
-    dirs holds the unit directions u_i (K, N), log_norms ln ||x_i|| (-inf at
-    the origin) and log_rho the rows (ln rho1, ln rho2), so no scale has to
-    fit in a double. C(x) = noise_var I + ||x||^2 D(u) with D(u) = (I kron
-    u^H) Sigma (I kron u); it is the scalar matrix c I, c = noise_var +
-    ||x||^2 d with d the mean of D(u)'s diagonal, when ||x||^2 max|D(u) - d I|
-    <= 2^-50 c. That test and the mass are taken in logs: ||y||^2 / c is
-    Gamma(M, 1), so the mass is the difference of two gamma tails: lower
-    tails P if t2 <= M - 1, else upper tails Q, the small ones away from the
-    mode. Otherwise C(x) has eigenvalues ||x||^2 (d_m + noise_var / ||x||^2),
-    d_m those of D(u) (one batched eigvalsh), and the mass is a difference of
-    _hypoexp_tail values on one side of the mean, the smaller dropped when
+    dirs holds the unit directions u_i (K, N), log_norms ln ||x_i|| (-inf at the
+    origin) and log_rho the rows (ln rho1, ln rho2), so no scale has to fit in a
+    double. C(x) = noise_var I + ||x||^2 D(u), D(u) = (I kron u^H) Sigma (I kron u),
+    is taken as c I, c = noise_var + ||x||^2 mean(diag D(u)), when ||x||^2 max|D(u) -
+    d I| <= 2^-50 c (tested in logs); the mass is then a difference of gamma tails
+    of ||y||^2 / c ~ Gamma(M, 1), lower tails P if t2 <= M - 1, else upper tails Q.
+    Otherwise it is a difference of _hypoexp_tail values in the eigenvalues ||x||^2
+    (d_m + noise_var / ||x||^2) on one side of the mean, the smaller dropped when
     bounded by 2^-60 of the larger. No ratio comes from logs of size ln ||x||.
     """
     m = model.M

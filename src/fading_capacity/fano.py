@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, _as_input
+from .channel import ChannelModel, _as_input, _check_positive_int
 from .errors import ScaleOverflowError
 from .estimate import (_LOG_CAP, McConfig, McEstimate, _mutual_information,
                        _shell_probabilities)
@@ -98,10 +98,9 @@ def build_construction(model: ChannelModel, n: int, K: float,
     quantity stays finite in double precision; raises ScaleOverflowError
     otherwise.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_positive_int(n, "n")
     K = float(K)
-    if K < 1.0:
+    if not K >= 1.0:
         raise ValueError(f"K must be >= 1, got {K}")
     if direction is None:
         direction = np.zeros(model.N, dtype=complex)

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input, _as_inputs,
-                      _conditional_covariances, input_norm_sq)
+                      _check_positive_int, _conditional_covariances, _is_int, input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
-from .estimate import (_CROSS_STREAM, McConfig, McEstimate, _ConditionalLaws,
-                       _finite_norms_sq, _stream_indices, derive_seed)
+from .estimate import McConfig, McEstimate, _ConditionalLaws, derive_seed
 from .measure import DiscreteMeasure, InputShell
 
 
@@ -141,24 +140,13 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
     return max(num / s, 0.0)
 
 
-def _kkt_values(model: ChannelModel, laws: _ConditionalLaws, mu: DiscreteMeasure,
-                ctx: KktContext, xs: np.ndarray, cfg: McConfig):
-    """(KKT, SE, ||x||^2) at the rows of xs, through laws built for mu's atoms.
-    A squared norm or variance past double range raises ScaleOverflowError."""
-    norms_sq = _finite_norms_sq(xs, model)
-    if laws.iso:
-        cxs = model.noise_var + model.iso_var * norms_sq
-        log_det, ses = model.M * np.log(cxs), np.zeros(len(xs))
-        cross = laws.cross_quadratures(cxs, mu.weights)
-    else:
-        _, factors, log_det = _conditional_covariances(model, xs)
-        streams = np.array(_stream_indices(mu.atoms, xs))
-        cross, ses = np.empty(len(xs)), np.empty(len(xs))
-        # atoms descending, cross stream last: see kkt_scan (np.unique loads numpy.ma)
-        for stream in sorted(set(streams.tolist()), key=lambda s: (s == _CROSS_STREAM, -s)):
-            rows = np.flatnonzero(streams == stream)
-            cross[rows], ses[rows] = laws.stream_stats(xs[rows], mu.weights, cfg, stream,
-                                                       factors[rows])
+def _kkt_values(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext, xs: np.ndarray,
+                cfg: McConfig):
+    """(KKT, SE, ||x||^2) at the rows of xs, the cross terms and ln det C(x) from one
+    _ConditionalLaws.cross_terms call. A squared norm or variance past double range
+    raises ScaleOverflowError."""
+    cross, ses, log_det, norms_sq = _ConditionalLaws(model, mu.atoms).cross_terms(
+        mu.weights, cfg, xs)
     values = (ctx.gamma * (norms_sq / model.N - ctx.a) + ctx.capacity
               + model.M * LOG_PI_E + log_det + cross)
     return values, ses, norms_sq
@@ -168,9 +156,9 @@ def kkt_value(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext, x,
               cfg: McConfig) -> McEstimate:
     """KKT(x). Isotropic channels take the cross term by radial quadrature
     (SE 0, samples 0), others by Monte Carlo, the only source of the SE."""
-    laws = _ConditionalLaws(model, mu.atoms)
-    values, ses, _ = _kkt_values(model, laws, mu, ctx, _as_input(model, x)[None], cfg)
-    return McEstimate(float(values[0]), float(ses[0]), 0 if laws.iso else cfg.samples, cfg.seed)
+    values, ses, _ = _kkt_values(model, mu, ctx, _as_input(model, x)[None], cfg)
+    samples = 0 if model.iso_var is not None else cfg.samples
+    return McEstimate(float(values[0]), float(ses[0]), samples, cfg.seed)
 
 
 @dataclass(frozen=True)
@@ -236,6 +224,10 @@ def radial_scan_grid(model: ChannelModel, max_norm_sq: float,
     """
     if not 0.0 < max_norm_sq < math.inf:
         raise ValueError(f"max_norm_sq must be positive and finite, got {max_norm_sq}")
+    _check_positive_int(points_per_decade, "points_per_decade")
+    _check_positive_int(decades, "decades")
+    if not (_is_int(n_directions) and n_directions >= 0):
+        raise ValueError(f"n_directions must be a nonnegative integer, got {n_directions!r}")
     count = points_per_decade * decades + 1
     norms = np.geomspace(max_norm_sq * 10.0 ** (-decades), max_norm_sq, count)
     e0 = np.zeros(model.N, dtype=complex)
@@ -257,22 +249,17 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
              grid, cfg: McConfig) -> KktReport:
     """Evaluate KKT on every grid point and every atom of mu.
 
-    The grid is validated as one array, and all points share one law object
-    for mu. On isotropic channels ln det C(x) = M ln c_x, and one batched
-    radial quadrature (_ConditionalLaws.cross_quadratures) gives every cross
-    term. On dense channels all points' Cholesky factors come from one batch,
-    and one stream_stats call per sample stream takes all of its points (the
-    non-atom points share the cross stream): atoms in descending order, then
-    the cross stream, so the atom streams that mutual_information (ascending)
-    left in the draw cache are used before a miss evicts them. Each value
-    equals kkt_value's bit for bit. A point or atom whose squared norm or
-    variance is not a finite double raises ScaleOverflowError.
+    The grid is validated as one array, and all points share one
+    _ConditionalLaws.cross_terms call for mu: one batched radial quadrature on
+    isotropic channels, else Monte Carlo with one batch of Cholesky factors,
+    each atom on its own stream and the non-atom points on the cross stream.
+    Each value equals kkt_value's bit for bit. A point or atom whose squared
+    norm or variance is not a finite double raises ScaleOverflowError.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("scan grid must be nonempty")
     xs = np.concatenate((_as_inputs(model, grid), mu.atoms))
-    values, ses, norms_sq = _kkt_values(model, _ConditionalLaws(model, mu.atoms), mu, ctx,
-                                        xs, cfg)
+    values, ses, norms_sq = _kkt_values(model, mu, ctx, xs, cfg)
     points = tuple(map(KktPoint, xs, norms_sq.tolist(), values.tolist(), ses.tolist()))
     return KktReport(points=points[:len(grid)], support=points[len(grid):])

@@ -26,16 +26,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, _check_positive_int
 from .estimate import (McConfig, McEstimate, _ConditionalLaws, _information,
                        _mutual_information, derive_seed)
 from .kkt import KktContext, KktReport, kkt_scan, radial_scan_grid
-from .measure import DiscreteMeasure, PowerConstraint, _weighted_mix, average_power
+from .measure import PRUNE_FLOOR, DiscreteMeasure, PowerConstraint
 
-# tail atoms equilibrate at astronomically small weights (a 1e-9 mass can lift
-# the optimality functional by 0.1 nats in its own far region), so the
-# optimizer floor sits just above the measure module's 1e-15 pruning floor
-_PRUNE_FLOOR = 1e-14
 _MERGE_SQ = 1e-10
 # below this weight the Lagrangian cannot resolve an atom's radius, so the
 # mover leaves the atom alone and the certificate scan places it instead
@@ -71,12 +67,12 @@ class OptimizerConfig:
     search_radius_sq: float | None = None
 
     def __post_init__(self):
-        if self.max_atoms < 1 or self.outer_iterations < 1 or self.weight_iterations < 1:
-            raise ValueError("iteration budgets must be positive")
+        for name in ("max_atoms", "outer_iterations", "weight_iterations"):
+            _check_positive_int(getattr(self, name), name)
         if not self.kkt_tolerance > 0.0:
             raise ValueError("kkt_tolerance must be positive")
-        if self.search_radius_sq is not None and not self.search_radius_sq > 0.0:
-            raise ValueError("search_radius_sq must be positive")
+        if self.search_radius_sq is not None and not 0.0 < self.search_radius_sq < math.inf:
+            raise ValueError("search_radius_sq must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -100,63 +96,26 @@ class Optimum:
 
 
 class _SupportEvaluator:
-    """Per-atom cross terms E_i[ln f_w] of a fixed support, as functions of w.
-
-    cross_means(w) takes them as kkt_value does: one batched radial quadrature
-    (_ConditionalLaws.cross_quadratures) on isotropic channels, else one
-    stream_stats call per atom on its own stream. Either way it is a smooth
-    deterministic function of the weights. evaluate(w) returns the same cross
-    means with the posteriors. Its first call keeps what no weight vector
-    changes: the atoms' Gamma-density groups on the laws' _RadialTable, so a
-    call forms only ln f_mu and the posteriors, or on dense channels the k
-    atom streams (the draw cache holds few streams of a search's size). A
-    weight solve calls evaluate hundreds of times, and the mover's
+    """Per-atom cross terms E_i[ln f_w] of a fixed support, as functions of w, from
+    one _ConditionalLaws: cross_means(w) is its cross_terms at the atoms, as
+    kkt_value takes them, and evaluate(w) its posteriors, the same cross means
+    with the posteriors. Either is a smooth deterministic function of the
+    weights. A weight solve calls evaluate hundreds of times, and the mover's
     evaluators call only cross_means.
     """
 
     def __init__(self, model: ChannelModel, atoms, mc: McConfig):
         laws = self._laws = _ConditionalLaws(model, atoms)
-        self.model, self.atoms, self.k = model, laws.atoms, laws.atoms.shape[0]
+        self.model, self.k, self._mc = model, laws.atoms.shape[0], mc
         self.norms_sq, self.neg_h = laws.norms_sq, laws.neg_entropies()
-        self._mc, self._kept = mc, None
 
     def cross_means(self, weights) -> np.ndarray:
-        weights, laws = np.asarray(weights, dtype=float), self._laws
-        if laws.iso:
-            return laws.cross_quadratures(laws.scalar_var, weights)
-        return np.concatenate([laws.stream_stats(self.atoms[i:i + 1], weights, self._mc, i,
-                                                 laws.factors[i:i + 1])[0]
-                               for i in range(self.k)])
+        return self._laws.cross_terms(weights, self._mc)[0]
 
     def evaluate(self, weights) -> tuple[np.ndarray, np.ndarray]:
         """(cross_means(w), P) with P[i, j] = w_j E_i[p_j / f_mu], atom j's mean
         posterior under atom i's law."""
-        weights, laws = np.asarray(weights, dtype=float), self._laws
-        with np.errstate(divide="ignore"):
-            log_w = np.log(weights)[:, None]
-        cross, post = np.zeros(self.k), np.zeros((self.k, self.k))
-        if laws.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
-            if self._kept is None:
-                counts = laws.table.node_counts(laws.scalar_var * laws.tail_s)
-                self._kept = list(laws.radial_weights(laws.scalar_var, counts))
-            logp, lnf = laws.table.logp, laws.table.mixture(weights)
-            for rows, q, n in self._kept:
-                e = logp[:, :n] + log_w  # the posterior exponent, in one buffer
-                post[rows] = q @ np.exp(np.subtract(e, lnf[:n], out=e), out=e).T
-                cross[rows] = np.add.reduce(q * lnf[:n], axis=1)  # q is kept: not in place
-            return cross, post
-        if self._kept is None:
-            self._kept = [laws._draws(self._mc, i) for i in range(self.k)]
-        coefs = laws._form_coefficients(laws.factors)
-        for batch in zip(*self._kept):  # batch b of every atom's stream
-            logp = np.empty((self.k, batch[0].shape[1]))  # the batch's one (k, n) buffer
-            for i, (coef, monomials) in enumerate(zip(coefs, batch)):
-                mix = _weighted_mix(laws._log_densities(coef, monomials, out=logp), weights)
-                cross[i] += mix.sum()
-                logp += log_w  # the posterior exponent, in place
-                logp -= mix
-                post[i] += np.exp(logp, out=logp).sum(axis=1)
-        return cross / self._mc.samples, post / self._mc.samples
+        return self._laws.posteriors(weights, self._mc)
 
     def mutual_information(self, weights) -> float:
         return _information(weights, self.neg_h, self.cross_means(weights))
@@ -209,7 +168,7 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
     leaves the weights where they are, is retried from the point before it
     with more damping (near-duplicate atoms make P nearly singular); damping
     1 gives the Blahut-Arimoto step. Stops when the gains of the atoms of
-    weight >= _PRUNE_FLOOR agree with the objective within _GAIN_TOLERANCE
+    weight >= PRUNE_FLOOR agree with the objective within _GAIN_TOLERANCE
     and no other gain exceeds it by more, when even the Blahut-Arimoto step
     no longer moves the weights, or when the budget runs out. Returns
     (weights, gamma, lagrangian).
@@ -233,7 +192,7 @@ def _multiplicative_solve(ev: _SupportEvaluator, gamma: float | None, a: float,
             damping = min(1.0, 4.0 * damping + 1.0 / 16.0)
         else:
             gaps = scores - value
-            active = w >= _PRUNE_FLOOR
+            active = w >= PRUNE_FLOOR
             if np.all(np.abs(gaps[active]) <= _GAIN_TOLERANCE) and \
                     np.all(gaps[~active] <= _GAIN_TOLERANCE):
                 break
@@ -277,6 +236,10 @@ def optimize_weights(model: ChannelModel, atoms, a: float, gamma: float,
     within _GAIN_TOLERANCE, or when the iteration budget runs out. Always
     returns a simplex point.
     """
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
     atoms = np.atleast_2d(np.asarray(atoms, dtype=complex))
     if atoms.shape[0] == 0:
         raise ValueError("need at least one atom")
@@ -336,7 +299,7 @@ def _consolidate(atoms: np.ndarray, weights: np.ndarray):
             keep.append(i)
     keep_mask = np.zeros(k, dtype=bool)
     keep_mask[keep] = True
-    keep_mask &= w >= _PRUNE_FLOOR
+    keep_mask &= w >= PRUNE_FLOOR
     if not np.any(keep_mask):
         keep_mask[int(np.argmax(w))] = True
     changed = not np.all(keep_mask) or len(keep) != k

@@ -168,6 +168,12 @@ class TestSampleOutput:
         with pytest.raises(ValueError):
             sample_output(scalar_model, [0j], 0, seed=1)
 
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
+    def test_count_must_be_an_integer(self, scalar_model, count):
+        # 2.5 drew 2 samples
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            sample_output(scalar_model, [0j], count, seed=1)
+
     @pytest.mark.parametrize("shape", [(20_000, 2), (7, 1), (5, 3)])
     def test_complex_normals_equal_the_complex_expression(self, shape):
         # filled in place, the draws must equal (a + 1j b) sqrt(1/2) bit for bit

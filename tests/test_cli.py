@@ -8,15 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fading_capacity import (DiscreteMeasure, McConfig, build_construction, detection_report,
-                             fano, find_sufficient_K, log_density)
+from fading_capacity import (ChannelModel, DiscreteMeasure, McConfig, build_construction,
+                             detection_report, fano, find_sufficient_K, log_density,
+                             mutual_information)
 from fading_capacity.cli import run
+from fading_capacity.estimate import _mutual_information
 from conftest import random_hermitian_pd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCALAR_CHANNEL = {"M": 1, "N": 1, "noise_var": 1.0,
                   "sigma": {"type": "isotropic", "var": 1.0}}
+
+
+def dense_channel():
+    sigma = random_hermitian_pd(np.random.default_rng(2024), 4)
+    return {"M": 2, "N": 2, "noise_var": 1.0,
+            "sigma": {"type": "dense", "re": sigma.real.tolist(), "im": sigma.imag.tolist()}}
 
 
 def write_config(tmp_path, name, payload):
@@ -87,12 +95,14 @@ class TestMiCommand:
         assert lines[0] == lines[1]
         assert outs[0] == outs[1]
 
+    DENSE_MEASURE = {"atoms": [{"re": [0.0, 0.0]}, {"re": [1.0, -0.5], "im": [0.5, 1.0]}],
+                     "weights": [0.5, 0.5]}
+
     def test_seed_flag_overrides(self, tmp_path, capsys):
+        # a dense channel: on an isotropic one the value is a quadrature, and no seed moves it
         cfg = write_config(tmp_path, "cfg.json", {
-            "channel": SCALAR_CHANNEL, "seed": 7, "mc": {"samples": 2000},
-            "measure": {"atoms": [{"re": [0.0], "im": [0.0]},
-                                  {"re": [3.0], "im": [0.0]}],
-                        "weights": [0.5, 0.5]},
+            "channel": dense_channel(), "seed": 7, "mc": {"samples": 2000},
+            "measure": self.DENSE_MEASURE,
         })
         assert run(["mi", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         first = json.loads(capsys.readouterr().out)
@@ -103,6 +113,32 @@ class TestMiCommand:
         assert second["mutual_information"]["seed"] == 8
         assert first["mutual_information"]["value"] != \
             second["mutual_information"]["value"]
+
+
+    def test_isotropic_value_is_the_exact_one_kkt_scan_takes(self, tmp_path, capsys,
+                                                           scalar_model):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": SCALAR_CHANNEL, "seed": 7, "mc": {"samples": 2000},
+            "measure": {"atoms": [{"re": [0.0]}, {"re": [3.0]}], "weights": [0.5, 0.5]},
+        })
+        assert run(["mi", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        got = json.loads(capsys.readouterr().out)["mutual_information"]
+        mu = DiscreteMeasure([[0j], [3.0 + 0j]], [0.5, 0.5])
+        want = _mutual_information(scalar_model, mu, McConfig(2000, seed=7))
+        assert got == {"value": want.value, "std_error": 0.0, "samples": 0, "seed": 7}
+
+    def test_dense_value_is_the_monte_carlo_estimate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": dense_channel(), "seed": 7, "mc": {"samples": 2000, "batch": 700},
+            "measure": self.DENSE_MEASURE,
+        })
+        assert run(["mi", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        got = json.loads(capsys.readouterr().out)["mutual_information"]
+        model = ChannelModel.from_json(dense_channel())
+        mu = DiscreteMeasure([[0j, 0j], [1.0 + 0.5j, -0.5 + 1.0j]], [0.5, 0.5])
+        want = mutual_information(model, mu, McConfig(2000, seed=7, batch=700))
+        assert got == {"value": want.value, "std_error": want.std_error,
+                       "samples": 4000, "seed": 7}
 
 
 class TestFanoCommand:
@@ -137,11 +173,7 @@ class TestFanoCommand:
 
     def test_dense_channel_exact_and_reproducible(self, tmp_path, capsys):
         # dense 2x2 fading: every detection is an exact hypoexponential mass (se 0)
-        sigma = random_hermitian_pd(np.random.default_rng(2024), 4)
-        channel = {"M": 2, "N": 2, "noise_var": 1.0,
-                   "sigma": {"type": "dense", "re": sigma.real.tolist(),
-                             "im": sigma.imag.tolist()}}
-        cfg = write_config(tmp_path, "cfg.json", {"channel": channel, "seed": 3,
+        cfg = write_config(tmp_path, "cfg.json", {"channel": dense_channel(), "seed": 3,
                                                   "mc": {"samples": 2000}})
         lines, outs = [], []
         for d in ("o1", "o2"):

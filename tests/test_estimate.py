@@ -662,11 +662,11 @@ class TestInPlaceIsotropicPaths:
         atoms = np.array([[0j], [2.0 + 0j], [5.0 + 0j], [30.0 + 0j]])
         ev = _SupportEvaluator(model, atoms, McConfig(1000, seed=5))
         ev.evaluate(np.array([0.5, 0.3, 0.2, 0.0]))
-        table, kept = ev._laws.table, ev._kept
+        table, kept = ev._laws.table, ev._laws.atom_groups
         u, logp, groups = table.u, table.logp, [q.copy() for _, q, _ in kept]
         assert len(groups) >= 2
         ev.evaluate(np.array([0.1, 0.2, 0.3, 0.4]))
-        assert ev._laws.table is table and ev._kept is kept
+        assert ev._laws.table is table and ev._laws.atom_groups is kept
         assert table.u is u and table.logp is logp
         laws = _ConditionalLaws(model, atoms)
         fresh = _radial_groups(laws, laws.scalar_var)
@@ -685,6 +685,27 @@ class TestInPlaceIsotropicPaths:
         rows = [laws.stream_stats(xs[i:i + 1], w, cfg, 2) for i in range(len(xs))]
         assert means.tolist() == [m[0] for m, _ in rows]
         assert ses.tolist() == [s[0] for _, s in rows]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_dense_stream_stats_equal_a_two_pass_reference(self, m):
+        # four batches, the last one ragged: per-batch sums against the mean of all
+        # samples, then the squared deviations from it
+        rng = np.random.default_rng(30 + m)
+        model = random_model(rng, m, 2)
+        laws = _ConditionalLaws(model, self._atoms(rng, 2, 3))
+        xs = np.array([[0j, 0j], [0.7 + 0.1j, -2.0j], [1.5 - 0.5j, 0.3 + 2.0j]])
+        w, cfg = np.array([0.5, 0.3, 0.2]), McConfig(1000, seed=5, batch=300)
+        draws = _stream_draws(m, False, cfg, 1)
+        assert [d.shape[1] for d in draws] == [300, 300, 300, 100]
+        means, ses = laws.stream_stats(xs, w, cfg, 1)
+        for row, factor in enumerate(_conditional_covariances(model, xs)[1]):
+            coef = laws._form_coefficients(factor)
+            mix = np.concatenate([logsumexp(laws._log_densities(coef, d), axis=0, b=w[:, None])
+                                  for d in draws])
+            mean = math.fsum(mix) / mix.size
+            se = math.sqrt(math.fsum((mix - mean) ** 2) / (mix.size - 1) / mix.size)
+            assert means[row] == pytest.approx(mean, rel=1e-14, abs=0.0)
+            assert ses[row] == pytest.approx(se, rel=1e-12, abs=0.0)
 
     def test_stream_stats_peak_is_one_buffer_and_four_vectors(self, scalar_model, cold_draws):
         # 4 atoms x 20k samples: one (k, n) log-density buffer and at most four

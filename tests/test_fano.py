@@ -92,6 +92,14 @@ class TestBuildConstruction:
             build_construction(scalar_model, n=1, K=2.0,
                                direction=[2.0 + 0j])
 
+    def test_nan_scale_and_fractional_count_rejected(self, scalar_model):
+        # K = nan built an all-NaN construction; n = 2.5 raised an untyped TypeError
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            build_construction(scalar_model, n=1, K=math.nan)
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                build_construction(scalar_model, n=n, K=2.0)
+
 
 class TestDetectionReport:
     def test_scalar_n1_k2_exact(self, scalar_model):

@@ -1,7 +1,11 @@
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,3 +81,28 @@ def test_core_calls_do_not_load_scipy():
                           timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The sample streams, radial tables and log-density coefficients belong to the one
+# integrator, estimate._ConditionalLaws: kkt and the optimizer call only its
+# cross_terms and posteriors.
+INTEGRATOR_INTERNALS = {"_CROSS_STREAM", "_stream_indices", "_draws", "_form_coefficients",
+                        "_log_densities", "radial_weights", "table", "cross_quadratures",
+                        "stream_stats", "_weighted_mix"}
+
+
+def _referenced_names(code: types.CodeType) -> set:
+    """Global and attribute names that code or any function nested in it refers to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _referenced_names(const)
+    return names
+
+
+@pytest.mark.parametrize("name", ["kkt", "optimizer"])
+def test_integrator_internals_stay_in_estimate(name):
+    module = importlib.import_module(f"fading_capacity.{name}")
+    path = Path(module.__file__)
+    code = compile(path.read_text(), str(path), "exec")
+    assert not INTEGRATOR_INTERNALS & (set(vars(module)) | _referenced_names(code))

@@ -386,6 +386,15 @@ class TestScanGrid:
                                 n_directions=3, seed=5)
         assert len(grid) == 1 + 4 * (4 * 1 + 1)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("points_per_decade", 0), ("points_per_decade", 2.5), ("decades", 0),
+        ("decades", 2.5), ("n_directions", -1), ("n_directions", 2.5)])
+    def test_counts_must_be_integers(self, field, bad):
+        # 0 gave a one-point sweep, 2.5 an untyped TypeError
+        model = random_model(np.random.default_rng(3), 2, 2)
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            radial_scan_grid(model, 4.0, **{field: bad})
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     def test_max_norm_sq_must_be_positive_and_finite(self, scalar_model, bad):
         # inf warned (inf - inf in geomspace) and gave points inf+nanj, nan+nanj, ...

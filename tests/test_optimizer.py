@@ -83,6 +83,33 @@ class TestOptimizeWeights:
         assert np.all(w >= 0.0)
         assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("field, gamma, a", [
+        ("gamma", math.nan, 1.0), ("gamma", -1.0, 1.0), ("gamma", math.inf, 1.0),
+        ("a", 0.1, math.nan), ("a", 0.1, 0.0), ("a", 0.1, math.inf)])
+    def test_multiplier_and_budget_are_checked(self, scalar_model, field, gamma, a):
+        # a NaN returned [nan, nan], and gamma = -1 was solved for
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            optimize_weights(scalar_model, [[0j], [2.0 + 0j]], a=a, gamma=gamma,
+                             cfg=small_config(4))
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_atoms", 1.5), ("outer_iterations", 0), ("weight_iterations", True),
+        ("max_atoms", math.nan)])
+    def test_budgets_are_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_search_radius_is_positive_and_finite(self, value):
+        # inf constructed, then failed inside radial_scan_grid
+        with pytest.raises(ValueError, match="search_radius_sq must be positive and finite"):
+            OptimizerConfig(search_radius_sq=value)
+
+    def test_infinite_kkt_tolerance_stays_legal(self):
+        assert OptimizerConfig(kkt_tolerance=math.inf).kkt_tolerance == math.inf
+
 
 class TestInsertAtom:
     def test_infinite_tolerance_returns_none(self, scalar_model):
