@@ -1,9 +1,11 @@
 """Batch front end: JSON configs in, CSV tables and JSON summaries out.
 
 Subcommands: density | mi | kkt-scan | optimize | capacity-curve | fano | bounds.
-The commands that draw samples (mi, kkt-scan, optimize, capacity-curve, fano)
-need a seed, from the config or --seed; density and bounds do not. Every flag
-overrides the config field of its name (--samples: mc.samples).
+On dense channels the commands that draw samples (mi, kkt-scan, optimize,
+capacity-curve, fano) need a seed in [0, 2^64), from the config or --seed; on
+isotropic channels they draw nothing, and a missing seed means 0. density and
+bounds take none. Every flag overrides the config field of its name
+(--samples: mc.samples).
 Identical config bytes and seed produce byte-identical outputs; every
 Monte Carlo row carries its standard-error column, exact values carry se = 0.
 Exit codes: 0 success, 1 domain errors (e.g. a non-closing support bound),
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelModel, _at, _fail, _integer, _number, _numbers, _require,
+from .channel import (_U64, ChannelModel, _at, _fail, _integer, _number, _numbers, _require,
                       _vector, conditional_entropy, input_norm_sq, log_density)
 from .errors import AnalysisError, ConfigError
 from .estimate import McConfig, _mutual_information
@@ -49,7 +51,7 @@ def _load_config(path: str) -> dict:
 
 # the fields each optional section of a config may hold
 _SECTION_FIELDS = {
-    "mc": ("samples", "batch"),
+    "mc": ("samples",),
     "grid": ("max_norm_sq", "points_per_decade", "decades", "directions"),
     "optimizer": ("max_atoms", "outer_iterations", "weight_iterations", "kkt_tolerance",
                   "search_radius_sq"),
@@ -88,15 +90,16 @@ def _measure_from_config(cfg: dict, model: ChannelModel) -> DiscreteMeasure:
     return mu
 
 
-def _mc_from_config(cfg: dict) -> McConfig:
+def _mc_from_config(cfg: dict, model: ChannelModel) -> McConfig:
+    """mc.samples and the seed: required on dense channels, 0 when absent on isotropic
+    ones, where every integral the commands take is exact."""
     spec = _section(cfg, "mc")
     samples = _integer(spec.get("samples", 200_000), "config.mc.samples", 100)
-    seed = _integer(_require(cfg, "seed", "config"), "config.seed", 0)
-    batch = spec.get("batch")
-    if batch is not None:
-        batch = _integer(batch, "config.mc.batch", 1)
-        batch = min(batch, samples)
-    return McConfig(samples=samples, seed=seed, batch=batch)
+    seed = cfg.get("seed", 0) if model.iso_var is not None else _require(cfg, "seed", "config")
+    seed = _integer(seed, "config.seed", 0)
+    if seed > _U64:
+        _fail("config.seed", f"expected < 2^64, got {seed}")
+    return McConfig(samples=samples, seed=seed)
 
 
 def _json_bytes(obj) -> str:
@@ -134,7 +137,7 @@ def _cmd_density(cfg, model, out_dir):
 
 def _cmd_mi(cfg, model, out_dir):
     mu = _measure_from_config(cfg, model)
-    est = _mutual_information(model, mu, _mc_from_config(cfg))
+    est = _mutual_information(model, mu, _mc_from_config(cfg, model))
     _write_csv(out_dir, "mi.csv", ["value", "se", "samples"],
                [(est.value, est.std_error, est.samples)])
     return {"mutual_information": _estimate_dict(est), "atoms": mu.n_atoms}
@@ -153,7 +156,7 @@ def _context_from_config(cfg, capacity=None):
 
 def _cmd_kkt_scan(cfg, model, out_dir):
     mu = _measure_from_config(cfg, model)
-    mc = _mc_from_config(cfg)
+    mc = _mc_from_config(cfg, model)
     capacity = None if "capacity" in cfg else max(_mutual_information(model, mu, mc).value, 0.0)
     ctx = _context_from_config(cfg, capacity)
     grid_spec = _section(cfg, "grid")
@@ -172,7 +175,7 @@ def _cmd_kkt_scan(cfg, model, out_dir):
     return report.summary()
 
 
-def _optimizer_from_config(cfg) -> OptimizerConfig:
+def _optimizer_from_config(cfg, model) -> OptimizerConfig:
     spec = _section(cfg, "optimizer")
     counts = ("max_atoms", "outer_iterations", "weight_iterations")
     kwargs = {}
@@ -181,12 +184,12 @@ def _optimizer_from_config(cfg) -> OptimizerConfig:
             kwargs[key] = _integer(value, f"config.optimizer.{key}", 1)
         else:  # kkt_tolerance, search_radius_sq
             kwargs[key] = _number(value, f"config.optimizer.{key}", positive=True)
-    return OptimizerConfig(mc=_mc_from_config(cfg), **kwargs)
+    return OptimizerConfig(mc=_mc_from_config(cfg, model), **kwargs)
 
 
 def _cmd_optimize(cfg, model, out_dir):
     a = _number(_require(cfg, "a", "config"), "config.a", positive=True)
-    ocfg = _optimizer_from_config(cfg)
+    ocfg = _optimizer_from_config(cfg, model)
     opt = optimize_measure(model, PowerConstraint(a), ocfg)
     _write_json(out_dir, "optimum_measure.json", opt.measure.to_json())
     rows = [(p.norm_sq, p.value, p.std_error)
@@ -206,7 +209,7 @@ def _cmd_optimize(cfg, model, out_dir):
 
 def _cmd_capacity_curve(cfg, model, out_dir):
     a_grid = _numbers(_require(cfg, "a_grid", "config"), "config.a_grid", positive=True)
-    ocfg = _optimizer_from_config(cfg)
+    ocfg = _optimizer_from_config(cfg, model)
     try:
         points = capacity_curve(model, a_grid, ocfg)
     except ValueError as exc:
@@ -221,7 +224,7 @@ def _cmd_capacity_curve(cfg, model, out_dir):
 
 def _cmd_fano(cfg, model, out_dir):
     n = _integer(_require(cfg, "n", "config"), "config.n", 1)
-    mc = _mc_from_config(cfg)
+    mc = _mc_from_config(cfg, model)
     K = cfg.get("K")
     if K is not None:
         K = _number(K, "config.K")
@@ -280,7 +283,7 @@ def _cmd_bounds(cfg, model, out_dir):
 
 # flag -> (type, the config field it overrides, help)
 _FLAGS = {
-    "seed": (int, "seed", "base seed (overrides config)"),
+    "seed": (int, "seed", "base seed (overrides config; dense channels need one)"),
     "samples": (int, "mc.samples", "Monte Carlo samples per stream, per atom for mutual "
                                    "information (overrides config)"),
     "n": (int, "n", "number of atoms"),

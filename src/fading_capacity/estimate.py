@@ -1,15 +1,17 @@
 """Integrals over the output space: seeded Monte Carlo and radial quadrature.
 
 All stochastic results are McEstimate values (point estimate, standard error,
-sample count, seed), bit-reproducible for a fixed configuration: streams are
-seeded counter-style by (seed, stream index, batch index) and reduced in a
-fixed order. Mutual information samples each atom's law on its own stream:
-the shell-decoder constructions' mixture components are hundreds of orders
-of magnitude apart, and sampling the mixture would never visit the small
-ones. Radially symmetric laws also stratify the output radius over
-equiprobable shells, which tames the cross-term variance far outside the
-support; the squared radius is the closed-form integer-order Gamma(M)
-quantile (_gamma_quantile), each half solved on its own tail's finite sum.
+sample count, seed), bit-reproducible for a fixed McConfig (samples, seed):
+streams are seeded counter-style by (seed, stream index, batch index) and
+reduced in a fixed order. A batch is a fixed 50,000 draws (_BATCH), part of a
+stream's identity: another size would draw other streams. Mutual information
+samples each atom's law on its own stream: the shell-decoder constructions'
+mixture components are hundreds of orders of magnitude apart, and sampling
+the mixture would never visit the small ones. Radially symmetric laws also
+stratify the output radius over equiprobable shells, which tames the
+cross-term variance far outside the support; the squared radius is the
+closed-form integer-order Gamma(M) quantile (_gamma_quantile), each half
+solved on its own tail's finite sum.
 
 One sample path serves every Monte Carlo caller. A stream's draws depend on
 (M, cfg, stream index) alone, so _stream_draws shares them across the process
@@ -79,7 +81,7 @@ _GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
 _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _TAIL_MASS = 1e-18
 _OCTAVE_PARTS = 5
-_DEFAULT_BATCH = 50_000
+_BATCH = 50_000  # draws per batch: part of a stream's identity (see the module docstring)
 # Largest exponent allowed for a plain-domain scale (double overflows at ~709.8).
 _LOG_CAP = 700.0
 
@@ -100,28 +102,22 @@ def derive_seed(seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling budget for one estimator call.
+    """Sampling budget for one estimator call: (samples, seed) names every stream.
 
-    samples counts draws per stream (per atom for mutual information); isotropic
-    streams split them over up to 64 radial strata, dense streams have one. batch is
-    the evaluation chunk (default min(samples, 50000)); exact shell masses use neither.
+    samples counts draws per stream (per atom for mutual information), drawn in
+    batches of _BATCH; isotropic streams split them over up to 64 radial strata,
+    dense streams have one. seed is in [0, 2^64), so no two seeds name the same
+    streams. Exact shell masses and quadratures use neither.
     """
 
     samples: int
     seed: int
-    batch: int | None = None
 
     def __post_init__(self):
         if not (_is_int(self.samples) and self.samples >= 100):
             raise ValueError(f"samples must be an integer >= 100, got {self.samples!r}")
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.batch is not None and not (_is_int(self.batch) and 1 <= self.batch <= self.samples):
-            raise ValueError(f"batch must be an integer in [1, samples], got {self.batch!r}")
-
-    @property
-    def effective_batch(self) -> int:
-        return self.batch if self.batch is not None else min(self.samples, _DEFAULT_BATCH)
+        if not (_is_int(self.seed) and 0 <= self.seed <= _U64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
     the cache peaks at the budget plus the stream being drawn. Two callers that
     miss on one key at once both draw it, get equal arrays, and evict again.
     """
-    key, batch = (m, iso, cfg, stream), cfg.effective_batch
+    key, batch = (m, iso, cfg, stream), min(cfg.samples, _BATCH)
     size = cfg.samples * 8 * (1 if iso else m * m)
     keep = size <= _DRAW_BUDGET
     with _DRAWS_LOCK:
@@ -590,7 +586,7 @@ class _ConditionalLaws:
         else:
             coefs = self._form_coefficients(
                 _conditional_covariances(self.model, xs)[1] if factors is None else factors)
-        n, batch = _n_strata(cfg) if self.iso else 1, cfg.effective_batch
+        n, batch = _n_strata(cfg) if self.iso else 1, min(cfg.samples, _BATCH)
         count = np.full(n, float(cfg.samples // n))
         count[:cfg.samples % n] += 1.0
         buf = np.empty(-(-(n - 1 + batch) // n) * n)

@@ -119,7 +119,7 @@ def build_construction(model: ChannelModel, n: int, K: float,
     log_r = 0.5 * math.log(base) + np.append(log_k, log_k_next)
     log_noise = math.log(model.noise_var)
     log_a = -np.logaddexp(log_noise, math.log(model.lambda_min) + 2.0 * log_k)
-    log_num = np.logaddexp(log_noise, math.log(model.lambda_min) + 2.0 * log_k)
+    log_num = -log_a
     log_den = np.logaddexp(log_noise, math.log(model.lambda_max) + 2.0 * log_k)
     f_values = np.exp(-math.lgamma(model.M) + model.M * (log_num - log_den))
     lam_paper, lam_impl = lambda_constant(model)

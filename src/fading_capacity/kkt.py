@@ -82,32 +82,32 @@ def lemma1_bound(model: ChannelModel, shell: InputShell, mass: float,
     return Lemma1Bound(shell=shell, mass=float(mass), pi_bar=float(pi_bar), log_a=log_a)
 
 
+def _lemma1_floor(model: ChannelModel, bound: Lemma1Bound, gamma: float = 0.0):
+    """(d, s): d = noise_var + lambda_min r1_sq and the KKT floor's slope s = gamma/N -
+    M lambda_max / d in ||x||^2; InsufficientMassError if the shell carries no mass."""
+    if bound.mass <= 0.0:
+        raise InsufficientMassError("shell mass must be positive for the bound")
+    denom = model.noise_var + model.lambda_min * bound.shell.r1_sq
+    return denom, gamma / model.N - model.M * model.lambda_max / denom
+
+
 def lemma1_lower_bound(model: ChannelModel, bound: Lemma1Bound, x) -> float:
     """Analytic floor on E_{y~p(.|x)}[ln f_mu(y)] for any mu carrying the shell mass.
 
     Returns log_a - M (noise_var + lambda_max ||x||^2) / (noise_var + lambda_min r1_sq),
     affine and decreasing in ||x||^2.
     """
-    if bound.mass <= 0.0:
-        raise InsufficientMassError("shell mass must be positive for the bound")
+    denom, _ = _lemma1_floor(model, bound)
     x = _as_input(model, x)
-    denom = model.noise_var + model.lambda_min * bound.shell.r1_sq
     num = model.M * (model.noise_var + model.lambda_max * input_norm_sq(x))
     return bound.log_a - num / denom
 
 
-def _slope(model: ChannelModel, bound: Lemma1Bound, gamma: float) -> float:
-    denom = model.noise_var + model.lambda_min * bound.shell.r1_sq
-    return gamma / model.N - model.M * model.lambda_max / denom
-
-
 def _kkt_lower_bounds(model: ChannelModel, bound: Lemma1Bound, ctx: KktContext, xs) -> np.ndarray:
     """kkt_lower_bound at each of the inputs xs, from one batched covariance call."""
-    if bound.mass <= 0.0:
-        raise InsufficientMassError("shell mass must be positive for the bound")
+    denom, slope = _lemma1_floor(model, bound, ctx.gamma)
     xs = _as_inputs(model, xs)
-    denom = model.noise_var + model.lambda_min * bound.shell.r1_sq
-    return (np.array([input_norm_sq(x) for x in xs]) * _slope(model, bound, ctx.gamma)
+    return (np.array([input_norm_sq(x) for x in xs]) * slope
             - ctx.gamma * ctx.a + ctx.capacity + model.M * LOG_PI_E
             + _conditional_covariances(model, xs)[2]
             + bound.log_a - model.M * model.noise_var / denom)
@@ -126,14 +126,11 @@ def support_radius_bound(model: ChannelModel, bound: Lemma1Bound, ctx: KktContex
     s = gamma/N - M lambda_max / (noise_var + lambda_min r1_sq) to be
     positive; raises SlopeNonPositiveError otherwise.
     """
-    if bound.mass <= 0.0:
-        raise InsufficientMassError("shell mass must be positive for the bound")
-    s = _slope(model, bound, ctx.gamma)
+    denom, s = _lemma1_floor(model, bound, ctx.gamma)
     if s <= 0.0:
         raise SlopeNonPositiveError(
             f"slope gamma/N - M lambda_max/(noise_var + lambda_min r1_sq) = {s:.6g} <= 0; "
             "increase gamma or use a shell with larger r1_sq")
-    denom = model.noise_var + model.lambda_min * bound.shell.r1_sq
     num = (ctx.gamma * ctx.a - ctx.capacity - model.M * LOG_PI_E
            - model.M * math.log(model.noise_var) - bound.log_a
            + model.M * model.noise_var / denom)

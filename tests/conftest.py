@@ -31,6 +31,18 @@ def cold_draws(monkeypatch):
     return estimate._DRAWS
 
 
+@pytest.fixture
+def small_batches(monkeypatch, cold_draws):
+    """A function that sets the Monte Carlo batch size for one test, so streams of a
+    few thousand samples take the multi-batch paths. It empties the draw cache
+    (cold_draws) first: a cached stream's key does not hold the size it was drawn in."""
+    def use(batch: int) -> int:
+        cold_draws.clear()
+        monkeypatch.setattr(estimate, "_BATCH", batch)
+        return batch
+    return use
+
+
 @pytest.fixture(scope="session")
 def scalar_model():
     """M = N = 1, unit noise, unit isotropic fading variance."""

@@ -129,14 +129,14 @@ class TestMiCommand:
 
     def test_dense_value_is_the_monte_carlo_estimate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
-            "channel": dense_channel(), "seed": 7, "mc": {"samples": 2000, "batch": 700},
+            "channel": dense_channel(), "seed": 7, "mc": {"samples": 2000},
             "measure": self.DENSE_MEASURE,
         })
         assert run(["mi", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         got = json.loads(capsys.readouterr().out)["mutual_information"]
         model = ChannelModel.from_json(dense_channel())
         mu = DiscreteMeasure([[0j, 0j], [1.0 + 0.5j, -0.5 + 1.0j]], [0.5, 0.5])
-        want = mutual_information(model, mu, McConfig(2000, seed=7, batch=700))
+        want = mutual_information(model, mu, McConfig(2000, seed=7))
         assert got == {"value": want.value, "std_error": want.std_error,
                        "samples": 4000, "seed": 7}
 
@@ -366,6 +366,34 @@ class TestOptimizeCommands:
         assert len(rows) == 3
 
 
+ISO_3X2 = {"M": 3, "N": 2, "noise_var": 1.0, "sigma": {"type": "isotropic", "var": 1.0}}
+SMALL_OPTIMIZER = {"max_atoms": 2, "outer_iterations": 1, "weight_iterations": 40,
+                   "search_radius_sq": 12.0}
+
+
+class TestIsotropicSeed:
+    @pytest.mark.parametrize("command, fields", [
+        ("mi", {"measure": {"atoms": [{"re": [0.0, 0.0]}, {"re": [1.5, 0.5], "im": [0.0, 1.0]}],
+                            "weights": [0.6, 0.4]}}),
+        ("kkt-scan", {"measure": {"atoms": [{"re": [0.0, 0.0]}, {"re": [2.0, 0.0]}],
+                                  "weights": [0.7, 0.3]},
+                      "gamma": 0.1, "a": 1.0, "grid": {"points_per_decade": 4, "decades": 2}}),
+        ("optimize", {"a": 1.0, "optimizer": SMALL_OPTIMIZER}),
+        ("capacity-curve", {"a_grid": [0.5, 1.0], "optimizer": SMALL_OPTIMIZER}),
+        ("fano", {"n": 2}),
+    ], ids=["mi", "kkt-scan", "optimize", "capacity-curve", "fano"])
+    def test_missing_seed_writes_the_seed_zero_bytes(self, tmp_path, capsys, command, fields):
+        # every integral these commands take on an isotropic channel is exact: nothing
+        # is drawn, so a seed is not required, and a missing one is stamped as 0
+        base = {"channel": ISO_3X2, "mc": {"samples": 1000}, **fields}
+        outs = []
+        for name, cfg in (("seedless", base), ("zero", {**base, "seed": 0})):
+            path = write_config(tmp_path, f"{name}.json", cfg)
+            assert run([command, "--config", path, "--out", str(tmp_path / name)]) == 0
+            outs.append((capsys.readouterr().out, read_outputs(tmp_path / name)))
+        assert outs[0] == outs[1]
+
+
 class TestParserReuse:
     def test_error_exit_leaves_later_runs_unchanged(self, tmp_path, capsys):
         # the parser is built once per process; an argparse error exit between two
@@ -403,13 +431,37 @@ class TestErrorPaths:
         assert "line 2" in capsys.readouterr().err
 
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
+        # a dense channel: on an isotropic one nothing is drawn, and the seed defaults to 0
         cfg = write_config(tmp_path, "cfg.json", {
-            "channel": SCALAR_CHANNEL,
-            "measure": {"atoms": [{"re": [0.0], "im": [0.0]}],
-                        "weights": [1.0]},
-        })
+            "channel": dense_channel(), "measure": TestMiCommand.DENSE_MEASURE})
         assert run(["mi", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fields", [
+        ("kkt-scan", {"measure": TestMiCommand.DENSE_MEASURE, "gamma": 0.1, "a": 1.0,
+                      "capacity": 0.2}),
+        ("optimize", {"a": 1.0}),
+        ("capacity-curve", {"a_grid": [1.0]}),
+        ("fano", {"n": 2, "K": 2.0}),
+    ], ids=["kkt-scan", "optimize", "capacity-curve", "fano"])
+    def test_dense_commands_need_a_seed(self, tmp_path, capsys, command, fields):
+        cfg = write_config(tmp_path, "cfg.json", {"channel": dense_channel(), **fields})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config", "message": "config.seed: missing required field"}
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 7 + (1 << 64)],
+                             ids=["negative", "two-to-the-64", "seven-plus-two-to-the-64"])
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    def test_seed_outside_64_bits_is_config_error(self, tmp_path, capsys, seed, flag):
+        # 2^64 and past it escaped run() as a ValueError traceback
+        cfg = write_config(tmp_path, "cfg.json", {
+            "channel": dense_channel(), "measure": TestMiCommand.DENSE_MEASURE,
+            "mc": {"samples": 1000}, **({} if flag else {"seed": seed})})
+        argv = ["mi", "--config", cfg, "--out", str(tmp_path / "out")]
+        assert run(argv + (["--seed", str(seed)] if flag else [])) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"].startswith("config.seed: ")
 
     def test_schema_violation_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
@@ -448,7 +500,8 @@ class TestErrorPaths:
                       "grid": {"max_norm": 5.0}}, "config.grid.max_norm: unknown field"),
         ("fano", {"n": 2, "mc": {"samples": 1000}, "include_mi": "no"},
          "config.include_mi: expected a boolean, got str"),
-    ], ids=["mc-unknown-key", "grid-unknown-key", "include-mi-string"])
+        ("mi", {"mc": {"samples": 2000, "batch": 700}}, "config.mc.batch: unknown field"),
+    ], ids=["mc-unknown-key", "grid-unknown-key", "include-mi-string", "mc-batch"])
     def test_misnamed_or_mistyped_field_is_named(self, tmp_path, capsys, command, fields,
                                                  message):
         # each ran on defaults: 200k samples, a scan to 48 a N, and the MI computed

@@ -34,17 +34,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(samples=50, seed=0)
 
-    def test_batch_bounds(self):
-        with pytest.raises(ValueError):
-            McConfig(samples=1000, seed=0, batch=2000)
-
     @pytest.mark.parametrize("field,kwargs", [
         ("samples", {"samples": 1000.5}), ("samples", {"samples": 1000.0}),
-        ("samples", {"samples": True}), ("batch", {"samples": 1000, "batch": 300.5}),
-        ("batch", {"samples": 1000, "batch": True})],
-        ids=["samples-float", "samples-whole-float", "samples-bool", "batch-float", "batch-bool"])
+        ("samples", {"samples": True})],
+        ids=["samples-float", "samples-whole-float", "samples-bool"])
     def test_counts_must_be_integers(self, field, kwargs):
-        # 1000.5 and 300.5 constructed, then _stream_draws raised an untyped TypeError
+        # 1000.5 constructed, then _stream_draws raised an untyped TypeError
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             McConfig(seed=1, **kwargs)
 
@@ -54,9 +49,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be an integer"):
             McConfig(1000, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 7 + (1 << 64)],
+                             ids=["negative", "two-to-the-64", "seven-plus-two-to-the-64"])
+    def test_seed_must_name_one_stream_family(self, seed):
+        # derive_seed masks to 64 bits: each ran on the streams of seed mod 2^64 (-1 gave
+        # the MI of 2^64 - 1, 7 + 2^64 that of 7) but reported, and cached, its own seed
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            McConfig(1000, seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        assert [McConfig(1000, seed=s).seed for s in (0, (1 << 64) - 1)] == [0, (1 << 64) - 1]
+
     def test_numpy_integer_counts_accepted(self):
-        cfg = McConfig(np.int64(1000), seed=1, batch=np.int32(300))
-        assert cfg == McConfig(1000, seed=1, batch=300) and cfg.effective_batch == 300
+        assert McConfig(np.int64(1000), seed=np.uint64(1)) == McConfig(1000, seed=1)
 
     def test_derive_seed_deterministic_and_distinct(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
@@ -563,17 +568,17 @@ class TestInPlaceIsotropicPaths:
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("batch", [None, 300])
-    def test_stream_stats_equal_the_allocating_formulas(self, m, batch):
+    def test_stream_stats_equal_the_allocating_formulas(self, m, batch, small_batches):
         model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
         laws = _ConditionalLaws(model, [[0j], [2.0 + 0j], [0.5j], [7.0 + 1.0j]])
         w = np.array([0.5, 0.3, 0.0, 0.2])
-        cfg = McConfig(1000, seed=5, batch=batch)
+        cfg, batch = McConfig(1000, seed=5), small_batches(batch) if batch else 1000
         strata = estimate._n_strata(cfg)
         for stream, x in enumerate(([0j], [2.0 + 0j], [30.0 + 0j])):
             ratios = _variance(model, x) / laws.scalar_var
             s1, s2, count = np.zeros(strata), np.zeros(strata), np.zeros(strata)
             for b, s in enumerate(_stream_draws(m, True, cfg, stream)):
-                ids = (b * cfg.effective_batch + np.arange(s.size)) % strata  # by position
+                ids = (b * batch + np.arange(s.size)) % strata  # by position
                 mix = _weighted_mix(-np.outer(ratios, s) - laws.log_norm[:, None], w)
                 s1 += np.bincount(ids, weights=mix, minlength=strata)
                 s2 += np.bincount(ids, weights=mix * mix, minlength=strata)
@@ -585,13 +590,15 @@ class TestInPlaceIsotropicPaths:
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("samples,batch", [(100, 7), (200, 90), (1000, 300)])
-    def test_stream_stats_where_strata_straddle_batches(self, m, samples, batch):
+    def test_stream_stats_where_strata_straddle_batches(self, m, samples, batch,
+                                                        small_batches):
         # the reference draws each batch's radii afresh, from its seed and positions,
         # and sums every stratum with bincount
         model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
         laws = _ConditionalLaws(model, [[0j], [2.0 + 0j], [0.5j], [7.0 + 1.0j]])
         w = np.array([0.4, 0.3, 0.2, 0.1])
-        cfg = McConfig(samples, seed=9, batch=batch)
+        cfg = McConfig(samples, seed=9)
+        small_batches(batch)
         n = estimate._n_strata(cfg)
         assert batch % n  # a stratum's samples fall in more than one batch
         for stream, x in enumerate(([0j], [2.0 + 0j], [30.0 + 0j])):
@@ -674,27 +681,29 @@ class TestInPlaceIsotropicPaths:
             assert np.array_equal(q, before) and np.array_equal(q, want)
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_stream_stats_stack_equals_the_one_row_calls(self, dense):
+    def test_stream_stats_stack_equals_the_one_row_calls(self, dense, small_batches):
         # complex inputs: c_x takes x^H x, whose bits differ from sum |x|^2
         rng = np.random.default_rng(12)
         model = random_model(rng, 2, 2) if dense else ChannelModel.isotropic(3, 2, 0.5, 2.0)
         laws = _ConditionalLaws(model, self._atoms(rng, 2, 4))
         xs = np.array([[0j, 0j], [0.7 + 0.1j, -2.0j], [1.5 - 0.5j, 0.3 + 2.0j]])
-        w, cfg = np.array([0.4, 0.3, 0.2, 0.1]), McConfig(1000, seed=5, batch=300)
+        w, cfg = np.array([0.4, 0.3, 0.2, 0.1]), McConfig(1000, seed=5)
+        small_batches(300)
         means, ses = laws.stream_stats(xs, w, cfg, 2)
         rows = [laws.stream_stats(xs[i:i + 1], w, cfg, 2) for i in range(len(xs))]
         assert means.tolist() == [m[0] for m, _ in rows]
         assert ses.tolist() == [s[0] for _, s in rows]
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_dense_stream_stats_equal_a_two_pass_reference(self, m):
+    def test_dense_stream_stats_equal_a_two_pass_reference(self, m, small_batches):
         # four batches, the last one ragged: per-batch sums against the mean of all
         # samples, then the squared deviations from it
         rng = np.random.default_rng(30 + m)
         model = random_model(rng, m, 2)
         laws = _ConditionalLaws(model, self._atoms(rng, 2, 3))
         xs = np.array([[0j, 0j], [0.7 + 0.1j, -2.0j], [1.5 - 0.5j, 0.3 + 2.0j]])
-        w, cfg = np.array([0.5, 0.3, 0.2]), McConfig(1000, seed=5, batch=300)
+        w, cfg = np.array([0.5, 0.3, 0.2]), McConfig(1000, seed=5)
+        small_batches(300)
         draws = _stream_draws(m, False, cfg, 1)
         assert [d.shape[1] for d in draws] == [300, 300, 300, 100]
         means, ses = laws.stream_stats(xs, w, cfg, 1)
@@ -729,17 +738,19 @@ def _retained_bytes(cache) -> int:
 class TestStreamDraws:
     DENSE = random_model(np.random.default_rng(3), 2, 2)
 
-    def test_cached_draws_are_read_only(self, scalar_model):
-        cfg = McConfig(1000, seed=3, batch=400)
+    def test_cached_draws_are_read_only(self, scalar_model, small_batches):
+        cfg = McConfig(1000, seed=3)
+        small_batches(400)
         for model in (scalar_model, self.DENSE):
             for draw in _stream_draws(model.M, model.iso_var is not None, cfg, 0):
                 with pytest.raises(ValueError):
                     draw[0] = 0
 
-    def test_isotropic_batches_are_radii_alone(self, cold_draws):
+    def test_isotropic_batches_are_radii_alone(self, cold_draws, small_batches):
         # one read-only float64 array per batch, 8 bytes a sample: the stratum of a
         # sample is its position, not a stored id
-        cfg = McConfig(1000, seed=3, batch=400)
+        cfg = McConfig(1000, seed=3)
+        small_batches(400)
         draws = _stream_draws(2, True, cfg, 0)
         assert all(type(d) is np.ndarray and d.dtype == np.float64 and not d.flags.writeable
                    for d in draws)
@@ -749,13 +760,14 @@ class TestStreamDraws:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_cold_warm_and_unkept_draws_agree(self, scalar_model, dense, cold_draws,
-                                              monkeypatch):
+                                              monkeypatch, small_batches):
         # the cache changes which calls draw, never a value
         model = self.DENSE if dense else scalar_model
         atoms = np.zeros((3, model.N), dtype=complex)
         atoms[1:, 0] = [1.0 + 0.5j, 2.0]
         mu = DiscreteMeasure(atoms, [0.5, 0.3, 0.2])
-        cfg = McConfig(2000, seed=11, batch=700)
+        cfg = McConfig(2000, seed=11)
+        small_batches(700)
         grid = radial_scan_grid(model, 12.0, points_per_decade=2, decades=2,
                                 n_directions=1, seed=5)
 
@@ -821,8 +833,10 @@ class TestStreamDraws:
         laws.stream_stats(x, [1.0], cfg, 0)  # kept: nothing more to hold
         assert laws._unkept is None
 
-    def test_retained_bytes_stay_within_the_budget(self, monkeypatch, cold_draws):
-        cfg = McConfig(1000, seed=3, batch=400)
+    def test_retained_bytes_stay_within_the_budget(self, monkeypatch, cold_draws,
+                                                   small_batches):
+        cfg = McConfig(1000, seed=3)
+        small_batches(400)
         stream_bytes = 4 * 1000 * 8  # (M^2, n) float64 monomials at M = 2
         monkeypatch.setattr(estimate, "_DRAW_BUDGET", 2 * stream_bytes)
         for stream in range(5):
@@ -834,22 +848,25 @@ class TestStreamDraws:
         assert [key[-1] for key in cold_draws] == [3, 0]
         # a stream larger than the budget is returned, not kept, and evicts nothing
         big = _stream_draws(2, False, McConfig(3000, seed=3), 0)
-        assert big[0].shape == (4, 3000)
+        assert [d.shape for d in big] == [(4, 400)] * 7 + [(4, 200)]
         assert [key[-1] for key in cold_draws] == [3, 0]
 
     @pytest.mark.parametrize("iso", [False, True])
-    def test_recorded_bytes_are_the_draws_bytes(self, iso, cold_draws):
+    def test_recorded_bytes_are_the_draws_bytes(self, iso, cold_draws, small_batches):
         # the size a miss evicts room for before it draws is the size of what it drew
-        cfg = McConfig(1000, seed=3, batch=400)
+        cfg = McConfig(1000, seed=3)
+        small_batches(400)
         _stream_draws(2, iso, cfg, 0)
         assert [size for _, size in cold_draws.values()] == [_retained_bytes(cold_draws)]
 
     @pytest.mark.parametrize("iso", [False, True])
-    def test_a_miss_makes_room_before_it_draws(self, monkeypatch, cold_draws, iso):
+    def test_a_miss_makes_room_before_it_draws(self, monkeypatch, cold_draws, iso,
+                                               small_batches):
         # three M = 2 streams fill the cache; the fourth evicts the oldest before it
         # forms its arrays, so the cache and the stream being drawn never hold more
         # than the budget
-        cfg = McConfig(1000, seed=3, batch=400)
+        cfg = McConfig(1000, seed=3)
+        small_batches(400)
         stream_bytes = 1000 * (8 if iso else 4 * 8)
         monkeypatch.setattr(estimate, "_DRAW_BUDGET", 3 * stream_bytes)
         for stream in range(3):
@@ -863,8 +880,9 @@ class TestStreamDraws:
         assert len(retained) == 3 and max(retained) <= 2 * stream_bytes
         assert [key[-1] for key in cold_draws] == [1, 2, 3]
 
-    def test_concurrent_callers_keep_the_budget(self, monkeypatch, cold_draws):
-        cfg = McConfig(200, seed=4, batch=90)
+    def test_concurrent_callers_keep_the_budget(self, monkeypatch, cold_draws, small_batches):
+        cfg = McConfig(200, seed=4)
+        small_batches(90)
         want = {s: [d.copy() for d in _stream_draws(2, False, cfg, s)] for s in range(6)}
         cold_draws.clear()
         budget = 3 * 4 * 200 * 8
@@ -993,7 +1011,7 @@ class TestDenseKernel:
         return np.sqrt(norms_sq)[:, None] * dirs
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3), (4, 2)])
-    def test_matches_triangular_solve(self, m, n):
+    def test_matches_triangular_solve(self, m, n, small_batches):
         # the quadratic-form (k, n) log densities against ConditionalCovariance's
         # triangular solves on the very same outputs y = L_x w
         rng = np.random.default_rng(100 * m + n)
@@ -1001,7 +1019,8 @@ class TestDenseKernel:
         atoms = self._atoms(rng, model, np.geomspace(1e-3, 1e6, 10))
         laws = _ConditionalLaws(model, atoms)
         covs = [conditional_covariance(model, a) for a in atoms]
-        cfg = McConfig(1000, seed=4, batch=300)
+        cfg = McConfig(1000, seed=4)
+        small_batches(300)
         inputs = [np.zeros(n, dtype=complex), atoms[0], atoms[-1],
                   random_input(rng, n), random_input(rng, n, scale=300.0)]
         for stream, x in enumerate(inputs):
@@ -1026,8 +1045,9 @@ class TestDenseKernel:
         return np.concatenate((w.real ** 2 + w.imag ** 2, cross.real, cross.imag))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_draws_are_the_monomials_of_the_complex_normals(self, m):
-        cfg = McConfig(1000, seed=4, batch=300)
+    def test_draws_are_the_monomials_of_the_complex_normals(self, m, small_batches):
+        cfg = McConfig(1000, seed=4)
+        small_batches(300)
         draws = _stream_draws(m, False, cfg, 3)
         assert len(draws) == 4
         for b, draw in enumerate(draws):
@@ -1224,7 +1244,7 @@ class TestBatchedShells:
                                                  for s in (0.5, 2.0, 10.0)])
         shells = [OutputShell(0.5, 2.0), OutputShell(1.0, 3.0),
                   OutputShell(2.0, math.inf), OutputShell(5.0, 20.0)]
-        cfg = McConfig(1000, seed=4, batch=300)
+        cfg = McConfig(1000, seed=4)
         # polar form as shell_probability takes it: unit directions (e0 at the
         # origin), ln ||x||, log radii
         dirs, log_norms = (np.array(v) for v in zip(*map(_polar, xs)))

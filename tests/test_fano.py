@@ -182,7 +182,7 @@ class TestDetectionReport:
             raise AssertionError("a shell mass drew normals")
 
         monkeypatch.setattr(estimate, "_complex_standard_normals", no_draws)
-        report = detection_report(model, fc, McConfig(1000, seed=9, batch=300),
+        report = detection_report(model, fc, McConfig(1000, seed=9),
                                   include_mi=False)
         assert len(report.detections) == 3
         assert all(d.std_error == 0.0 and d.samples == 0 for d in report.detections)

@@ -278,7 +278,7 @@ class TestKktScan:
         assert flagged
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_points_equal_kkt_value(self, scalar_model, dense):
+    def test_points_equal_kkt_value(self, scalar_model, dense, small_batches):
         # one law object serves the whole scan; the origin atom, the cross
         # stream and the support atoms must each see their own stream
         if dense:
@@ -289,7 +289,8 @@ class TestKktScan:
             model = scalar_model
             mu = radial_measure([0.0, 5.867], [0.8296, 0.1704])
         ctx = KktContext(0.113480, 1.0, 0.195547)
-        cfg = McConfig(3000, seed=5, batch=1000)
+        cfg = McConfig(3000, seed=5)
+        small_batches(1000)
         grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
                                 n_directions=2, seed=5)
         grid.insert(3, mu.atoms[1])
@@ -299,7 +300,7 @@ class TestKktScan:
             assert (p.value, p.std_error) == (est.value, est.std_error)
 
     @pytest.mark.parametrize("case", ["zero-weight atom", "ragged batch", "shuffled grid"])
-    def test_dense_scan_equals_one_point_calls(self, case):
+    def test_dense_scan_equals_one_point_calls(self, case, small_batches):
         # inputs that share a stream share one pass and its buffers; each value
         # must still equal the one-input evaluations bit for bit
         model = random_model(np.random.default_rng(3), 2, 2)
@@ -307,7 +308,9 @@ class TestKktScan:
         weights = [0.5, 0.0, 0.5] if case == "zero-weight atom" else [0.5, 0.3, 0.2]
         mu = DiscreteMeasure(atoms, weights)
         ctx = KktContext(0.113480, 1.0, 0.195547)
-        cfg = McConfig(2500, seed=5, batch=1000 if case == "ragged batch" else None)
+        cfg = McConfig(2500, seed=5)
+        if case == "ragged batch":
+            small_batches(1000)
         grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
                                 n_directions=2, seed=5)
         grid.insert(3, atoms[1])

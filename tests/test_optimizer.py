@@ -181,7 +181,7 @@ class TestInsertAtom:
 
 class TestSupportEvaluator:
     @pytest.mark.parametrize("dense", [False, True])
-    def test_cross_means_match_stream_stats(self, scalar_model, dense):
+    def test_cross_means_match_stream_stats(self, scalar_model, dense, small_batches):
         if dense:
             model = random_model(np.random.default_rng(3), 2, 2)
             atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
@@ -189,7 +189,8 @@ class TestSupportEvaluator:
             model = scalar_model
             atoms = np.array([[0j], [math.sqrt(5.867) + 0j], [6.5 + 0j]])
         w = np.array([0.6, 0.4, 0.0])
-        mc = McConfig(3000, seed=6, batch=1000)
+        mc = McConfig(3000, seed=6)
+        small_batches(1000)
         got = _SupportEvaluator(model, atoms, mc).cross_means(w)
         laws = _ConditionalLaws(model, atoms)
         for i in range(atoms.shape[0]):
@@ -199,14 +200,15 @@ class TestSupportEvaluator:
                 assert got[i] == laws.cross_quadratures(laws.scalar_var[i:i + 1], w)[0]
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_evaluate_returns_the_cross_means(self, scalar_model, dense):
+    def test_evaluate_returns_the_cross_means(self, scalar_model, dense, small_batches):
         if dense:
             model = random_model(np.random.default_rng(3), 2, 2)
             atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
         else:
             model = scalar_model
             atoms = np.array([[0j], [math.sqrt(5.867) + 0j], [6.5 + 0j]])
-        ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6, batch=1000))
+        small_batches(1000)
+        ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6))
         for w in (np.array([0.6, 0.4, 0.0]), np.array([0.6, 0.3, 0.1])):
             assert ev.evaluate(w)[0].tolist() == ev.cross_means(w).tolist()
 
@@ -231,7 +233,7 @@ class TestSupportEvaluator:
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_posteriors_are_the_cross_means_jacobian(self, scalar_model, dense):
+    def test_posteriors_are_the_cross_means_jacobian(self, scalar_model, dense, small_batches):
         # P_ij = w_j d cross_i / d w_j, and each row of P sums to 1
         if dense:
             model = random_model(np.random.default_rng(3), 2, 2)
@@ -240,7 +242,8 @@ class TestSupportEvaluator:
             model = scalar_model
             atoms = np.array([[0j], [math.sqrt(5.867) + 0j], [6.5 + 0j]])
         w = np.array([0.6, 0.3, 0.1])
-        ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6, batch=1000))
+        small_batches(1000)
+        ev = _SupportEvaluator(model, atoms, McConfig(3000, seed=6))
         post = ev.evaluate(w)[1]
         np.testing.assert_allclose(post.sum(axis=1), 1.0, rtol=1e-12)
         h = 1e-6
