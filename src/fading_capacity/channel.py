@@ -34,6 +34,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_seed(seed) -> int:
+    """seed as an int, ValueError unless it is an integer in [0, 2^64): a wider one
+    would be masked to 64 bits and name the streams of another seed."""
+    if not (_is_int(seed) and 0 <= seed <= _U64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return int(seed)
+
+
 def _check_positive_int(value, name: str) -> None:
     if not (_is_int(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -317,10 +325,10 @@ def _complex_standard_normals(seed_key: int, count: int, dim: int) -> np.ndarray
 def sample_output(model: ChannelModel, x, count: int, seed: int) -> np.ndarray:
     """Draw count i.i.d. outputs from p(.|x); rows are samples.
 
-    Deterministic for a fixed seed. The randomness state is taken by value,
-    so concurrent callers should use disjoint seeds.
+    Deterministic for a fixed seed in [0, 2^64) (ValueError outside it). The
+    randomness state is taken by value, so concurrent callers should use disjoint seeds.
     """
     _check_positive_int(count, "count")
     cov = conditional_covariance(model, x)
-    w = _complex_standard_normals(int(seed) & _U64, int(count), model.M)
+    w = _complex_standard_normals(_check_seed(seed), int(count), model.M)
     return w @ cov.factor.T

@@ -29,11 +29,16 @@ integrates ln f_mu against each input's law: on isotropic channels, where
 ln f_mu depends on ||y||^2 alone, by radial quadrature on the support's one
 _RadialTable (plain panels, 5 ceil(sqrt(M) / 3) to an octave, that no weight
 vector changes), inputs grouped by the node count their Gamma(M, c_x) law
-needs and each row reduced on its own; on dense channels by one stream_stats
-call per stream, atoms descending, then the cross stream, so the atom streams
-that mutual_information (ascending) left in the draw cache are used before a
-miss evicts them. posteriors adds the atoms' mean posteriors for the weight
-solve. The public estimators stay Monte Carlo on every channel, the
+needs. An (input, node) element costs one outer product, -u / c_x (above
+M = 1 two adds bring in (M - 1) ln u and the normalizer), one exp, one
+multiply by the column du ln f_mu, formed once per call, and one
+np.add.reduce; each row's sum is then divided by c_x (radial_kernels,
+cross_quadratures), so a value is the same in any batch. posteriors adds the
+atoms' mean posteriors for the weight solve, its cross terms associated the
+same way. On dense channels cross_terms takes one stream_stats call per
+stream, atoms descending, then the cross stream, so the atom streams that
+mutual_information (ascending) left in the draw cache are used before a miss
+evicts them. The public estimators stay Monte Carlo on every channel, the
 quadrature's independent cross-check. Shell probabilities
 (_shell_probabilities) take inputs and radii in logs and are exact at any
 scale on every channel: gamma tails when C(x) is a scalar matrix, else
@@ -62,8 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (_U64, LOG_PI_E, ChannelModel, _as_input, _check_positive_int,
-                      _complex_standard_normals, _conditional_covariances, _is_int,
-                      conditional_entropy)
+                      _check_seed, _complex_standard_normals, _conditional_covariances,
+                      _is_int, conditional_entropy)
 from .errors import NotConvergedError, ScaleOverflowError
 from .measure import DiscreteMeasure, _weighted_mix
 
@@ -94,8 +99,9 @@ _DRAWS_LOCK = threading.Lock()
 
 
 def derive_seed(seed: int, *path: int) -> int:
-    """Deterministic 64-bit stream seed from a base seed and an index path."""
-    entropy = [int(seed) & _U64] + [int(p) & _U64 for p in path]
+    """Deterministic 64-bit stream seed from a base seed in [0, 2^64) (ValueError
+    outside it) and an index path."""
+    entropy = [_check_seed(seed)] + [int(p) & _U64 for p in path]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -116,8 +122,7 @@ class McConfig:
     def __post_init__(self):
         if not (_is_int(self.samples) and self.samples >= 100):
             raise ValueError(f"samples must be an integer >= 100, got {self.samples!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed <= _U64):
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -533,38 +538,60 @@ class _ConditionalLaws:
 
     @functools.cached_property
     def atom_groups(self) -> list:
-        """radial_weights at the atoms, isotropic only: formed on first use, then kept."""
-        counts = self.table.node_counts(self.scalar_var * self.tail_s)
-        return list(self.radial_weights(self.scalar_var, counts))
+        """(rows, k, q, n) per node count at the atoms, isotropic only: the
+        radial_kernels group (rows, k, n), k in its own array, and q = k du / c_x,
+        the posterior products' quadrature weights. Formed on first use, then kept."""
+        counts, du = self.table.node_counts(self.scalar_var * self.tail_s), self.table.du
+        return [(rows, k.copy(), k * du[:n] / self.scalar_var[rows, None], n)
+                for rows, k, n in self.radial_kernels(self.scalar_var, counts)]
 
-    def radial_weights(self, cxs: np.ndarray, counts: np.ndarray):
-        """Groups (rows, q, n), isotropic only: for the inputs of variances cxs that
-        need n nodes (counts: table.node_counts), E[g(||Y||^2)] ~ q @ g(table.u[:n]),
-        a row of q being the Gamma(M, c_x) density times the node weights. A
-        generator: each group is formed in place when taken, the caller's to overwrite.
+    def radial_kernels(self, cxs: np.ndarray, counts: np.ndarray):
+        """Groups (rows, k, n), isotropic only: the inputs of variances cxs that need n
+        nodes (counts: table.node_counts), and k = c_x times their Gamma(M, c_x) density
+        at u = table.u[:n], so E[g(||Y||^2)] ~ (k @ (du g(u))) / c_x. k = exp(E), E =
+        -u / c_x (one outer product) plus, above M = 1, (M - 1) ln(u / c_x) - ln (M - 1)!:
+        the normalizer stays inside the exponent, where c_x^(M-1) and (M - 1)! cannot
+        leave double range. A generator: each group is formed when taken, in one scratch
+        buffer that every group of the call shares, the caller's until it takes the next.
         """
-        m, order = self.model.M, np.argsort(counts, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-            n, cx = int(counts[rows[0]]), cxs[rows, None]
-            q = self.table.u[:n] / cx  # r, overwritten by q in place
-            if m == 1:
-                np.negative(q, out=q)
-            else:  # r^(m-1) e^-r / (m-1)! in one exp: each factor leaves double range near M = 150
-                np.subtract((m - 1) * np.log(q), q, out=q)
-                q -= math.lgamma(m)
-            yield rows, np.divide(np.multiply(np.exp(q, out=q), self.table.du[:n], out=q),
-                                  cx, out=q), n
+        m, u, order = self.model.M, self.table.u, np.argsort(counts, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(counts[order])) + 1)
+        buf = np.empty(max(rows.size * int(counts[rows[0]]) for rows in groups))
+        slopes = -1.0 / cxs
+        if m > 1:
+            log_u = (m - 1) * np.log(u[:int(counts.max())])
+            norms = (m - 1) * np.log(cxs) + math.lgamma(m)
+        for rows in groups:
+            n = int(counts[rows[0]])
+            e = np.multiply.outer(slopes[rows], u[:n], out=buf[:rows.size * n].reshape(-1, n))
+            if m > 1:
+                e += log_u[:n]
+                e -= norms[rows, None]
+            yield rows, np.exp(e, out=e), n
+
+    def _mixture_column(self, lnf: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+        """(du ln f_mu 2^-s, s) at the first n nodes, s > 0 only where du ln f_mu or a
+        row's sum of it could leave double range (c_x near 1e306): du < u[n - 1], and ln
+        f_mu decreases in u, so its ends bound it. Scaling by a power of two is exact,
+        so no value depends on s."""
+        big = max(abs(lnf[0]), abs(lnf[n - 1]))
+        s = max(0, math.frexp(self.table.u[n - 1])[1] + math.frexp(big)[1] - 1000)
+        du = self.table.du[:n]
+        return (np.ldexp(du, -s) if s else du) * lnf[:n], s
 
     def cross_quadratures(self, cxs, weights) -> np.ndarray:
-        """E_{Y~p(.|x)}[ln f_mu(Y)] for inputs of variances cxs, isotropic only, one
-        node-count group formed and reduced at a time. Rows reduce by np.add.reduce,
-        not BLAS, so a value is the same in any batch."""
+        """E_{Y~p(.|x)}[ln f_mu(Y)] for inputs of variances cxs, isotropic only: per input
+        one radial_kernels row times the column du ln f_mu (_mixture_column, formed once
+        per call), summed by np.add.reduce, not BLAS, so a value is the same in any
+        batch, then divided by c_x."""
         cxs = np.asarray(cxs, dtype=float)
         counts = self.table.node_counts(cxs * self.tail_s)
-        lnf, out = self.table.mixture(np.asarray(weights, dtype=float)), np.empty(cxs.size)
-        for rows, q, n in self.radial_weights(cxs, counts):
-            out[rows] = np.add.reduce(np.multiply(q, lnf[:n], out=q), axis=1)
-        return out
+        col, s = self._mixture_column(self.table.mixture(np.asarray(weights, dtype=float)),
+                                      int(counts.max()))
+        out = np.empty(cxs.size)
+        for rows, k, n in self.radial_kernels(cxs, counts):
+            out[rows] = np.add.reduce(np.multiply(k, col[:n], out=k), axis=1)
+        return np.ldexp(out / cxs, s)
 
     def stream_stats(self, xs, weights, cfg: McConfig, stream: int, factors=None):
         """Means and SEs, two (P,) arrays, of ln f_mu(Y) over Y ~ p(.|x) for the P
@@ -633,18 +660,21 @@ class _ConditionalLaws:
         """(cross_terms at the atoms, P) with P[i, j] = w_j E_i[p_j / f_mu], atom j's
         mean posterior under atom i's law. It keeps what no weight vector changes, the
         atom_groups or on dense channels the k atom streams of cfg (the draw cache holds
-        few of a search's size): a weight solve calls it hundreds of times."""
+        few of a search's size): a weight solve calls it hundreds of times. Isotropic
+        cross terms equal cross_quadratures' bit for bit: the same association, on the
+        kept kernels."""
         weights, k = np.asarray(weights, dtype=float), self.log_norm.size
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)[:, None]
         cross, post = np.zeros(k), np.zeros((k, k))
         if self.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
-            logp, lnf = self.table.logp, self.table.mixture(weights)
-            for rows, q, n in self.atom_groups:
-                e = logp[:, :n] + log_w  # the posterior exponent, in one buffer
+            table, lnf = self.table, self.table.mixture(weights)
+            col, s = self._mixture_column(lnf, self.atom_groups[-1][3])
+            for rows, k, q, n in self.atom_groups:
+                e = table.logp[:, :n] + log_w  # the posterior exponent, in one buffer
                 post[rows] = q @ np.exp(np.subtract(e, lnf[:n], out=e), out=e).T
-                cross[rows] = np.add.reduce(q * lnf[:n], axis=1)  # q is kept: not in place
-            return cross, post
+                cross[rows] = np.add.reduce(k * col[:n], axis=1)  # k is kept: not in place
+            return np.ldexp(cross / self.scalar_var, s), post
         if self._streams[0] != cfg:
             self._streams = cfg, [self._draws(cfg, i) for i in range(k)]
         coefs = self._form_coefficients(self.factors)

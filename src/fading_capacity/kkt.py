@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import (LOG_PI, LOG_PI_E, ChannelModel, _as_input, _as_inputs,
-                      _check_positive_int, _conditional_covariances, _is_int, input_norm_sq)
+                      _check_positive_int, _check_seed, _conditional_covariances, _is_int,
+                      input_norm_sq)
 from .errors import InsufficientMassError, SlopeNonPositiveError
 from .estimate import McConfig, McEstimate, _ConditionalLaws, derive_seed
 from .measure import DiscreteMeasure, InputShell
@@ -158,9 +160,9 @@ def kkt_value(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext, x,
     return McEstimate(float(values[0]), float(ses[0]), samples, cfg.seed)
 
 
-@dataclass(frozen=True)
-class KktPoint:
-    """One evaluated input: its vector, squared norm, KKT value and SE."""
+class KktPoint(NamedTuple):
+    """One evaluated input, an immutable named tuple: its vector, squared norm, KKT
+    value and SE. A scan builds hundreds of them, at half a frozen dataclass's cost."""
 
     x: np.ndarray
     norm_sq: float
@@ -217,8 +219,10 @@ def radial_scan_grid(model: ChannelModel, max_norm_sq: float,
 
     Isotropic channels get a single canonical direction (the law depends on
     the norm only); otherwise the first coordinate direction plus
-    n_directions random unit directions.
+    n_directions random unit directions, drawn from seed, an integer in
+    [0, 2^64) on every channel (ValueError outside it).
     """
+    _check_seed(seed)
     if not 0.0 < max_norm_sq < math.inf:
         raise ValueError(f"max_norm_sq must be positive and finite, got {max_norm_sq}")
     _check_positive_int(points_per_decade, "points_per_decade")
@@ -258,5 +262,5 @@ def kkt_scan(model: ChannelModel, mu: DiscreteMeasure, ctx: KktContext,
         raise ValueError("scan grid must be nonempty")
     xs = np.concatenate((_as_inputs(model, grid), mu.atoms))
     values, ses, norms_sq = _kkt_values(model, mu, ctx, xs, cfg)
-    points = tuple(map(KktPoint, xs, norms_sq.tolist(), values.tolist(), ses.tolist()))
+    points = tuple(map(KktPoint._make, zip(xs, norms_sq.tolist(), values.tolist(), ses.tolist())))
     return KktReport(points=points[:len(grid)], support=points[len(grid):])

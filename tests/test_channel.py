@@ -168,6 +168,14 @@ class TestSampleOutput:
         with pytest.raises(ValueError):
             sample_output(scalar_model, [0j], 0, seed=1)
 
+    def test_seed_outside_64_bits_rejected(self, scalar_model):
+        # it was masked to 64 bits: seed -1 drew the outputs of seed 2^64 - 1
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+                sample_output(scalar_model, [0j], 4, seed=seed)
+        for seed in (0, (1 << 64) - 1):
+            assert sample_output(scalar_model, [0j], 4, seed=seed).shape == (4, 1)
+
     @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
     def test_count_must_be_an_integer(self, scalar_model, count):
         # 2.5 drew 2 samples

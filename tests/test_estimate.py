@@ -63,6 +63,13 @@ class TestConfig:
     def test_numpy_integer_counts_accepted(self):
         assert McConfig(np.int64(1000), seed=np.uint64(1)) == McConfig(1000, seed=1)
 
+    def test_derive_seed_rejects_seeds_outside_64_bits(self):
+        # it masked the base seed to 64 bits: -1 gave the streams of 2^64 - 1
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+                derive_seed(seed, 1)
+        assert len({derive_seed(seed, 1) for seed in (0, (1 << 64) - 1)}) == 2
+
     def test_derive_seed_deterministic_and_distinct(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
         assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
@@ -401,8 +408,9 @@ def _variance(model, x) -> float:
 
 
 def _radial_groups(laws, cxs):
-    """(rows, q, n) per node count of the input variances cxs, every group formed."""
-    return list(laws.radial_weights(cxs, laws.table.node_counts(cxs * laws.tail_s)))
+    """(rows, k, n) per node count of the input variances cxs, each k in its own array."""
+    counts = laws.table.node_counts(cxs * laws.tail_s)
+    return [(rows, k.copy(), n) for rows, k, n in laws.radial_kernels(cxs, counts)]
 
 
 def _cross_quadrature(laws, x, weights) -> float:
@@ -476,10 +484,11 @@ class TestRadialQuadrature:
                 got = _cross_quadrature(laws, [math.sqrt(t) + 0j], [1.0])
                 assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 150])
     def test_batch_equals_one_input_at_a_time(self, m):
         # the origin, an atom and points whose octaves end at several node
-        # counts, in any order: each value is the one-input quadrature's
+        # counts, in any order: each value is the one-input quadrature's (at
+        # M = 150 the normalizer, which alone leaves double range, is in the exponent)
         model = ChannelModel.isotropic(m, 1, 1.0, 1.0)
         ts, ws = [0.0, 4.0, 30.0], [0.6, 0.3, 0.1]
         xs = [[math.sqrt(t) + 0j] for t in (0.0, 0.3, 4.0, 7.5, 30.0, 90.0, 400.0, 2500.0)]
@@ -491,6 +500,19 @@ class TestRadialQuadrature:
                       np.random.default_rng(m).permutation(len(xs))):
             got = self._laws(model, ts).cross_quadratures(cxs[order], ws)
             assert got.tolist() == [want[i] for i in order]
+
+    def test_scaled_column_changes_no_value(self):
+        # inputs out to ||x||^2 = 1e306 scale the column du ln f_mu by a power of two
+        # that the one-input calls below 1e300 do not; each value is still theirs
+        model = ChannelModel.isotropic(1, 1, 1.0, 1.0)
+        cxs = 1.0 + np.array([0.0, 3.0, 1e10, 1e200, 1e300, 1e306])
+        laws = self._laws(model, [0.0, 1e150])
+        counts = laws.table.node_counts(cxs * laws.tail_s)
+        lnf = laws.table.mixture(np.array([0.5, 0.5]))
+        assert [laws._mixture_column(lnf, n)[1] > 0 for n in counts] == [False] * 4 + [True] * 2
+        want = [self._laws(model, [0.0, 1e150]).cross_quadratures(cxs[i:i + 1], [0.5, 0.5])[0]
+                for i in range(cxs.size)]
+        assert laws.cross_quadratures(cxs, [0.5, 0.5]).tolist() == want
 
     # (M, squared norms, weights): the oracle optima, then supports with a tail
     # weight far below the others' or atoms crowded together, where ln f_mu
@@ -619,11 +641,13 @@ class TestInPlaceIsotropicPaths:
             assert got[1].tolist() == [math.sqrt(float(np.sum(var)) / n ** 2)]
 
     @staticmethod
-    def _reference_weights(laws, table, cx, n):
-        # the allocating form: du * exp(log density) / cx
-        m, r = laws.model.M, table.u[:n] / cx
-        log_density = -r if m == 1 else (m - 1) * np.log(r) - r - math.lgamma(m)
-        return table.du[:n] * np.exp(log_density) / cx
+    def _reference_kernels(laws, table, cx, n):
+        # the allocating form: exp of c_x times the Gamma(M, c_x) density, in logs
+        m, u = laws.model.M, table.u[:n]
+        e = np.multiply.outer(-1.0 / cx, u)
+        if m > 1:
+            e = e + (m - 1) * np.log(u) - ((m - 1) * np.log(cx) + math.lgamma(m))[:, None]
+        return np.exp(e)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_quadratures_equal_the_allocating_formulas(self, m):
@@ -638,10 +662,10 @@ class TestInPlaceIsotropicPaths:
         assert len(groups) >= 3
         lnf = table.mixture(w)
         want = np.empty(cxs.size)
-        for rows, q, n in groups:
-            ref = self._reference_weights(laws, table, cxs[rows, None], n)
-            assert np.array_equal(q, ref)
-            want[rows] = np.add.reduce(ref * lnf[:n], axis=1)
+        for rows, k, n in groups:
+            ref = self._reference_kernels(laws, table, cxs[rows], n)
+            assert np.array_equal(k, ref)
+            want[rows] = np.add.reduce(ref * (table.du[:n] * lnf[:n]), axis=1) / cxs[rows]
         assert np.array_equal(laws.cross_quadratures(cxs, w), want)
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -657,10 +681,11 @@ class TestInPlaceIsotropicPaths:
         with np.errstate(divide="ignore"):
             log_w = np.log(w)[:, None]
         for rows, _, n in groups:
-            q = self._reference_weights(laws, table, laws.scalar_var[rows, None], n)
-            assert np.array_equal(cross[rows], np.add.reduce(q * lnf[:n], axis=1))
-            assert np.array_equal(post[rows],
-                                  q @ np.exp(table.logp[:, :n] + log_w - lnf[:n]).T)
+            cx, du = laws.scalar_var[rows], table.du[:n]
+            k = self._reference_kernels(laws, table, cx, n)
+            assert np.array_equal(cross[rows], np.add.reduce(k * (du * lnf[:n]), axis=1) / cx)
+            q = k * du / cx[:, None]
+            assert np.array_equal(post[rows], q @ np.exp(table.logp[:, :n] + log_w - lnf[:n]).T)
 
     def test_evaluate_keeps_one_table_and_its_groups(self):
         # a second weight vector reuses the first call's nodes and Gamma-density
@@ -670,15 +695,16 @@ class TestInPlaceIsotropicPaths:
         ev = _SupportEvaluator(model, atoms, McConfig(1000, seed=5))
         ev.evaluate(np.array([0.5, 0.3, 0.2, 0.0]))
         table, kept = ev._laws.table, ev._laws.atom_groups
-        u, logp, groups = table.u, table.logp, [q.copy() for _, q, _ in kept]
+        u, logp, groups = table.u, table.logp, [(k.copy(), q.copy()) for _, k, q, _ in kept]
         assert len(groups) >= 2
         ev.evaluate(np.array([0.1, 0.2, 0.3, 0.4]))
         assert ev._laws.table is table and ev._laws.atom_groups is kept
         assert table.u is u and table.logp is logp
         laws = _ConditionalLaws(model, atoms)
         fresh = _radial_groups(laws, laws.scalar_var)
-        for (_, q, _), before, (_, want, _) in zip(kept, groups, fresh):
-            assert np.array_equal(q, before) and np.array_equal(q, want)
+        for (_, k, q, _), (k0, q0), (_, want, _) in zip(kept, groups, fresh):
+            assert np.array_equal(k, k0) and np.array_equal(k, want)
+            assert np.array_equal(q, q0)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_stream_stats_stack_equals_the_one_row_calls(self, dense, small_batches):

@@ -87,7 +87,7 @@ def test_core_calls_do_not_load_scipy():
 # integrator, estimate._ConditionalLaws: kkt and the optimizer call only its
 # cross_terms and posteriors.
 INTEGRATOR_INTERNALS = {"_CROSS_STREAM", "_stream_indices", "_draws", "_form_coefficients",
-                        "_log_densities", "radial_weights", "table", "cross_quadratures",
+                        "_log_densities", "radial_kernels", "table", "cross_quadratures",
                         "stream_stats", "_weighted_mix"}
 
 

@@ -341,6 +341,22 @@ class TestKktScan:
         kkt_scan(model, mu, KktContext(0.1, 1.0, 0.2), grid, McConfig(1000, seed=5))
         assert len(seeds) == mu.n_atoms + 1 == len(set(seeds))
 
+    def test_points_are_immutable_named_tuples(self, scalar_model):
+        mu = radial_measure([0.0, 5.867], [0.8296, 0.1704])
+        ctx = KktContext(0.113480, 1.0, 0.195547)
+        grid = [np.array([math.sqrt(t) + 0j]) for t in (0.25, 4.0, 9.0)]
+        report = kkt_scan(scalar_model, mu, ctx, grid, McConfig(1000, seed=1))
+        p = report.points[1]
+        assert isinstance(p, tuple) and p._fields == ("x", "norm_sq", "value", "std_error")
+        for field in p._fields:
+            with pytest.raises(AttributeError):
+                setattr(p, field, 0.0)
+        est = kkt_value(scalar_model, mu, ctx, grid[1], McConfig(1000, seed=1))
+        assert np.array_equal(p.x, grid[1])
+        assert (p.norm_sq, p.value, p.std_error) == (4.0, est.value, est.std_error)
+        assert repr(p) == f"KktPoint(x=array([2.+0.j]), norm_sq=4.0, value={est.value!r}, " \
+                          "std_error=0.0)"
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_malformed_grid_point_rejected(self, scalar_model, dense):
         model = random_model(np.random.default_rng(3), 2, 2) if dense else scalar_model
@@ -397,6 +413,19 @@ class TestScanGrid:
         model = random_model(np.random.default_rng(3), 2, 2)
         with pytest.raises(ValueError, match=f"{field} must be a"):
             radial_scan_grid(model, 4.0, **{field: bad})
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_seed_outside_64_bits_rejected(self, scalar_model, dense):
+        # on dense channels -1 drew the directions of 2^64 - 1; isotropic grids read no
+        # seed but check it all the same
+        model = random_model(np.random.default_rng(3), 2, 2) if dense else scalar_model
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+                radial_scan_grid(model, 4.0, points_per_decade=2, decades=1, seed=seed)
+        grids = [radial_scan_grid(model, 4.0, points_per_decade=2, decades=1, n_directions=2,
+                                  seed=seed) for seed in (0, (1 << 64) - 1)]
+        assert len(grids[0]) == len(grids[1]) == (1 + 3 * 3 if dense else 1 + 3)
+        assert np.array_equal(grids[0], grids[1]) == (not dense)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     def test_max_norm_sq_must_be_positive_and_finite(self, scalar_model, bad):

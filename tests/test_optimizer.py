@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fading_capacity import (DiscreteMeasure, KktContext, McConfig, estimate,
+from fading_capacity import (ChannelModel, DiscreteMeasure, KktContext, McConfig, estimate,
                              OptimizerConfig, PowerConstraint, average_power,
                              derive_seed, insert_atom, kkt_scan, kkt_value, mutual_information,
                              optimize_measure, optimize_weights,
@@ -199,10 +199,12 @@ class TestSupportEvaluator:
             else:  # the radial quadrature kkt_value takes on isotropic channels
                 assert got[i] == laws.cross_quadratures(laws.scalar_var[i:i + 1], w)[0]
 
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_evaluate_returns_the_cross_means(self, scalar_model, dense, small_batches):
-        if dense:
-            model = random_model(np.random.default_rng(3), 2, 2)
+    @pytest.mark.parametrize("dense,m", [(False, 1), (True, 1), (False, 3)],
+                             ids=["False", "True", "iso-M3"])
+    def test_evaluate_returns_the_cross_means(self, scalar_model, dense, m, small_batches):
+        if dense or m > 1:
+            model = (random_model(np.random.default_rng(3), 2, 2) if dense
+                     else ChannelModel.isotropic(m, 2, 0.5, 2.0))
             atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
         else:
             model = scalar_model
