@@ -17,21 +17,28 @@ One sample path serves every Monte Carlo caller. A stream's draws depend on
 (M, cfg, stream index) alone, so _stream_draws shares them across the process
 within a byte budget: per batch, the normalized squared radii on isotropic
 channels (a sample's stratum is its position modulo the stratum count), else
-the M^2 monomials of the normals w (y = L_x w, so ln p(y|x_j) is a quadratic
-form in w). _ConditionalLaws is the package's one integrator; kkt, the
-optimizer and the Fano report reach the output space only through it.
-stream_stats reduces a stream to means and SEs for a stack of inputs in one
-batch loop: a batch's monomials times each atom's coefficients (one column,
--c_x / c_j, on isotropic channels) in one (k, n) buffer, the mixture taken in
-place by measure._weighted_mix, sums kept per input and per stratum (one on
-dense channels), so a value is the same alone or in a scan. cross_terms
-integrates ln f_mu against each input's law: on isotropic channels, where
-ln f_mu depends on ||y||^2 alone, by radial quadrature on the support's one
-_RadialTable (plain panels, 5 ceil(sqrt(M) / 3) to an octave, that no weight
-vector changes), inputs grouped by the node count their Gamma(M, c_x) law
-needs. An (input, node) element costs one outer product, -u / c_x (above
-M = 1 two adds bring in (M - 1) ln u and the normalizer), one exp, one
-multiply by the column du ln f_mu, formed once per call, and one
+the M^2 second-order monomials of w ~ CN(0, I_M), y = L_x w. Every dense
+integrand (ln p(y|x_j), ln f_mu(y)) is a function of quadratic forms in w, so
+it reads w only through w w^H, and w's global phase carries nothing. A dense
+stream holds the monomials of (sqrt(E), v_1, ..., v_(M-1)), E ~ Exp(1) and
+v_q ~ CN(0, 1) independent: that vector has the law of e^(-i arg w_0) w,
+whose outer product is w w^H itself, so the streams are exact, at one
+exponential and 2(M - 1) normals per sample, not 2M normals
+(_phase_free_monomials). channel.sample_output, whose y must itself be
+circular, keeps complex normals. _ConditionalLaws is the package's one
+integrator; kkt, the optimizer and the Fano report reach the output space only
+through it. stream_stats reduces a stream to means and SEs for a stack of
+inputs in one batch loop: a batch's monomials times each atom's coefficients
+(one column, -c_x / c_j, on isotropic channels) in one (k, n) buffer, the
+mixture taken in place by measure._weighted_mix, sums kept per input and per
+stratum (one on dense channels), so a value is the same alone or in a scan.
+cross_terms integrates ln f_mu against each input's law: on isotropic
+channels, where ln f_mu depends on ||y||^2 alone, by radial quadrature on the
+support's one _RadialTable (plain panels, 5 ceil(sqrt(M) / 3) to an octave,
+that no weight vector changes), inputs grouped by the node count their
+Gamma(M, c_x) law needs. An (input, node) element costs one outer product,
+-u / c_x (above M = 1 two adds bring in (M - 1) ln u and the normalizer), one
+exp, one multiply by the column du ln f_mu, formed once per call, and one
 np.add.reduce; each row's sum is then divided by c_x (radial_kernels,
 cross_quadratures), so a value is the same in any batch. posteriors adds the
 atoms' mean posteriors for the weight solve, its cross terms associated the
@@ -67,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (_U64, LOG_PI_E, ChannelModel, _as_input, _check_positive_int,
-                      _check_seed, _complex_standard_normals, _conditional_covariances,
+                      _check_seed, _conditional_covariances,
                       _is_int, conditional_entropy)
 from .errors import NotConvergedError, ScaleOverflowError
 from .measure import DiscreteMeasure, _weighted_mix
@@ -238,14 +245,12 @@ def _evict(room: int) -> None:
 def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
     """Per-batch draws of one stream, seeded by (seed, stream, batch), each one
     read-only float64 array: the (n,) _stratified_radii_sq on isotropic channels,
-    else the (M^2, n) _monomials of complex standard normals w (n, M). Every
-    caller in the process shares them, least recently used evicted first, within
-    _DRAW_BUDGET bytes; a larger stream is returned unkept, and evicts nothing.
-    A kept miss knows its bytes in advance and evicts before it forms its arrays
-    (dense: after the first normals, no larger than their monomials at M >= 2;
-    earlier gave the same peak but ~110 more page faults per fano-cli pass), so
-    the cache peaks at the budget plus the stream being drawn. Two callers that
-    miss on one key at once both draw it, get equal arrays, and evict again.
+    else the (M^2, n) _phase_free_monomials. Every caller in the process shares
+    them, least recently used evicted first, within _DRAW_BUDGET bytes; a larger
+    stream is returned unkept, and evicts nothing. A kept miss knows its bytes in
+    advance and evicts before it draws, so the cache peaks at the budget plus the
+    stream being drawn. Two callers that miss on one key at once both draw it, get
+    equal arrays, and evict again.
     """
     key, batch = (m, iso, cfg, stream), min(cfg.samples, _BATCH)
     size = cfg.samples * 8 * (1 if iso else m * m)
@@ -254,17 +259,15 @@ def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
         if key in _DRAWS:
             _DRAWS.move_to_end(key)
             return _DRAWS[key][0]
+        if keep:
+            _evict(size)
     draws = []
     for b, start in enumerate(range(0, cfg.samples, batch)):
         seed_key, nb = derive_seed(cfg.seed, stream, b), min(batch, cfg.samples - start)
-        w = None if iso else _complex_standard_normals(seed_key, nb, m)
-        if keep and b == 0:
-            with _DRAWS_LOCK:
-                _evict(size)
         if iso:  # strata continue from the batches before
             draw = _stratified_radii_sq(seed_key, start, nb, m, _n_strata(cfg))
         else:
-            draw, w = _monomials(w), None
+            draw = _phase_free_monomials(seed_key, nb, m)
         draw.flags.writeable = False
         draws.append(draw)
     if keep:
@@ -394,27 +397,41 @@ def log_chi_square_tail(log_t: float, m: int) -> float:
     return _log_gamma_tail(m, math.exp(log_t) if log_t <= 709.0 else math.inf, True)
 
 
-def _monomials(w: np.ndarray) -> np.ndarray:
-    """(M^2, n) second-order monomials of w (n, M): |w_p|^2, then Re and Im of
-    conj(w_p) w_q for p < q. The cross rows keep numpy's complex product (other
-    forms change the last bit of some) and precede the output: after it, their
-    freed temporaries topped the heap, malloc trimmed them, and the next draw
-    faulted them in again."""
-    n, m = w.shape
-    p, q = np.triu_indices(m, 1)
-    w = w.T
-    cross = w[p].conj() * w[q]
-    out = np.empty((m * m, n))
-    np.square(w.real, out=out[:m])
-    out[:m] += np.square(w.imag)
-    out[m:m + p.size], out[m + p.size:] = cross.real, cross.imag
+def _phase_free_monomials(seed_key: int, count: int, m: int) -> np.ndarray:
+    """(M^2, count) second-order monomials of w ~ CN(0, I_M) with its global phase
+    removed: w_0 = sqrt(E), E ~ Exp(1), and w_q = v_q ~ CN(0, 1) for q >= 1. Rows as
+    _norm_coefficients reads them: |w_p|^2 (row 0 is E), then Re and Im of conj(w_p)
+    w_q for p < q, in real arithmetic from the standard normals a_q, b_q = sqrt 2 (Re,
+    Im) v_q, drawn after E into their p = 0 rows: |v_q|^2 = (a_q^2 + b_q^2) / 2, the
+    p = 0 rows sqrt(E / 2) (a_q, b_q), the others (a_p a_q + b_p b_q, a_p b_q - b_p a_q)
+    / 2. One exponential and 2(M - 1) normals per sample, not 2M normals."""
+    rng, out = np.random.default_rng(seed_key), np.empty((m * m, count))
+    rng.standard_exponential(out=out[0])
+    if m > 1:
+        pairs = m * (m - 1) // 2
+        a, b = out[m:2 * m - 1], out[m + pairs:m + pairs + m - 1]
+        rng.standard_normal(out=a)
+        rng.standard_normal(out=b)
+        np.square(a, out=out[1:m])
+        out[1:m] += np.square(b)
+        p, q = np.triu_indices(m - 1, 1)  # the pairs 1 <= p < q, in the same order
+        re, im = out[2 * m - 1:m + pairs], out[m + pairs + m - 1:]
+        np.multiply(a[p], a[q], out=re)
+        re += b[p] * b[q]
+        np.multiply(a[p], b[q], out=im)
+        im -= b[p] * a[q]
+        for rows in (out[1:m], re, im):  # halving is exact
+            rows *= 0.5
+        scale = np.sqrt(out[0] * 0.5)
+        a *= scale
+        b *= scale
     return out
 
 
 def _norm_coefficients(a: np.ndarray, upper) -> np.ndarray:
-    """(..., M^2) rows c with c @ _monomials(w) = ||A w||^2 for a (..., M, M), any
-    leading axes: with G = A^H A, the diagonal of G, then 2 Re G_pq and -2 Im G_pq
-    for p < q."""
+    """(..., M^2) rows c with c @ d = ||A w||^2 for a (..., M, M), any leading axes,
+    and the monomial rows d of w (_phase_free_monomials): with G = A^H A, the
+    diagonal of G, then 2 Re G_pq and -2 Im G_pq for p < q."""
     g = np.conj(np.swapaxes(a, -1, -2)) @ a
     off = g[..., upper[0], upper[1]]
     return np.concatenate((np.diagonal(g, axis1=-2, axis2=-1).real,

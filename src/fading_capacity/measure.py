@@ -54,7 +54,7 @@ class DiscreteMeasure:
     """Finitely supported input distribution: atoms with probability weights.
 
     atoms is a (k, N) complex array (rows are input vectors), weights a
-    length-k nonnegative vector summing to 1 within 1e-12. Atoms must be
+    length-k finite nonnegative vector summing to 1 within 1e-12. Atoms must be
     pairwise distinct (squared distance > 1e-18). Immutable by convention.
     """
 
@@ -67,6 +67,8 @@ class DiscreteMeasure:
             raise ValueError("measure needs at least one atom")
         if not np.all(np.isfinite(atoms.view(float))):
             raise ValueError("atoms have non-finite entries")
+        if not np.all(np.isfinite(weights)):  # NaN passes both checks below
+            raise ValueError("weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         total = float(weights.sum())

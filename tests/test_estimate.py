@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, logsumexp
+from scipy.stats import ks_2samp
 
 from fading_capacity import (ChannelModel, DiscreteMeasure,
                              InvalidCovarianceError, KktContext, McConfig, McEstimate,
@@ -18,13 +19,13 @@ from fading_capacity import (ChannelModel, DiscreteMeasure,
                              radial_scan_grid, shell_probability)
 from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
-                                      _gamma_quantile, _log_gamma_tail, _monomials,
-                                      _mutual_information, _polar, _shell_probabilities, _stirlerr,
-                                      _stratified_radii_sq, _stream_draws)
+                                      _gamma_quantile, _log_gamma_tail, _mutual_information,
+                                      _phase_free_monomials, _polar, _shell_probabilities,
+                                      _stirlerr, _stratified_radii_sq, _stream_draws)
 from fading_capacity.measure import _weighted_mix
 from fading_capacity.optimizer import _SupportEvaluator
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
-from oracles import ScalarRadialOracle, hypoexponential_shell_mass
+from oracles import ScalarRadialOracle, hypoexponential_shell_mass, kron_conditional_covariance
 
 ORACLE = ScalarRadialOracle(1.0, 1.0)
 
@@ -211,6 +212,23 @@ class TestMutualInformation:
         est = mutual_information(scalar_model, mu, McConfig(40_000, seed=21))
         truth = ORACLE.mutual_information([0.0, 10.0], [0.5, 0.5])
         assert abs(est.value - truth) <= max(3 * est.std_error, 1e-3)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dense_single_output_matches_radial_quadrature(self, n):
+        # at M = 1, C(x) = noise_var + x^H Sigma x: the law depends on x through that
+        # scalar alone, so the scalar oracle at t = C(x) - noise_var is exact; the
+        # dense stream is one exponential per sample
+        rng = np.random.default_rng(20 + n)
+        model = random_model(rng, 1, n)
+        atoms = np.array([np.zeros(n, dtype=complex), random_input(rng, n),
+                          random_input(rng, n, scale=2.0)])
+        weights = [0.5, 0.3, 0.2]
+        ts = [kron_conditional_covariance(model.sigma, x, 1, n, model.noise_var)[0, 0].real
+              - model.noise_var for x in atoms]
+        truth = ScalarRadialOracle(model.noise_var, 1.0).mutual_information(ts, weights)
+        est = mutual_information(model, DiscreteMeasure(atoms, weights), McConfig(20_000, seed=0))
+        assert model.iso_var is None and est.std_error > 0.0
+        assert abs(est.value - truth) <= 4.0 * est.std_error
 
     def test_unitary_rotation_invariance_isotropic(self):
         model = ChannelModel.isotropic(2, 2, 1.0, 1.0)
@@ -817,8 +835,8 @@ class TestStreamDraws:
         mu = DiscreteMeasure(atoms, [0.5, 0.3, 0.2])
         cfg = McConfig(1000, seed=5)
         seeds = []
-        draw = estimate._complex_standard_normals
-        monkeypatch.setattr(estimate, "_complex_standard_normals",
+        draw = estimate._phase_free_monomials
+        monkeypatch.setattr(estimate, "_phase_free_monomials",
                             lambda seed, *a: seeds.append(seed) or draw(seed, *a))
         mi = mutual_information(model, mu, cfg)
         grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
@@ -837,8 +855,8 @@ class TestStreamDraws:
         cfg = McConfig(1000, seed=5)
         monkeypatch.setattr(estimate, "_DRAW_BUDGET", 3 * 4 * 1000 * 8)
         seeds = []
-        draw = estimate._complex_standard_normals
-        monkeypatch.setattr(estimate, "_complex_standard_normals",
+        draw = estimate._phase_free_monomials
+        monkeypatch.setattr(estimate, "_phase_free_monomials",
                             lambda seed, *a: seeds.append(seed) or draw(seed, *a))
         mi = mutual_information(model, mu, cfg)
         grid = radial_scan_grid(model, 12.0, points_per_decade=2, decades=1,
@@ -898,7 +916,7 @@ class TestStreamDraws:
         for stream in range(3):
             _stream_draws(2, iso, cfg, stream)
         retained = []
-        name = "_stratified_radii_sq" if iso else "_monomials"
+        name = "_stratified_radii_sq" if iso else "_phase_free_monomials"
         draw = getattr(estimate, name)
         monkeypatch.setattr(estimate, name,
                             lambda *a: retained.append(_retained_bytes(cold_draws)) or draw(*a))
@@ -1029,6 +1047,22 @@ class TestGaussLegendreRule:
             assert got.tobytes() == want.tobytes()
 
 
+def _phase_free_reference(seed_key, n, m):
+    """The dense stream's (M^2, n) monomials, term by term in separate arrays, and
+    the w (n, M) they are the monomials of: w_0 = sqrt(E), E ~ Exp(1), then v =
+    (a + i b) / sqrt 2 from the standard normal rows a, then b."""
+    rng = np.random.default_rng(seed_key)
+    e = rng.standard_exponential(n)
+    a, b = rng.standard_normal((m - 1, n)), rng.standard_normal((m - 1, n))
+    p, q = np.triu_indices(m - 1, 1)
+    s = np.sqrt(e * 0.5)
+    monomials = np.concatenate(([e], (a ** 2 + b ** 2) * 0.5,
+                                a * s, (a[p] * a[q] + b[p] * b[q]) * 0.5,
+                                b * s, (a[p] * b[q] - b[p] * a[q]) * 0.5))
+    w = np.concatenate(([np.sqrt(e) + 0j], (a + 1j * b) * math.sqrt(0.5))).T
+    return monomials, w
+
+
 class TestDenseKernel:
     @staticmethod
     def _atoms(rng, model, norms_sq):
@@ -1056,19 +1090,11 @@ class TestDenseKernel:
                        for monomials in _stream_draws(m, False, cfg, stream)]
             assert len(batches) == 4
             for b, logp in enumerate(batches):
-                w = _complex_standard_normals(derive_seed(cfg.seed, stream, b),
-                                              logp.shape[1], m)
+                _, w = _phase_free_reference(derive_seed(cfg.seed, stream, b),
+                                             logp.shape[1], m)
                 ref = np.array([c.log_densities(w @ factor.T) for c in covs])
                 assert logp.shape == (10, w.shape[0])
                 np.testing.assert_allclose(logp, ref, rtol=1e-12, atol=0.0)
-
-    @staticmethod
-    def _monomials_reference(w):
-        # |w_p|^2 rows, then Re and Im of conj(w_p) w_q, p < q, as separate arrays
-        w = w.T
-        p, q = np.triu_indices(w.shape[0], 1)
-        cross = w[p].conj() * w[q]
-        return np.concatenate((w.real ** 2 + w.imag ** 2, cross.real, cross.imag))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_draws_are_the_monomials_of_the_complex_normals(self, m, small_batches):
@@ -1077,9 +1103,9 @@ class TestDenseKernel:
         draws = _stream_draws(m, False, cfg, 3)
         assert len(draws) == 4
         for b, draw in enumerate(draws):
-            w = _complex_standard_normals(derive_seed(cfg.seed, 3, b), draw.shape[1], m)
+            ref, w = _phase_free_reference(derive_seed(cfg.seed, 3, b), draw.shape[1], m)
             assert draw.shape == (m * m, w.shape[0])
-            assert np.array_equal(draw, self._monomials_reference(w))
+            assert np.array_equal(draw, ref)
             with pytest.raises(ValueError):
                 draw[0, 0] = 0.0
 
@@ -1087,8 +1113,25 @@ class TestDenseKernel:
     @pytest.mark.parametrize("n", [1, 300, 20_000])
     def test_monomials_equal_the_reference_bit_for_bit(self, m, n):
         # 20_000 draws put the cross products past numpy's temporary elision
-        w = _complex_standard_normals(derive_seed(9, m, n), n, m)
-        assert np.array_equal(_monomials(w), self._monomials_reference(w))
+        seed_key = derive_seed(9, m, n)
+        assert np.array_equal(_phase_free_monomials(seed_key, n, m),
+                              _phase_free_reference(seed_key, n, m)[0])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_phase_free_norms_have_the_law_of_complex_normals(self, m):
+        # ||A w||^2 depends on w only through w w^H, whose law the dropped phase keeps:
+        # the stream's forms against forms of full complex normals, two-sample
+        rng = np.random.default_rng(40 + m)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        coef = estimate._norm_coefficients(a, np.triu_indices(m, 1))
+        n = 100_000
+        new = coef @ _phase_free_monomials(derive_seed(11, m), n, m)
+        w = _complex_standard_normals(derive_seed(12, m), n, m)
+        full = np.sum(np.abs(w @ a.T) ** 2, axis=1)
+        assert ks_2samp(new, full).pvalue > 1e-3
+        trace = np.trace(a.conj().T @ a).real
+        for values in (new, full):
+            assert abs(values.mean() - trace) <= 4.0 * values.std(ddof=1) / math.sqrt(n)
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (1, 3)])
     def test_batched_covariances_equal_one_point(self, m, n):

@@ -181,7 +181,7 @@ class TestDetectionReport:
         def no_draws(*args):
             raise AssertionError("a shell mass drew normals")
 
-        monkeypatch.setattr(estimate, "_complex_standard_normals", no_draws)
+        monkeypatch.setattr(estimate, "_phase_free_monomials", no_draws)
         report = detection_report(model, fc, McConfig(1000, seed=9),
                                   include_mi=False)
         assert len(report.detections) == 3

@@ -335,8 +335,8 @@ class TestKktScan:
         grid = radial_scan_grid(model, 12.0, points_per_decade=4, decades=2,
                                 n_directions=2, seed=5)
         seeds = []
-        draw = estimate._complex_standard_normals
-        monkeypatch.setattr(estimate, "_complex_standard_normals",
+        draw = estimate._phase_free_monomials
+        monkeypatch.setattr(estimate, "_phase_free_monomials",
                             lambda seed, *a: seeds.append(seed) or draw(seed, *a))
         kkt_scan(model, mu, KktContext(0.1, 1.0, 0.2), grid, McConfig(1000, seed=5))
         assert len(seeds) == mu.n_atoms + 1 == len(set(seeds))

@@ -20,6 +20,14 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             DiscreteMeasure([[0j], [1.0 + 0j]], [1.5, -0.5])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [math.nan, math.nan]],
+                             ids=["one-nan", "all-nan"])
+    def test_weights_must_be_finite(self, weights):
+        # NaN fails neither the sign check nor the sum check: it constructed, and
+        # every estimator returned NaN
+        with pytest.raises(ValueError, match="weights must be finite"):
+            DiscreteMeasure([[0j], [1.0 + 0j]], weights)
+
     def test_atoms_must_be_distinct(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([[1.0 + 0j], [1.0 + 0j]], [0.5, 0.5])

@@ -221,8 +221,8 @@ class TestSupportEvaluator:
         atoms = np.array([[0j, 0j], [1.0 + 0.5j, -0.5j], [2.0, 1.0 + 1.0j]])
         monkeypatch.setattr(estimate, "_DRAW_BUDGET", 0)
         seeds = []
-        draw = estimate._complex_standard_normals
-        monkeypatch.setattr(estimate, "_complex_standard_normals",
+        draw = estimate._phase_free_monomials
+        monkeypatch.setattr(estimate, "_phase_free_monomials",
                             lambda seed, *a: seeds.append(seed) or draw(seed, *a))
         mc = McConfig(3000, seed=6)
         ev = _SupportEvaluator(model, atoms, mc)
