@@ -29,9 +29,10 @@ circular, keeps complex normals. _ConditionalLaws is the package's one
 integrator; kkt, the optimizer and the Fano report reach the output space only
 through it. stream_stats reduces a stream to means and SEs for a stack of
 inputs in one batch loop: a batch's monomials times each atom's coefficients
-(one column, -c_x / c_j, on isotropic channels) in one (k, n) buffer, the
-mixture taken in place by measure._weighted_mix, sums kept per input and per
-stratum (one on dense channels), so a value is the same alone or in a scan.
+(one column, -c_x / c_j, on isotropic channels), the Gaussian exponents, in one
+(k, n) buffer, the mixture taken in place by measure._weighted_mix (exponents
+recomputed for the columns it redoes), sums kept per input and per stratum (one
+on dense channels), so a value is the same alone or in a scan.
 cross_terms integrates ln f_mu against each input's law: on isotropic
 channels, where ln f_mu depends on ||y||^2 alone, by radial quadrature on the
 support's one _RadialTable (plain panels, 5 ceil(sqrt(M) / 3) to an octave,
@@ -103,6 +104,7 @@ _CROSS_STREAM = 1 << 20
 _DRAW_BUDGET = 2 << 20
 _DRAWS: OrderedDict = OrderedDict()  # (M, iso, cfg, stream) -> (draws, bytes), oldest use first
 _DRAWS_LOCK = threading.Lock()
+_SCRATCH = threading.local()  # per thread: stream_stats' exponent array (_exponent_buffer)
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -277,6 +279,17 @@ def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
     return draws
 
 
+def _exponent_buffer(k: int, n: int) -> np.ndarray:
+    """A (k, n) view of one per-thread array that stream_stats keeps between calls if it
+    fits in _DRAW_BUDGET bytes, so the calls of a scan do not each fault a fresh one in."""
+    kept = getattr(_SCRATCH, "array", None)
+    if kept is None or kept.size < k * n:
+        kept = np.empty(k * n)
+        if kept.nbytes <= _DRAW_BUDGET:
+            _SCRATCH.array = kept
+    return kept[:k * n].reshape(k, n)
+
+
 def _sample_moments(s1, s2, count):
     """Per entry, the mean and its variance from the sums s1 and s2 of count values
     and of their squares."""
@@ -439,25 +452,22 @@ def _norm_coefficients(a: np.ndarray, upper) -> np.ndarray:
 
 
 class _RadialTable:
-    """Composite Gauss-Legendre nodes in u = ||y||^2 and every atom's ln p(u|x_j) there.
+    """Composite Gauss-Legendre nodes in u = ||y||^2, and every atom's exponent -u / c_j there.
 
     Panels cut the octaves [c0 2^(j-1), c0 2^j] up from the noise variance c0
     (octave 0 is [0, c0]) into _OCTAVE_PARTS ceil(sqrt(M) / 3) equal parts,
-    narrower than the Gamma(M) peak at any order; no node depends on the weights.
-    The atoms' octaves are one block, later ones one each, so a node's value does
-    not depend on which inputs came before; an input needs the nodes up to the
+    narrower than the Gamma(M) peak at any order; no node depends on the weights,
+    and none on which inputs came before. An input needs the nodes up to the
     first octave that holds its law's tail (node_counts). The table holds the
     laws' arrays, not the laws: a reference back would make a cycle.
     """
 
     def __init__(self, laws: "_ConditionalLaws"):
-        self.inv_var, self.log_norm = laws.inv_var, laws.log_norm
-        self.noise_var = laws.model.noise_var
+        self.inv_var, self.noise_var = laws.inv_var, laws.model.noise_var
         parts = _OCTAVE_PARTS * math.ceil(math.sqrt(laws.model.M) / 3.0)
         self.fractions = np.arange(parts + 1) / parts  # panel edges, in octave widths
         self.per_octave = _GL_NODES.size * parts
         self.tops: list[float] = []  # each octave's upper edge in u
-        self.blocks: list[int] = []  # node count up to the end of each tabulated block
         u_max = float(np.max(laws.scalar_var)) * laws.tail_s
         self._tabulate(max(0, math.ceil(math.log2(u_max / self.noise_var))))
 
@@ -470,14 +480,12 @@ class _RadialTable:
         mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
         u = (mid[..., None] + half[..., None] * _GL_NODES).ravel()
         du = (half[..., None] * _GL_WEIGHTS).ravel()
-        logp = np.multiply.outer(-self.inv_var, u)
-        logp -= self.log_norm[:, None]
+        exponents = np.multiply.outer(-self.inv_var, u)
         if self.tops:
             u, du = np.concatenate((self.u, u)), np.concatenate((self.du, du))
-            logp = np.concatenate((self.logp, logp), axis=1)
+            exponents = np.concatenate((self.exponents, exponents), axis=1)
         self.tops += hi.tolist()
-        self.blocks.append(u.size)
-        self.u, self.du, self.logp = u, du, logp
+        self.u, self.du, self.exponents = u, du, exponents
 
     def node_counts(self, u_max: np.ndarray) -> np.ndarray:
         """Node counts of the octaves that cover [0, u_max], tabulating new ones."""
@@ -485,11 +493,10 @@ class _RadialTable:
             self._tabulate(len(self.tops))
         return (np.searchsorted(self.tops, u_max) + 1) * self.per_octave
 
-    def mixture(self, weights: np.ndarray) -> np.ndarray:
-        """ln f_mu at every node, one _weighted_mix per tabulated block: a matrix product's
-        bits depend on its width, and no value may depend on how far the table grew."""
-        bounds = zip([0] + self.blocks, self.blocks)
-        return np.concatenate([_weighted_mix(self.logp[:, a:b], weights) for a, b in bounds])
+    def mixture(self, bias: np.ndarray) -> np.ndarray:
+        """ln f_mu at every node, for the laws' bias (_ConditionalLaws.bias): one
+        _weighted_mix, whose sums do not depend on the table's width."""
+        return _weighted_mix(self.exponents, bias)
 
 
 class _ConditionalLaws:
@@ -541,12 +548,16 @@ class _ConditionalLaws:
         return -_norm_coefficients(self.inv_factors @ factor[..., None, :, :], self.upper)
 
     def _log_densities(self, coef: np.ndarray, draw: np.ndarray, out=None) -> np.ndarray:
-        """(k, n) ln p(y|x_j) = coef @ draw - log_norm[j] at one batch's outputs, written to
-        out if given. One coefficient column (isotropic radii, or M = 1) takes a broadcast
-        product: the same bits as the (k, 1) @ (1, n) matmul, several times faster."""
-        logp = (np.multiply if coef.shape[-1] == 1 else np.matmul)(coef, draw, out=out)
-        logp -= self.log_norm[:, None]
-        return logp
+        """(k, n) Gaussian exponents e_j = coef @ draw = -y^H C_j^-1 y, ln p(y|x_j) less
+        its normalizer log_norm[j], at one batch's outputs, written to out if given. One
+        coefficient column (isotropic radii, or M = 1) takes a broadcast product: the
+        same bits as the (k, 1) @ (1, n) matmul, several times faster."""
+        return (np.multiply if coef.shape[-1] == 1 else np.matmul)(coef, draw, out=out)
+
+    def bias(self, weights) -> np.ndarray:
+        """_weighted_mix's b_j = ln w_j - ln det(pi C_j), -inf at zero weight."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.asarray(weights, dtype=float)) - self.log_norm
 
     @functools.cached_property
     def table(self) -> _RadialTable:
@@ -603,8 +614,7 @@ class _ConditionalLaws:
         batch, then divided by c_x."""
         cxs = np.asarray(cxs, dtype=float)
         counts = self.table.node_counts(cxs * self.tail_s)
-        col, s = self._mixture_column(self.table.mixture(np.asarray(weights, dtype=float)),
-                                      int(counts.max()))
+        col, s = self._mixture_column(self.table.mixture(self.bias(weights)), int(counts.max()))
         out = np.empty(cxs.size)
         for rows, k, n in self.radial_kernels(cxs, counts):
             out[rows] = np.add.reduce(np.multiply(k, col[:n], out=k), axis=1)
@@ -622,7 +632,7 @@ class _ConditionalLaws:
         and an axis-0 np.add.reduce of the (rows, n) view adds each stratum in
         stream order (pairwise when n = 1). The mean averages the strata's.
         """
-        weights, draws = np.asarray(weights, dtype=float), self._draws(cfg, stream)
+        bias, draws = self.bias(weights), self._draws(cfg, stream)
         if self.iso:
             cxs = self.model.noise_var + self.model.iso_var * np.array(
                 [np.vdot(x, x).real for x in xs])
@@ -639,10 +649,11 @@ class _ConditionalLaws:
             r, size = b * batch % n, draw.shape[-1]
             strata = buf[:-(-(r + size) // n) * n].reshape(-1, n)
             buf[:r], buf[r + size:strata.size] = 0.0, 0.0
-            logp = np.empty((self.log_norm.size, size))
+            e = _exponent_buffer(bias.size, size)
             for row, coef in enumerate(coefs):
-                mix = _weighted_mix(self._log_densities(coef, draw, out=logp), weights,
-                                    out=buf[r:r + size])
+                mix = _weighted_mix(self._log_densities(coef, draw, out=e), bias,
+                                    out=buf[r:r + size],
+                                    fresh=lambda cols: self._log_densities(coef, draw[..., cols]))
                 s1[row] += np.add.reduce(strata, axis=0)
                 np.square(mix, out=mix)
                 s2[row] += np.add.reduce(strata, axis=0)
@@ -680,15 +691,13 @@ class _ConditionalLaws:
         few of a search's size): a weight solve calls it hundreds of times. Isotropic
         cross terms equal cross_quadratures' bit for bit: the same association, on the
         kept kernels."""
-        weights, k = np.asarray(weights, dtype=float), self.log_norm.size
-        with np.errstate(divide="ignore"):
-            log_w = np.log(weights)[:, None]
+        bias, k = self.bias(weights), self.log_norm.size
         cross, post = np.zeros(k), np.zeros((k, k))
         if self.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
-            table, lnf = self.table, self.table.mixture(weights)
+            table, lnf = self.table, self.table.mixture(bias)
             col, s = self._mixture_column(lnf, self.atom_groups[-1][3])
             for rows, k, q, n in self.atom_groups:
-                e = table.logp[:, :n] + log_w  # the posterior exponent, in one buffer
+                e = table.exponents[:, :n] + bias[:, None]  # the posterior exponent, in one buffer
                 post[rows] = q @ np.exp(np.subtract(e, lnf[:n], out=e), out=e).T
                 cross[rows] = np.add.reduce(k * col[:n], axis=1)  # k is kept: not in place
             return np.ldexp(cross / self.scalar_var, s), post
@@ -696,13 +705,13 @@ class _ConditionalLaws:
             self._streams = cfg, [self._draws(cfg, i) for i in range(k)]
         coefs = self._form_coefficients(self.factors)
         for batch in zip(*self._streams[1]):  # batch b of every atom's stream
-            logp = np.empty((k, batch[0].shape[1]))  # the batch's one (k, n) buffer
+            e = np.empty((k, batch[0].shape[1]))  # the batch's one (k, n) buffer
             for i, (coef, monomials) in enumerate(zip(coefs, batch)):
-                mix = _weighted_mix(self._log_densities(coef, monomials, out=logp), weights)
+                mix = _weighted_mix(self._log_densities(coef, monomials, out=e), bias)
                 cross[i] += mix.sum()
-                logp += log_w  # the posterior exponent, in place
-                logp -= mix
-                post[i] += np.exp(logp, out=logp).sum(axis=1)
+                e += bias[:, None]  # the posterior exponent, in place
+                e -= mix
+                post[i] += np.exp(e, out=e).sum(axis=1)
         return cross / cfg.samples, post / cfg.samples
 
 

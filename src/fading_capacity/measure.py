@@ -1,7 +1,12 @@
 """Discrete input measures, power functional, input shells, mixture density.
 
 _weighted_mix is the package's one mixture kernel: mixture_log_density and
-every estimator reduce ln f_mu = ln sum_j w_j p(y|x_j) through it.
+every estimator reduce ln f_mu = ln sum_j w_j p(y|x_j) through it. As y|x_j is
+CN(0, C_j), ln w_j p(y|x_j) = e_j + b_j, e_j = -y^H C_j^-1 y <= 0 and b_j = ln w_j
+- ln det(pi C_j), the component's peak: one shift per call, s = max_j b_j, keeps
+every term at most 1 with no per-sample max. An output in every component's far
+tail (atoms hundreds of nats apart in ln det C) sums below 2^-1000 after the
+shift, and its column is redone with its own max.
 """
 
 from __future__ import annotations
@@ -11,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelModel, _as_output, _fail, _numbers, _require, _vector,
+from .channel import (LOG_PI, ChannelModel, _as_output, _fail, _numbers, _require, _vector,
                       conditional_covariance)
 
 WEIGHT_SUM_ATOL = 1e-12
 ATOM_DISTINCT_SQ = 1e-18
 PRUNE_FLOOR = 1e-15
+_LOG_MIX_FLOOR = -1000.0 * math.log(2.0)  # ln 2^-1000: a shifted column sum below it is redone
 
 
 @dataclass(frozen=True)
@@ -138,25 +144,33 @@ def shell_mass(mu: DiscreteMeasure, shell: InputShell) -> float:
     return float(mu.weights[inside].sum())
 
 
-def _weighted_mix(logp: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
-    """Column-wise ln sum_j w_j exp(logp[j, :]), shift-stabilized.
+def _weighted_mix(e: np.ndarray, bias: np.ndarray, out=None, fresh=None) -> np.ndarray:
+    """Column-wise ln sum_j exp(e[j, :] + bias[j]), shifted by s = max_j bias[j].
 
-    logp is component-major, (k, n): one row per atom, one column per
-    sample, so the shift is a reduction over the short axis. Zero-weight
-    rows are dropped before the shift, so they cannot drag it and underflow
-    the whole column. Given out (n,), logp is scratch: the shifted densities
-    overwrite it, and the result, in out, equals the allocating call's bit
-    for bit.
+    e is component-major, (k, n): one row per atom, one column per sample, the
+    Gaussian exponents; bias[j] = b_j, the peak (module docstring), is -inf at zero
+    weight, so that row adds exactly 0 and never sets s. The terms exp(e + (bias -
+    s)) are added row by row, so a column's bits do not depend on the width. A column
+    summing below 2^-1000, or past double range (rounding can push an exponent far
+    above 0), is redone with its own max. Given out (n,), e is scratch for the terms
+    and fresh(cols) returns e[:, cols] again: out equals the allocating call's bits.
     """
-    if np.any(weights <= 0.0):
-        keep = weights > 0.0
-        logp, weights = logp[keep], weights[keep]
-    amax = np.max(logp, axis=0)
-    shifted = logp - amax if out is None else np.subtract(logp, amax, out=logp)
-    out = np.matmul(weights, np.exp(shifted, out=shifted), out=out)
-    np.log(out, out=out)
-    out += amax
-    return out
+    s = np.max(bias)
+    terms = np.add(e, (bias - s)[:, None], out=None if out is None else e)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.exp(terms, out=terms)
+        total = np.add(terms[0], terms[1] if len(terms) > 1 else 0.0, out=out)
+        for row in terms[2:]:
+            total += row
+        np.log(total, out=total)
+    total += s
+    floor = s + _LOG_MIX_FLOOR
+    if not (total.min() >= floor and total.max() < math.inf):  # NaN fails both
+        cols = np.flatnonzero(~((total >= floor) & (total < math.inf)))
+        exps = (e[:, cols] if out is None else fresh(cols)) + bias[:, None]
+        peak = np.max(exps, axis=0)
+        total[cols] = np.log(np.add.reduce(np.exp(exps - peak), axis=0)) + peak
+    return total
 
 
 def mixture_log_density(model: ChannelModel, mu: DiscreteMeasure, y) -> float:
@@ -165,11 +179,13 @@ def mixture_log_density(model: ChannelModel, mu: DiscreteMeasure, y) -> float:
     if mu.dim != model.N:
         raise ValueError(f"measure dimension {mu.dim} != channel input dimension {model.N}")
     y = _as_output(model, y)
-    logp = np.array([conditional_covariance(model, a).log_densities(y)[0]
-                     for a in mu.atoms])
-    if np.max(logp[mu.weights > 0.0]) == -np.inf:  # the kernel's shift would be -inf - -inf
+    covs = [conditional_covariance(model, a) for a in mu.atoms]
+    e = np.array([-cov.quad_forms(y)[0] for cov in covs])
+    if np.max(e[mu.weights > 0.0]) == -np.inf:  # the redo's max would be -inf - -inf
         return -math.inf
-    return float(_weighted_mix(logp[:, None], mu.weights)[0])
+    with np.errstate(divide="ignore"):
+        bias = np.log(mu.weights) - np.array([model.M * LOG_PI + cov.log_det for cov in covs])
+    return float(_weighted_mix(e[:, None], bias)[0])
 
 
 def prune_weights(mu: DiscreteMeasure, floor: float = PRUNE_FLOOR) -> DiscreteMeasure:

@@ -17,7 +17,7 @@ from fading_capacity import (ChannelModel, DiscreteMeasure,
                              cross_term, derive_seed, estimate, kkt_scan, kkt_value,
                              log_chi_square_tail, mutual_information,
                              radial_scan_grid, shell_probability)
-from fading_capacity.channel import _complex_standard_normals, _conditional_covariances
+from fading_capacity.channel import LOG_PI_E, _complex_standard_normals, _conditional_covariances
 from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
                                       _gamma_quantile, _log_gamma_tail, _mutual_information,
                                       _phase_free_monomials, _polar, _shell_probabilities,
@@ -372,57 +372,116 @@ class TestCrossTerm:
 
 
 class TestMixtureKernel:
+    """_weighted_mix(e, bias) = ln sum_j exp(e_j + bias_j) per column, against scipy's
+    logsumexp: the one shift s = max bias, zero weights (bias -inf), and the redo of
+    columns whose shifted sum is below 2^-1000 or not finite."""
+
     @staticmethod
-    def _reference(logp, w):
-        return logsumexp(logp, b=w[:, None], axis=0)
+    def _reference(e, bias):
+        return logsumexp(e + bias[:, None], axis=0)
+
+    @staticmethod
+    def _log(w):
+        with np.errstate(divide="ignore"):
+            return np.log(np.asarray(w, dtype=float))
+
+    @staticmethod
+    def _in_place(e, bias):
+        """The in-place call on a copy of e, its fresh exponents read from e; the result
+        and the column lists the redo asked for."""
+        asked = []
+
+        def fresh(cols):
+            asked.append(cols.tolist())
+            return e[:, cols]
+
+        buf = np.empty(e.shape[1])
+        got = _weighted_mix(e.copy(), bias, out=buf, fresh=fresh)
+        assert got is buf
+        return got, asked
 
     def test_matches_logsumexp(self):
         rng = np.random.default_rng(11)
-        logp = rng.normal(-3.0, 4.0, size=(4, 500))
-        w = np.array([0.1, 0.4, 0.2, 0.3])
-        np.testing.assert_allclose(_weighted_mix(logp, w),
-                                   self._reference(logp, w), rtol=1e-12)
+        e = rng.normal(-3.0, 4.0, size=(4, 500))
+        bias = self._log([0.1, 0.4, 0.2, 0.3]) - np.array([1.0, 3.0, 0.5, 40.0])
+        np.testing.assert_allclose(_weighted_mix(e, bias), self._reference(e, bias),
+                                   rtol=1e-12)
 
     def test_dominant_zero_weight_row_is_dropped(self):
         rng = np.random.default_rng(12)
-        logp = rng.normal(-2.0, 1.0, size=(3, 200))
-        logp[1] += 800.0  # exp(-800) underflows to 0 after a shift by this row
-        w = np.array([0.6, 0.0, 0.4])
-        got = _weighted_mix(logp, w)
+        e = rng.normal(-2.0, 1.0, size=(3, 200))
+        e[1] += 800.0  # exp(800) overflows, and a max over it would underflow the rest
+        bias = self._log([0.6, 0.0, 0.4])
+        got = _weighted_mix(e, bias)
         assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, self._reference(logp[[0, 2]], w[[0, 2]]),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(got, self._reference(e[[0, 2]], bias[[0, 2]]), rtol=1e-12)
 
     @pytest.mark.parametrize("w", [[0.1, 0.4, 0.2, 0.3], [0.0, 0.5, 0.0, 0.5],
                                    [0.6, 0.0, 0.4, 0.0], [0.0, 0.0, 0.0, 1.0]])
     def test_in_place_equals_allocating(self, w):
-        # zero-weight rows included: the kept rows move up inside the scratch
+        # zero-weight rows included; where row 0 has weight, its exponents near 800
+        # overflow every column's sum, and each column is redone
         rng = np.random.default_rng(14)
-        logp = rng.normal(-3.0, 4.0, size=(4, 5000))
-        logp[0] += 800.0
-        w = np.array(w)
-        before = logp.copy()
-        want = _weighted_mix(logp, w)
-        assert np.array_equal(logp, before)  # the allocating call leaves logp alone
-        buf = np.empty(logp.shape[1])
-        got = _weighted_mix(logp.copy(), w, out=buf)
-        assert got is buf
+        e = rng.normal(-3.0, 4.0, size=(4, 5000))
+        e[0] += 800.0
+        bias = self._log(w)
+        before = e.copy()
+        want = _weighted_mix(e, bias)
+        assert np.array_equal(e, before)  # the allocating call leaves e alone
+        got, asked = self._in_place(e, bias)
         assert np.array_equal(got, want)
+        assert asked == ([list(range(5000))] if w[0] > 0.0 else [])
+        np.testing.assert_allclose(got, self._reference(e, bias), rtol=1e-12)
 
     def test_fano_scale_separation(self):
         # components hundreds of nats apart, with the lead changing per column
         rng = np.random.default_rng(13)
-        logp = np.vstack([rng.normal(0.0, 1.0, 300) - 600.0 * j for j in range(3)])
-        logp[:, ::2] = logp[::-1, ::2]
-        w = np.array([1e-300, 0.5, 0.5 - 1e-300])
-        got = _weighted_mix(logp, w)
+        e = np.vstack([rng.normal(0.0, 1.0, 300) - 600.0 * j for j in range(3)])
+        e[:, ::2] = e[::-1, ::2]
+        bias = self._log([1e-300, 0.5, 0.5 - 1e-300])
+        got = _weighted_mix(e, bias)
         assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, self._reference(logp, w), rtol=1e-12)
+        np.testing.assert_allclose(got, self._reference(e, bias), rtol=1e-12)
+
+    @pytest.mark.parametrize("floored", ["none", "some", "all"])
+    def test_columns_below_the_floor_are_redone(self, floored):
+        # atoms e^700 apart in det C: where an output is in the near atom's far tail,
+        # the far atom's term alone is left, e^-700 or less after the shift
+        rng = np.random.default_rng(15)
+        e = -rng.exponential(2.0, size=(2, 400))
+        cols = {"none": [], "some": list(range(0, 400, 3)), "all": list(range(400))}[floored]
+        e[0, cols] = -rng.uniform(1e3, 1e5, len(cols))
+        bias = self._log([0.5, 0.5]) - np.array([0.0, 700.0])
+        want = _weighted_mix(e, bias)
+        got, asked = self._in_place(e, bias)
+        assert asked == ([cols] if cols else [])
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, self._reference(e, bias), rtol=1e-12)
+
+    def test_rounded_exponents_above_zero(self):
+        # e_j <= 0 holds in exact arithmetic only: a rounded exponent slightly above 0
+        # keeps its column's sum finite, one far above 0 overflows it, and that column
+        # alone is redone
+        rng = np.random.default_rng(16)
+        e = -rng.exponential(1.0, size=(3, 100))
+        e[1, 10], e[2, 20], e[0, 30] = 3e-14, 2e-12, 1e3
+        bias = self._log([0.3, 0.3, 0.4]) - np.array([0.0, 2.0, 5.0])
+        want = _weighted_mix(e, bias)
+        got, asked = self._in_place(e, bias)
+        assert asked == [[30]]
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, self._reference(e, bias), rtol=1e-12)
 
 
 def _variance(model, x) -> float:
     """c_x = noise_var + iso_var x^H x, the variance of p(.|x) on an isotropic channel."""
     return model.noise_var + model.iso_var * float(np.real(np.vdot(x, x)))
+
+
+def _bias(laws, w):
+    """The kernel's b_j = ln w_j - ln det(pi C_j) of the laws' atoms, -inf at zero weight."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(w, dtype=float)) - laws.log_norm
 
 
 def _radial_groups(laws, cxs):
@@ -526,7 +585,7 @@ class TestRadialQuadrature:
         cxs = 1.0 + np.array([0.0, 3.0, 1e10, 1e200, 1e300, 1e306])
         laws = self._laws(model, [0.0, 1e150])
         counts = laws.table.node_counts(cxs * laws.tail_s)
-        lnf = laws.table.mixture(np.array([0.5, 0.5]))
+        lnf = laws.table.mixture(_bias(laws, [0.5, 0.5]))
         assert [laws._mixture_column(lnf, n)[1] > 0 for n in counts] == [False] * 4 + [True] * 2
         want = [self._laws(model, [0.0, 1e150]).cross_quadratures(cxs[i:i + 1], [0.5, 0.5])[0]
                 for i in range(cxs.size)]
@@ -619,7 +678,7 @@ class TestInPlaceIsotropicPaths:
             s1, s2, count = np.zeros(strata), np.zeros(strata), np.zeros(strata)
             for b, s in enumerate(_stream_draws(m, True, cfg, stream)):
                 ids = (b * batch + np.arange(s.size)) % strata  # by position
-                mix = _weighted_mix(-np.outer(ratios, s) - laws.log_norm[:, None], w)
+                mix = _weighted_mix(-np.outer(ratios, s), _bias(laws, w))
                 s1 += np.bincount(ids, weights=mix, minlength=strata)
                 s2 += np.bincount(ids, weights=mix * mix, minlength=strata)
                 count += np.bincount(ids, minlength=strata)
@@ -649,7 +708,7 @@ class TestInPlaceIsotropicPaths:
                 u = np.random.default_rng(derive_seed(cfg.seed, stream, b)).random(nb)
                 ids = (start + np.arange(nb)) % n
                 s = _gamma_quantile(m, (ids + u) / n, (n - ids - u) / n)
-                mix = _weighted_mix(-np.outer(ratios, s) - laws.log_norm[:, None], w)
+                mix = _weighted_mix(-np.outer(ratios, s), _bias(laws, w))
                 s1 += np.bincount(ids, weights=mix, minlength=n)
                 s2 += np.bincount(ids, weights=mix * mix, minlength=n)
                 count += np.bincount(ids, minlength=n)
@@ -675,10 +734,9 @@ class TestInPlaceIsotropicPaths:
         cxs = 1.0 + np.array([0.0, 0.3, 4.0, 7.5, 30.0, 90.0, 400.0, 2500.0])
         groups = _radial_groups(laws, cxs)
         table = laws.table
-        assert np.array_equal(table.logp,
-                              -np.outer(laws.inv_var, table.u) - laws.log_norm[:, None])
+        assert np.array_equal(table.exponents, -np.outer(laws.inv_var, table.u))
         assert len(groups) >= 3
-        lnf = table.mixture(w)
+        lnf = table.mixture(_bias(laws, w))
         want = np.empty(cxs.size)
         for rows, k, n in groups:
             ref = self._reference_kernels(laws, table, cxs[rows], n)
@@ -695,15 +753,15 @@ class TestInPlaceIsotropicPaths:
         cross, post = ev.evaluate(w)
         laws = _ConditionalLaws(model, atoms)
         groups = _radial_groups(laws, laws.scalar_var)
-        table, lnf = laws.table, laws.table.mixture(w)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(w)[:, None]
+        bias = _bias(laws, w)
+        table, lnf = laws.table, laws.table.mixture(bias)
         for rows, _, n in groups:
             cx, du = laws.scalar_var[rows], table.du[:n]
             k = self._reference_kernels(laws, table, cx, n)
             assert np.array_equal(cross[rows], np.add.reduce(k * (du * lnf[:n]), axis=1) / cx)
             q = k * du / cx[:, None]
-            assert np.array_equal(post[rows], q @ np.exp(table.logp[:, :n] + log_w - lnf[:n]).T)
+            post_exp = table.exponents[:, :n] + bias[:, None] - lnf[:n]
+            assert np.array_equal(post[rows], q @ np.exp(post_exp).T)
 
     def test_evaluate_keeps_one_table_and_its_groups(self):
         # a second weight vector reuses the first call's nodes and Gamma-density
@@ -713,11 +771,11 @@ class TestInPlaceIsotropicPaths:
         ev = _SupportEvaluator(model, atoms, McConfig(1000, seed=5))
         ev.evaluate(np.array([0.5, 0.3, 0.2, 0.0]))
         table, kept = ev._laws.table, ev._laws.atom_groups
-        u, logp, groups = table.u, table.logp, [(k.copy(), q.copy()) for _, k, q, _ in kept]
+        u, e, groups = table.u, table.exponents, [(k.copy(), q.copy()) for _, k, q, _ in kept]
         assert len(groups) >= 2
         ev.evaluate(np.array([0.1, 0.2, 0.3, 0.4]))
         assert ev._laws.table is table and ev._laws.atom_groups is kept
-        assert table.u is u and table.logp is logp
+        assert table.u is u and table.exponents is e
         laws = _ConditionalLaws(model, atoms)
         fresh = _radial_groups(laws, laws.scalar_var)
         for (_, k, q, _), (k0, q0), (_, want, _) in zip(kept, groups, fresh):
@@ -753,16 +811,51 @@ class TestInPlaceIsotropicPaths:
         means, ses = laws.stream_stats(xs, w, cfg, 1)
         for row, factor in enumerate(_conditional_covariances(model, xs)[1]):
             coef = laws._form_coefficients(factor)
-            mix = np.concatenate([logsumexp(laws._log_densities(coef, d), axis=0, b=w[:, None])
-                                  for d in draws])
+            mix = np.concatenate([logsumexp(laws._log_densities(coef, d) - laws.log_norm[:, None],
+                                            axis=0, b=w[:, None]) for d in draws])
             mean = math.fsum(mix) / mix.size
             se = math.sqrt(math.fsum((mix - mean) ** 2) / (mix.size - 1) / mix.size)
             assert means[row] == pytest.approx(mean, rel=1e-14, abs=0.0)
             assert ses[row] == pytest.approx(se, rel=1e-12, abs=0.0)
 
+    def test_stream_stats_threads_keep_their_own_exponent_buffers(self, small_batches):
+        # stream_stats keeps its (k, n) exponent array per thread: threads that
+        # interleave calls of several sizes each get the serial results
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 2, 2)
+        laws = [_ConditionalLaws(model, self._atoms(rng, 2, k)) for k in (2, 3, 5)]
+        xs = np.array([[0.7 + 0.1j, -2.0j], [1.5 - 0.5j, 0.3 + 2.0j]])
+        cfg = McConfig(1000, seed=5)
+        small_batches(300)
+
+        def stats(law):
+            w = np.full(law.log_norm.size, 1.0 / law.log_norm.size)
+            return [v.tolist() for v in law.stream_stats(xs, w, cfg, 1)]
+
+        want = [stats(law) for law in laws]
+        errors = []
+
+        def caller(offset):
+            for i in range(30):
+                j = (offset + i) % len(laws)
+                if stats(laws[j]) != want[j]:
+                    errors.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+
     def test_stream_stats_peak_is_one_buffer_and_four_vectors(self, scalar_model, cold_draws):
-        # 4 atoms x 20k samples: one (k, n) log-density buffer and at most four
-        # n-vectors (mixture, shift, square and a spare), draws already cached
+        # 4 atoms x 20k samples: at most one (k, n) exponent buffer (the thread's
+        # kept one is reused here) and four n-vectors, draws already cached
         laws = _ConditionalLaws(scalar_model, [[0j], [1.0 + 0j], [2.0 + 0j], [3.0 + 0j]])
         w, cfg = np.full(4, 0.25), McConfig(20_000, seed=3)
         laws.stream_stats([[1.0 + 0j]], w, cfg, 1)  # draws the stream into the cache
@@ -773,6 +866,94 @@ class TestInPlaceIsotropicPaths:
         finally:
             tracemalloc.stop()
         assert peak <= (4 + 4) * 20_000 * 8
+
+
+class TestFloorRedo:
+    """A dense 2x2 measure with an atom at the origin and one e^700 larger in det C
+    (||x||^2 = 1e152): along the far atom's stream every shifted column sum is below
+    2^-1000, so the integrator recomputes those columns' exponents for the kernel's
+    redo. Each result equals, at rtol 1e-13, the max-shift formula the peak bound
+    replaced, on the same draws. At a far weight of 1e-40 the sums underflow to 0."""
+
+    MODEL = random_model(np.random.default_rng(7), 2, 2)
+    ATOMS = np.array([[0j, 0j], [1e76 / math.sqrt(2.0), 1e76j / math.sqrt(2.0)]])
+    W = np.array([0.5, 0.5])
+    WEIGHTS = [[0.5, 0.5], [1.0, 1e-40]]
+    CFG = McConfig(2000, seed=3)
+
+    @staticmethod
+    def _max_shift_mix(logp, w):
+        """ln sum_j w_j exp(logp_j - amax) + amax, amax the column max over the atoms
+        with weight."""
+        keep = w > 0.0
+        amax = np.max(logp[keep], axis=0)
+        return np.log(w[keep] @ np.exp(logp[keep] - amax)) + amax
+
+    def _reference(self, laws, factor, stream, w):
+        """Per batch of the stream, (ln f_mu by the max-shift formula, the exponents, the
+        share of columns whose shifted sum is below 2^-1000)."""
+        coef, bias = laws._form_coefficients(factor), _bias(laws, w)
+        out = []
+        for draw in _stream_draws(self.MODEL.M, False, self.CFG, stream):
+            e = laws._log_densities(coef, draw)
+            total = np.add.reduce(np.exp(e + (bias - bias.max())[:, None]), axis=0)
+            out.append((self._max_shift_mix(e - laws.log_norm[:, None], w), e,
+                        float(np.mean(total < 2.0 ** -1000))))
+        return out
+
+    def _mean(self, batches):
+        return sum(float(np.sum(mix)) for mix, _, _ in batches) / self.CFG.samples
+
+    def test_mutual_information(self, small_batches):
+        small_batches(700)
+        laws = _ConditionalLaws(self.MODEL, self.ATOMS)
+        assert laws.log_norm[1] - laws.log_norm[0] == pytest.approx(700.0, abs=1.0)
+        refs = [self._reference(laws, laws.factors[i], i, self.W) for i in range(2)]
+        assert [[share for _, _, share in ref] for ref in refs] == [[0.0] * 3, [1.0] * 3]
+        neg_h = [-conditional_entropy(self.MODEL, x) for x in self.ATOMS]
+        want = float(np.dot(self.W, neg_h) - np.dot(self.W, [self._mean(r) for r in refs]))
+        got = mutual_information(self.MODEL, DiscreteMeasure(self.ATOMS, self.W), self.CFG)
+        assert got.value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("w", WEIGHTS)
+    def test_kkt_scan(self, w, small_batches):
+        # points from the origin out past the far atom: on the cross stream none, some
+        # or all of a point's columns are redone, and kkt_value gives each point's bits
+        small_batches(700)
+        w = np.array(w)
+        u = self.ATOMS[1] / 1e76
+        xs = np.array([t * u for t in (0.0, 1.0, 25.0, 1e30, 1e75, 3e76)] + [1e76 * np.eye(2)[0]])
+        ctx = KktContext(0.1, 1.0, 0.5)
+        mu = DiscreteMeasure(self.ATOMS, w)
+        report = kkt_scan(self.MODEL, mu, ctx, xs, self.CFG)
+        laws = _ConditionalLaws(self.MODEL, self.ATOMS)
+        _, factors, log_det = _conditional_covariances(self.MODEL, np.vstack((xs, self.ATOMS)))
+        shares = set()
+        for point, factor, ld in zip(report.points + report.support, factors, log_det):
+            x = np.asarray(point.x)
+            stream = int(estimate._stream_indices(self.ATOMS, x[None])[0])
+            ref = self._reference(laws, factor, stream, w)
+            shares.update(share for _, _, share in ref)
+            want = (ctx.gamma * (point.norm_sq / self.MODEL.N - ctx.a) + ctx.capacity
+                    + self.MODEL.M * LOG_PI_E + ld + self._mean(ref))
+            assert point.value == pytest.approx(want, rel=1e-13, abs=0.0)
+            one = kkt_value(self.MODEL, mu, ctx, x, self.CFG)  # the redo alone, bit for bit
+            assert (one.value, one.std_error) == (point.value, point.std_error)
+        assert 0.0 in shares and 1.0 in shares and any(0.0 < v < 1.0 for v in shares)
+
+    @pytest.mark.parametrize("w", WEIGHTS)
+    def test_evaluate(self, w, small_batches):
+        # the posterior exponent e_j + b_j - ln f_mu takes the reference ln f_mu
+        small_batches(700)
+        w = np.array(w)
+        cross, post = _SupportEvaluator(self.MODEL, self.ATOMS, self.CFG).evaluate(w)
+        laws = _ConditionalLaws(self.MODEL, self.ATOMS)
+        bias = _bias(laws, w)
+        for i in range(2):
+            ref = self._reference(laws, laws.factors[i], i, w)
+            assert cross[i] == pytest.approx(self._mean(ref), rel=1e-13, abs=0.0)
+            want = sum(np.exp(e + bias[:, None] - mix).sum(axis=1) for mix, e, _ in ref)
+            np.testing.assert_allclose(post[i], want / self.CFG.samples, rtol=1e-13, atol=0.0)
 
 
 def _retained_bytes(cache) -> int:
@@ -1086,7 +1267,7 @@ class TestDenseKernel:
         for stream, x in enumerate(inputs):
             factor = conditional_covariance(model, x).factor
             coef = laws._form_coefficients(factor)
-            batches = [laws._log_densities(coef, monomials)
+            batches = [laws._log_densities(coef, monomials) - laws.log_norm[:, None]
                        for monomials in _stream_draws(m, False, cfg, stream)]
             assert len(batches) == 4
             for b, logp in enumerate(batches):
