@@ -78,7 +78,7 @@ from .channel import (_U64, LOG_PI_E, ChannelModel, _as_input, _check_positive_i
                       _check_seed, _conditional_covariances,
                       _is_int, conditional_entropy)
 from .errors import NotConvergedError, ScaleOverflowError
-from .measure import DiscreteMeasure, _weighted_mix
+from .measure import DiscreteMeasure, _mix_bias, _weighted_mix
 
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm: n * hi exact, |n| < 2^21
 
@@ -104,7 +104,6 @@ _CROSS_STREAM = 1 << 20
 _DRAW_BUDGET = 2 << 20
 _DRAWS: OrderedDict = OrderedDict()  # (M, iso, cfg, stream) -> (draws, bytes), oldest use first
 _DRAWS_LOCK = threading.Lock()
-_SCRATCH = threading.local()  # per thread: stream_stats' exponent array (_exponent_buffer)
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -277,17 +276,6 @@ def _stream_draws(m: int, iso: bool, cfg: McConfig, stream: int) -> list:
             _DRAWS[key] = draws, size
             _evict(0)
     return draws
-
-
-def _exponent_buffer(k: int, n: int) -> np.ndarray:
-    """A (k, n) view of one per-thread array that stream_stats keeps between calls if it
-    fits in _DRAW_BUDGET bytes, so the calls of a scan do not each fault a fresh one in."""
-    kept = getattr(_SCRATCH, "array", None)
-    if kept is None or kept.size < k * n:
-        kept = np.empty(k * n)
-        if kept.nbytes <= _DRAW_BUDGET:
-            _SCRATCH.array = kept
-    return kept[:k * n].reshape(k, n)
 
 
 def _sample_moments(s1, s2, count):
@@ -494,7 +482,7 @@ class _RadialTable:
         return (np.searchsorted(self.tops, u_max) + 1) * self.per_octave
 
     def mixture(self, bias: np.ndarray) -> np.ndarray:
-        """ln f_mu at every node, for the laws' bias (_ConditionalLaws.bias): one
+        """ln f_mu at every node, for the bias _mix_bias(weights, log_norm): one
         _weighted_mix, whose sums do not depend on the table's width."""
         return _weighted_mix(self.exponents, bias)
 
@@ -554,11 +542,6 @@ class _ConditionalLaws:
         same bits as the (k, 1) @ (1, n) matmul, several times faster."""
         return (np.multiply if coef.shape[-1] == 1 else np.matmul)(coef, draw, out=out)
 
-    def bias(self, weights) -> np.ndarray:
-        """_weighted_mix's b_j = ln w_j - ln det(pi C_j), -inf at zero weight."""
-        with np.errstate(divide="ignore"):
-            return np.log(np.asarray(weights, dtype=float)) - self.log_norm
-
     @functools.cached_property
     def table(self) -> _RadialTable:
         """The support's one _RadialTable, isotropic only: built on first use, then kept."""
@@ -614,7 +597,8 @@ class _ConditionalLaws:
         batch, then divided by c_x."""
         cxs = np.asarray(cxs, dtype=float)
         counts = self.table.node_counts(cxs * self.tail_s)
-        col, s = self._mixture_column(self.table.mixture(self.bias(weights)), int(counts.max()))
+        lnf = self.table.mixture(_mix_bias(weights, self.log_norm))
+        col, s = self._mixture_column(lnf, int(counts.max()))
         out = np.empty(cxs.size)
         for rows, k, n in self.radial_kernels(cxs, counts):
             out[rows] = np.add.reduce(np.multiply(k, col[:n], out=k), axis=1)
@@ -632,7 +616,7 @@ class _ConditionalLaws:
         and an axis-0 np.add.reduce of the (rows, n) view adds each stratum in
         stream order (pairwise when n = 1). The mean averages the strata's.
         """
-        bias, draws = self.bias(weights), self._draws(cfg, stream)
+        bias, draws = _mix_bias(weights, self.log_norm), self._draws(cfg, stream)
         if self.iso:
             cxs = self.model.noise_var + self.model.iso_var * np.array(
                 [np.vdot(x, x).real for x in xs])
@@ -649,11 +633,11 @@ class _ConditionalLaws:
             r, size = b * batch % n, draw.shape[-1]
             strata = buf[:-(-(r + size) // n) * n].reshape(-1, n)
             buf[:r], buf[r + size:strata.size] = 0.0, 0.0
-            e = _exponent_buffer(bias.size, size)
+            e = np.empty((bias.size, size))
             for row, coef in enumerate(coefs):
                 mix = _weighted_mix(self._log_densities(coef, draw, out=e), bias,
                                     out=buf[r:r + size],
-                                    fresh=lambda cols: self._log_densities(coef, draw[..., cols]))
+                                    fresh=lambda cols: self._log_densities(coef, draw)[:, cols])
                 s1[row] += np.add.reduce(strata, axis=0)
                 np.square(mix, out=mix)
                 s2[row] += np.add.reduce(strata, axis=0)
@@ -691,7 +675,7 @@ class _ConditionalLaws:
         few of a search's size): a weight solve calls it hundreds of times. Isotropic
         cross terms equal cross_quadratures' bit for bit: the same association, on the
         kept kernels."""
-        bias, k = self.bias(weights), self.log_norm.size
+        bias, k = _mix_bias(weights, self.log_norm), self.log_norm.size
         cross, post = np.zeros(k), np.zeros((k, k))
         if self.iso:  # one (atoms x nodes) @ (nodes x atoms) product per node count
             table, lnf = self.table, self.table.mixture(bias)

@@ -144,6 +144,12 @@ def shell_mass(mu: DiscreteMeasure, shell: InputShell) -> float:
     return float(mu.weights[inside].sum())
 
 
+def _mix_bias(weights, log_norm) -> np.ndarray:
+    """_weighted_mix's b_j = ln w_j - log_norm[j], log_norm[j] = ln det(pi C_j)."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(weights, dtype=float)) - log_norm
+
+
 def _weighted_mix(e: np.ndarray, bias: np.ndarray, out=None, fresh=None) -> np.ndarray:
     """Column-wise ln sum_j exp(e[j, :] + bias[j]), shifted by s = max_j bias[j].
 
@@ -183,8 +189,7 @@ def mixture_log_density(model: ChannelModel, mu: DiscreteMeasure, y) -> float:
     e = np.array([-cov.quad_forms(y)[0] for cov in covs])
     if np.max(e[mu.weights > 0.0]) == -np.inf:  # the redo's max would be -inf - -inf
         return -math.inf
-    with np.errstate(divide="ignore"):
-        bias = np.log(mu.weights) - np.array([model.M * LOG_PI + cov.log_det for cov in covs])
+    bias = _mix_bias(mu.weights, [model.M * LOG_PI + cov.log_det for cov in covs])
     return float(_weighted_mix(e[:, None], bias)[0])
 
 

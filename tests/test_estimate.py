@@ -22,7 +22,7 @@ from fading_capacity.estimate import (_STIRLERR, _TAIL_MASS, _ConditionalLaws,
                                       _gamma_quantile, _log_gamma_tail, _mutual_information,
                                       _phase_free_monomials, _polar, _shell_probabilities,
                                       _stirlerr, _stratified_radii_sq, _stream_draws)
-from fading_capacity.measure import _weighted_mix
+from fading_capacity.measure import _mix_bias, _weighted_mix
 from fading_capacity.optimizer import _SupportEvaluator
 from conftest import ORACLE_OPTIMA, radial_measure, random_model, random_input
 from oracles import ScalarRadialOracle, hypoexponential_shell_mass, kron_conditional_covariance
@@ -478,12 +478,6 @@ def _variance(model, x) -> float:
     return model.noise_var + model.iso_var * float(np.real(np.vdot(x, x)))
 
 
-def _bias(laws, w):
-    """The kernel's b_j = ln w_j - ln det(pi C_j) of the laws' atoms, -inf at zero weight."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(w, dtype=float)) - laws.log_norm
-
-
 def _radial_groups(laws, cxs):
     """(rows, k, n) per node count of the input variances cxs, each k in its own array."""
     counts = laws.table.node_counts(cxs * laws.tail_s)
@@ -585,7 +579,7 @@ class TestRadialQuadrature:
         cxs = 1.0 + np.array([0.0, 3.0, 1e10, 1e200, 1e300, 1e306])
         laws = self._laws(model, [0.0, 1e150])
         counts = laws.table.node_counts(cxs * laws.tail_s)
-        lnf = laws.table.mixture(_bias(laws, [0.5, 0.5]))
+        lnf = laws.table.mixture(_mix_bias([0.5, 0.5], laws.log_norm))
         assert [laws._mixture_column(lnf, n)[1] > 0 for n in counts] == [False] * 4 + [True] * 2
         want = [self._laws(model, [0.0, 1e150]).cross_quadratures(cxs[i:i + 1], [0.5, 0.5])[0]
                 for i in range(cxs.size)]
@@ -678,7 +672,7 @@ class TestInPlaceIsotropicPaths:
             s1, s2, count = np.zeros(strata), np.zeros(strata), np.zeros(strata)
             for b, s in enumerate(_stream_draws(m, True, cfg, stream)):
                 ids = (b * batch + np.arange(s.size)) % strata  # by position
-                mix = _weighted_mix(-np.outer(ratios, s), _bias(laws, w))
+                mix = _weighted_mix(-np.outer(ratios, s), _mix_bias(w, laws.log_norm))
                 s1 += np.bincount(ids, weights=mix, minlength=strata)
                 s2 += np.bincount(ids, weights=mix * mix, minlength=strata)
                 count += np.bincount(ids, minlength=strata)
@@ -708,7 +702,7 @@ class TestInPlaceIsotropicPaths:
                 u = np.random.default_rng(derive_seed(cfg.seed, stream, b)).random(nb)
                 ids = (start + np.arange(nb)) % n
                 s = _gamma_quantile(m, (ids + u) / n, (n - ids - u) / n)
-                mix = _weighted_mix(-np.outer(ratios, s), _bias(laws, w))
+                mix = _weighted_mix(-np.outer(ratios, s), _mix_bias(w, laws.log_norm))
                 s1 += np.bincount(ids, weights=mix, minlength=n)
                 s2 += np.bincount(ids, weights=mix * mix, minlength=n)
                 count += np.bincount(ids, minlength=n)
@@ -736,7 +730,7 @@ class TestInPlaceIsotropicPaths:
         table = laws.table
         assert np.array_equal(table.exponents, -np.outer(laws.inv_var, table.u))
         assert len(groups) >= 3
-        lnf = table.mixture(_bias(laws, w))
+        lnf = table.mixture(_mix_bias(w, laws.log_norm))
         want = np.empty(cxs.size)
         for rows, k, n in groups:
             ref = self._reference_kernels(laws, table, cxs[rows], n)
@@ -753,7 +747,7 @@ class TestInPlaceIsotropicPaths:
         cross, post = ev.evaluate(w)
         laws = _ConditionalLaws(model, atoms)
         groups = _radial_groups(laws, laws.scalar_var)
-        bias = _bias(laws, w)
+        bias = _mix_bias(w, laws.log_norm)
         table, lnf = laws.table, laws.table.mixture(bias)
         for rows, _, n in groups:
             cx, du = laws.scalar_var[rows], table.du[:n]
@@ -818,44 +812,9 @@ class TestInPlaceIsotropicPaths:
             assert means[row] == pytest.approx(mean, rel=1e-14, abs=0.0)
             assert ses[row] == pytest.approx(se, rel=1e-12, abs=0.0)
 
-    def test_stream_stats_threads_keep_their_own_exponent_buffers(self, small_batches):
-        # stream_stats keeps its (k, n) exponent array per thread: threads that
-        # interleave calls of several sizes each get the serial results
-        rng = np.random.default_rng(17)
-        model = random_model(rng, 2, 2)
-        laws = [_ConditionalLaws(model, self._atoms(rng, 2, k)) for k in (2, 3, 5)]
-        xs = np.array([[0.7 + 0.1j, -2.0j], [1.5 - 0.5j, 0.3 + 2.0j]])
-        cfg = McConfig(1000, seed=5)
-        small_batches(300)
-
-        def stats(law):
-            w = np.full(law.log_norm.size, 1.0 / law.log_norm.size)
-            return [v.tolist() for v in law.stream_stats(xs, w, cfg, 1)]
-
-        want = [stats(law) for law in laws]
-        errors = []
-
-        def caller(offset):
-            for i in range(30):
-                j = (offset + i) % len(laws)
-                if stats(laws[j]) != want[j]:
-                    errors.append(j)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not errors
-
     def test_stream_stats_peak_is_one_buffer_and_four_vectors(self, scalar_model, cold_draws):
-        # 4 atoms x 20k samples: at most one (k, n) exponent buffer (the thread's
-        # kept one is reused here) and four n-vectors, draws already cached
+        # 4 atoms x 20k samples: one (k, n) exponent buffer and at most four
+        # n-vectors, draws already cached
         laws = _ConditionalLaws(scalar_model, [[0j], [1.0 + 0j], [2.0 + 0j], [3.0 + 0j]])
         w, cfg = np.full(4, 0.25), McConfig(20_000, seed=3)
         laws.stream_stats([[1.0 + 0j]], w, cfg, 1)  # draws the stream into the cache
@@ -892,7 +851,7 @@ class TestFloorRedo:
     def _reference(self, laws, factor, stream, w):
         """Per batch of the stream, (ln f_mu by the max-shift formula, the exponents, the
         share of columns whose shifted sum is below 2^-1000)."""
-        coef, bias = laws._form_coefficients(factor), _bias(laws, w)
+        coef, bias = laws._form_coefficients(factor), _mix_bias(w, laws.log_norm)
         out = []
         for draw in _stream_draws(self.MODEL.M, False, self.CFG, stream):
             e = laws._log_densities(coef, draw)
@@ -948,12 +907,27 @@ class TestFloorRedo:
         w = np.array(w)
         cross, post = _SupportEvaluator(self.MODEL, self.ATOMS, self.CFG).evaluate(w)
         laws = _ConditionalLaws(self.MODEL, self.ATOMS)
-        bias = _bias(laws, w)
+        bias = _mix_bias(w, laws.log_norm)
         for i in range(2):
             ref = self._reference(laws, laws.factors[i], i, w)
             assert cross[i] == pytest.approx(self._mean(ref), rel=1e-13, abs=0.0)
             want = sum(np.exp(e + bias[:, None] - mix).sum(axis=1) for mix, e, _ in ref)
             np.testing.assert_allclose(post[i], want / self.CFG.samples, rtol=1e-13, atol=0.0)
+
+    def test_evaluate_returns_the_cross_means_where_columns_are_redone(self, small_batches):
+        # a third atom e^684 above the origin's det C: its stream redoes exactly one
+        # column in a batch, the far atom's all of them. stream_stats recomputes the
+        # exponents that posteriors slices from its (k, n) product, so the cross terms
+        # agree bit for bit
+        small_batches(700)
+        atoms = np.vstack((self.ATOMS, [1.6e74 + 0j, 0j]))
+        w = np.array([0.4, 0.3, 0.3])
+        laws = _ConditionalLaws(self.MODEL, atoms)
+        redone = [[round(share * mix.size) for mix, _, share in
+                   self._reference(laws, laws.factors[i], i, w)] for i in range(3)]
+        assert redone[0] == [0, 0, 0] and redone[1] == [700, 700, 600] and 1 in redone[2]
+        evaluator = _SupportEvaluator(self.MODEL, atoms, self.CFG)
+        assert np.array_equal(evaluator.evaluate(w)[0], evaluator.cross_means(w))
 
 
 def _retained_bytes(cache) -> int:
